@@ -13,7 +13,8 @@ per-cell masses, and the distribution of the total is a small dynamic
 program over cells.  With random anchors the conditional law is integrated
 against the order-statistic density m! * prod f_Y(y_j) on the ordered
 region, deterministically through nested Gauss-Legendre rules for m <= 3
-and by Monte Carlo above that.
+(split at the knots of f_Y) and by Monte Carlo above that.  Either way the
+program runs once per batch of anchor configurations, not once per node.
 
 Middle-cell densities follow the support-rescaled construction: each cell
 hosts an affine copy of the point density, which makes the per-cell p
@@ -36,6 +37,11 @@ from .exact import probability
 # Exact cell enumeration is capped here; the composition space grows like
 # C(n + m, m) and Monte Carlo takes over beyond the cap.
 MAX_EXACT_TOTAL = 24
+
+# Anchor configurations per batched cell DP call.  It bounds the DP's
+# (rows, n + 1, n + 1) transition arrays whatever the number of quadrature
+# nodes or Monte Carlo draws.
+_BATCH_ROWS = 512
 
 
 def compositions(total, parts, part_range=None):
@@ -165,40 +171,40 @@ def _p_tables(cell_models, n):
 
 
 def _pmf_vector(cell_probs, p_tables, n):
-    """Distribution of the domination total via a cell-by-cell program.
+    """Distributions of the domination total via a cell-by-cell program.
 
-    Cells are consumed left to right; conditional on the points remaining,
-    the count in the next cell is binomial with the renormalized cell mass.
-    States track (points remaining, domination so far).
+    ``cell_probs`` is (rows, m + 1), one row of cell masses per anchor
+    configuration, and the result is (rows, 2m + 1).  Cells are consumed left
+    to right; conditional on the points remaining, the count in the next cell
+    is binomial with the renormalized cell mass.  States track (points
+    remaining, domination so far), and every step acts on all rows at once.
     """
-    cells = len(cell_probs)
+    probs = np.asarray(cell_probs, dtype=float)
+    rows, cells = probs.shape
     m = cells - 1
-    tail = np.concatenate([np.cumsum(np.asarray(cell_probs, dtype=float)[::-1])[::-1], [0.0]])
-    dp = np.zeros((n + 1, 2 * m + 1))
-    dp[n, 0] = 1.0
+    tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(tail > 0.0, np.minimum(probs / tail, 1.0), 0.0)
+    # a cell that takes t >= 1 of the r points still unplaced leaves s = r - t;
+    # move[s, r] = C(r, t) q^t (1 - q)^s with q the renormalized cell mass
+    remaining = np.arange(n + 1)
+    t = np.maximum(remaining - remaining[:, None], 0)
+    binom = np.array([[math.comb(r, s) if r > s else 0 for r in remaining] for s in remaining],
+                     dtype=float)
+    dp = np.zeros((rows, n + 1, 2 * m + 1))
+    dp[:, n, 0] = 1.0
     for j in range(cells):
-        new = np.zeros_like(dp)
-        ratio = 0.0 if tail[j] <= 0.0 else min(cell_probs[j] / tail[j], 1.0)
-        is_end = j == 0 or j == cells - 1
-        p_vec = None if is_end else p_tables[j - 1]
-        for r in range(n + 1):
-            row = dp[r]
-            if not row.any():
-                continue
-            for t in range(r + 1):
-                w = math.comb(r, t) * ratio ** t * (1.0 - ratio) ** (r - t)
-                if w == 0.0:
-                    continue
-                if t == 0:
-                    new[r, :] += w * row
-                elif is_end:
-                    new[r - t, 1:] += w * row[:-1]
-                else:
-                    p_two = p_vec[t]
-                    new[r - t, 1:] += w * (1.0 - p_two) * row[:-1]
-                    new[r - t, 2:] += w * p_two * row[:-2]
+        q = ratio[:, j, None, None]
+        move = binom * q ** t * (1.0 - q) ** remaining[:, None]
+        new = ((1.0 - ratio[:, j, None]) ** remaining)[:, :, None] * dp  # cell left empty
+        if j == 0 or j == cells - 1:
+            new[:, :, 1:] += move @ dp[:, :, :-1]
+        else:
+            p_two = p_tables[j - 1][t]
+            new[:, :, 1:] += (move * (1.0 - p_two)) @ dp[:, :, :-1]
+            new[:, :, 2:] += (move * p_two) @ dp[:, :, :-2]
         dp = new
-    return dp[0]
+    return dp[:, 0]
 
 
 def pmf_conditional_table(cond, n):
@@ -211,7 +217,7 @@ def pmf_conditional_table(cond, n):
         raise ValueError(
             f"n + m = {n + m}: exact cell enumeration is capped at {MAX_EXACT_TOTAL}; "
             "use Monte Carlo beyond that")
-    return _pmf_vector(cond.cell_probs, _p_tables(cond.cell_models, n), n)
+    return _pmf_vector([cond.cell_probs], _p_tables(cond.cell_models, n), n)[0]
 
 
 def pmf_conditional(cond, n, k):
@@ -231,35 +237,35 @@ def _require_matching_supports(fx, fy):
 
 
 def _cell_mass_probs(fx, anchors_sorted, hu_family):
+    """(rows, m + 1) cell masses for (rows, m) sorted anchor positions."""
     lo, hi = fx.support.lo, fx.support.hi
-    edges = np.concatenate([[lo], anchors_sorted, [hi]])
     if fx.family == "uniform" or hu_family:
-        return np.diff(edges) / (hi - lo)
+        return np.diff(np.atleast_2d(anchors_sorted), prepend=lo, append=hi, axis=1) / (hi - lo)
     raise ValueError(
         f"fx: cell-conditional densities are only available for the uniform family; "
         f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
 
 
-def _ordered_simplex_quadrature(fn, lo, hi, m, nodes):
-    # nested Gauss-Legendre over lo < y_1 < ... < y_m < hi
+def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
+    """Nested Gauss-Legendre points (N, m) and weights (N,) over lo < y_1 < ... < y_m < hi.
+
+    Each coordinate runs from the one before it up to ``hi``, and its range is
+    split at the ``knots`` inside it, so an integrand that is polynomial
+    between knots is integrated exactly up to the degree of the rule.
+    """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-
-    def level(depth, a, ys):
-        width = hi - a
-        total = 0.0
-        for xi, wi in zip(x, w):
-            y = a + width * xi
-            ys.append(y)
-            if depth == m:
-                total = total + (wi * width) * fn(ys)
-            else:
-                total = total + (wi * width) * level(depth + 1, y, ys)
-            ys.pop()
-        return total
-
-    return level(1, lo, [])
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    breaks = np.array([lo, *sorted(float(k) for k in knots if lo < k < hi), hi])
+    points, weights, start = np.empty((1, 0)), np.ones(1), np.full(1, lo)
+    for _ in range(m):
+        a = np.maximum(start[:, None], breaks[:-1])
+        b = np.broadcast_to(breaks[1:], a.shape)
+        row, seg = np.nonzero(b > a)
+        a, width = a[row, seg], b[row, seg] - a[row, seg]
+        start = (a[:, None] + width[:, None] * x).ravel()
+        points = np.column_stack([np.repeat(points[row], nodes, axis=0), start])
+        weights = (weights[row, None] * width[:, None] * w).ravel()
+    return points, weights
 
 
 def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_family=False):
@@ -275,7 +281,6 @@ def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_fa
             "use Monte Carlo beyond that")
     _require_matching_supports(fx, fy)
     p_tables = _p_tables((_unit_model(fx),) * (m - 1), n) if m > 1 else []
-    lo, hi = fx.support.lo, fx.support.hi
 
     if mc_reps is not None:
         reps = int(mc_reps)
@@ -283,25 +288,21 @@ def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_fa
             raise ValueError(f"mc_reps: need at least one replicate, got {mc_reps}")
         rng = np.random.default_rng(seed)
         ys = np.sort(fy.quantile(rng.random((reps, m))), axis=1)
-        total = np.zeros(2 * m + 1)
-        for row in ys:
-            probs = _cell_mass_probs(fx, row, hu_family)
-            total += _pmf_vector(probs, p_tables, n)
-        return total / reps
-
-    if m > 3:
-        raise ValueError(
-            f"m: deterministic anchor quadrature is limited to m <= 3, got {m}; "
-            "pass mc_reps to sample anchors instead")
-    norm = math.factorial(m)
-
-    def fn(ys):
-        arr = np.asarray(ys)
-        probs = _cell_mass_probs(fx, arr, hu_family)
-        weight = norm * float(np.prod(fy.pdf(arr)))
-        return weight * _pmf_vector(probs, p_tables, n)
-
-    return _ordered_simplex_quadrature(fn, lo, hi, m, nodes)
+        weights = np.full(reps, 1.0 / reps)
+    else:
+        if m > 3:
+            raise ValueError(
+                f"m: deterministic anchor quadrature is limited to m <= 3, got {m}; "
+                "pass mc_reps to sample anchors instead")
+        ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, nodes,
+                                             fy.interior_knots())
+        weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
+    probs = _cell_mass_probs(fx, ys, hu_family)
+    table = np.zeros(2 * m + 1)
+    for start in range(0, len(ys), _BATCH_ROWS):
+        rows = slice(start, start + _BATCH_ROWS)
+        table += weights[rows] @ _pmf_vector(probs[rows], p_tables, n)
+    return table
 
 
 def pmf_random_anchors(fx, fy, n, m, k, nodes=24, mc_reps=None, seed=0, hu_family=False):
@@ -339,9 +340,9 @@ def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
     if not uniform_mass:
         _cell_mass_probs(fx, np.array([]), hu_family)  # raises with the standard message
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    y = lo + 0.5 * (x + 1.0) * width
-    wy = 0.5 * w * width
+    knots = fy.interior_knots()
+    ys, wy = _ordered_simplex_nodes(lo, hi, 1, nodes, knots)
+    y = ys[:, 0]
     fy_pdf = fy.pdf(y)
     Fy = fy.cdf(y)
     mass_left = (y - lo) / width
@@ -356,21 +357,16 @@ def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
         p_vec = _p_tables((_unit_model(fx),), n)[0]
         counts = np.arange(1, n + 1)
         binom = np.array([math.comb(n, int(t)) for t in counts], dtype=float)
-        one_plus_p = 1.0 + p_vec[1:]
+        # (a, b) runs over the lower and upper anchor of one middle cell
+        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, nodes, knots)
+        a, b = pairs.T
+        delta = (b - a) / width
+        occupancy = binom * delta[:, None] ** counts * (1.0 - delta[:, None]) ** (n - counts)
+        inner = wp * fy.pdf(a) * fy.pdf(b) * (occupancy @ (1.0 + p_vec[1:]))
+        Fa, Fb = fy.cdf(a), fy.cdf(b)
         for j in range(2, m + 1):
             pair_norm = math.factorial(m) / (math.factorial(j - 2) * math.factorial(m - j))
-            for yb, wb in zip(y, wy):
-                # inner anchor runs below the outer one
-                span = yb - lo
-                a = lo + 0.5 * (x + 1.0) * span
-                wa = 0.5 * w * span
-                delta = (yb - a) / width
-                occupancy = (binom[None, :] * delta[:, None] ** counts[None, :]
-                             * (1.0 - delta[:, None]) ** (n - counts)[None, :])
-                inner = occupancy @ one_plus_p
-                pair = (pair_norm * fy.cdf(a) ** (j - 2) * fy.pdf(a)
-                        * float(fy.pdf(yb)) * (1.0 - float(fy.cdf(yb))) ** (m - j))
-                middle += float(wb * np.sum(wa * pair * inner))
+            middle += pair_norm * float(np.sum(inner * Fa ** (j - 2) * (1.0 - Fb) ** (m - j)))
     return left + right + middle
 
 

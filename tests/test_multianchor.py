@@ -25,6 +25,8 @@ from cccd.multianchor import (
     pmf_random_anchors_table,
     uniform_composition_probability,
     _gamma_rows,
+    _p_tables,
+    _pmf_vector,
 )
 
 
@@ -54,6 +56,35 @@ def reference_pmf(cell_probs, p_vec, n, k):
                 w *= middle_cell_weight(kv[j], nv[j], p_vec)
             total += weight * w
     return total
+
+
+def exact_uniform_anchor_pmf(n, m):
+    """Exact pmf under uniform points and anchors, as Fractions.
+
+    Every cell-count vector has the same probability, and given the counts the
+    cells contribute independently: an occupied end cell 1, a middle cell with
+    t points 1 or 2 with p_t deciding.
+    """
+    weight = uniform_composition_probability(n, m)
+    p = [Fraction(0)] + [p_uniform_fraction(t) for t in range(1, n + 1)]
+    pmf = [Fraction(0)] * (2 * m + 1)
+    for counts in compositions(n, m + 1):
+        law = {0: Fraction(1)}
+        for j, t in enumerate(counts):
+            if t == 0:
+                cell = {0: Fraction(1)}
+            elif j in (0, m):
+                cell = {1: Fraction(1)}
+            else:
+                cell = {1: 1 - p[t], 2: p[t]}
+            convolved = {}
+            for k, a in law.items():
+                for c, b in cell.items():
+                    convolved[k + c] = convolved.get(k + c, 0) + a * b
+            law = convolved
+        for k, prob in law.items():
+            pmf[k] += weight * prob
+    return pmf
 
 
 class TestCompositions:
@@ -177,6 +208,39 @@ class TestPmfConditional:
             pmf_conditional_table(cond, 24)
 
 
+class TestBatchedCellProgram:
+    def test_rows_match_literal_composition_sum(self):
+        n = 5
+        p_vec = np.array([probability(TwoStep(0.4), t).value if t >= 2 else 0.0
+                          for t in range(n + 1)])
+        rows = np.array([
+            [0.1, 0.2, 0.3, 0.4],
+            [0.25, 0.0, 0.5, 0.25],   # empty middle cell
+            [0.4, 0.6, 0.0, 0.0],     # zero tail
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.5, 0.5, 0.0],
+        ])
+        got = _pmf_vector(rows, [p_vec, p_vec], n)
+        assert got.shape == (len(rows), 7)
+        for row, table in zip(rows, got):
+            for k in range(7):
+                want = reference_pmf(row, p_vec, n, k)
+                assert table[k] == pytest.approx(want, abs=1e-12), (row, k)
+
+    def test_monte_carlo_anchors_match_the_per_row_sum(self):
+        n, m, reps, seed = 6, 3, 1100, 9  # more draws than one batch holds
+        table = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps, seed=seed)
+        again = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps, seed=seed)
+        assert np.array_equal(table, again)
+        ys = np.sort(Uniform().quantile(np.random.default_rng(seed).random((reps, m))), axis=1)
+        p_tables = _p_tables((Uniform(),) * (m - 1), n)
+        rows = [_pmf_vector([np.diff(y, prepend=0.0, append=1.0)], p_tables, n)[0] for y in ys]
+        want = np.array([math.fsum(column) / reps for column in zip(*rows)])
+        assert np.max(np.abs(table - want)) <= 1e-15
+
+
 class TestUniformCompositionProbability:
     def test_closed_form(self):
         for n, m in ((3, 2), (5, 4), (1, 1), (10, 2)):
@@ -208,6 +272,19 @@ class TestPmfRandomAnchors:
         table = pmf_random_anchors_table(Uniform(), Uniform(), 4, 2)
         assert table.sum() == pytest.approx(1.0, abs=1e-9)
         assert table[0] == 0.0
+
+    def test_uniform_anchors_match_the_exact_composition_law(self):
+        for n, m in ((4, 2), (8, 2), (5, 3)):
+            want = [float(v) for v in exact_uniform_anchor_pmf(n, m)]
+            got = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
+            assert np.max(np.abs(got - want)) <= 1e-12, (n, m)
+
+    def test_jumping_anchor_density_normalizes(self):
+        # the quadrature splits at the density's jump, where the integrand has a kink
+        model = TwoStep(0.5)
+        for n, m in ((4, 2), (6, 3)):
+            table = pmf_random_anchors_table(model, model, n, m, hu_family=True)
+            assert table.sum() == pytest.approx(1.0, abs=1e-12), (n, m)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="m <= 3"):
@@ -244,6 +321,14 @@ class TestExpectedGamma:
             table = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
             mean = float(np.arange(len(table)) @ table)
             assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(mean, abs=1e-6)
+
+    def test_jumping_anchor_density_matches_the_pmf_mean(self):
+        model = TwoStep(0.5)
+        for n, m in ((4, 2), (6, 3)):
+            table = pmf_random_anchors_table(model, model, n, m, hu_family=True)
+            mean = float(np.arange(len(table)) @ table)
+            got = expected_gamma(model, model, n, m, hu_family=True)
+            assert got == pytest.approx(mean, abs=1e-9), (n, m)
 
     def test_rescaled_cells_change_the_mean(self):
         model = TwoStep(0.4)
