@@ -415,7 +415,7 @@ def _cmd_table(req: CommandRequest) -> int:
 
 
 def _selftest_checks():
-    rng = np.random.default_rng(20260815)
+    rng = simulate._stream(20260815, 0)
     fails = 0
 
     def grade(name, ok):

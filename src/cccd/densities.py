@@ -888,25 +888,3 @@ def model_to_spec(model):
         "params": dict(model.params),
         "support": [model.support.lo, model.support.hi],
     }
-
-
-# module-level operation aliases
-
-def pdf(model, x):
-    return model.pdf(x)
-
-
-def cdf(model, x):
-    return model.cdf(x)
-
-
-def quantile(model, u):
-    return model.quantile(u)
-
-
-def one_sided_derivative(model, point, side, order):
-    return model.one_sided_derivative(point, side, order)
-
-
-def sample(model, n, rng):
-    return model.sample(n, rng)

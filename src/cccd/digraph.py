@@ -244,6 +244,44 @@ def domination_number_fast(instance):
     return DominationResult(total, tuple(reports), tuple(witness))
 
 
+def _cell_gammas(xs, ys):
+    """Per-cell domination contributions for batches of sorted rows.
+
+    ``xs`` is (reps, n) and ``ys`` is (reps, m) or (m,), every row sorted.
+    Returns ``(cells, tied)``: ``cells`` is the (reps, m + 1) contribution of
+    each cell and ``tied`` flags rows with a repeated point, a repeated anchor
+    or a point on an anchor, whose cells mean nothing.  Cells are found by
+    rank, so each anchor costs one pass over the points and each middle cell
+    one more.  Float comparisons only: this is the Monte Carlo kernel, and
+    ``domination_number_fast`` is the exact reference.
+    """
+    reps, n = xs.shape
+    ys = np.broadcast_to(ys, (reps, np.shape(ys)[-1]))
+    m = ys.shape[1]
+    rows = np.arange(reps)
+    tied = (np.diff(xs, axis=1) == 0.0).any(axis=1) | (np.diff(ys, axis=1) == 0.0).any(axis=1)
+    # cell c holds the points of rank ranks[:, c] up to ranks[:, c + 1]
+    ranks = np.zeros((reps, m + 2), dtype=np.intp)
+    ranks[:, -1] = n
+    for c in range(m):
+        ranks[:, c + 1] = np.count_nonzero(xs < ys[:, c, None], axis=1)
+        tied |= xs[rows, np.minimum(ranks[:, c + 1], n - 1)] == ys[:, c]
+    occupied = np.diff(ranks, axis=1) > 0
+    cells = occupied.astype(np.int64)
+    doubled = 2.0 * xs
+    for c in range(1, m):
+        first, last = ranks[:, c], ranks[:, c + 1] - 1
+        lo_edge = xs[rows, np.maximum(last, 0)] + ys[:, c - 1]
+        hi_edge = xs[rows, np.minimum(first, n - 1)] + ys[:, c]
+        # 2x rises with rank and every point left of the cell has 2x <= lo_edge,
+        # so a witness exists iff the first point past lo_edge is in the cell
+        # and short of hi_edge
+        k = np.count_nonzero(doubled <= lo_edge[:, None], axis=1)
+        witness = (k <= last) & (doubled[rows, np.minimum(k, n - 1)] < hi_edge)
+        cells[:, c] += occupied[:, c] & ~witness
+    return cells, tied
+
+
 def upper_bound_counts(instance):
     """(k1, k2, bound): cell-occupancy counts and the bound 2*k1 + k2."""
     k1 = k2 = 0

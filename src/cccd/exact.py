@@ -19,7 +19,7 @@ Evaluation routes, from most to least exact:
     (Fraction arithmetic end to end);
   * a one-dimensional polynomial reduction for the density 2x on (0, 1);
   * adaptive two-dimensional quadrature for everything else;
-  * plain Monte Carlo as an independent check.
+  * Monte Carlo through ``simulate.run`` as an independent check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import simulate
 from .densities import GapUniform, ShrunkUniform, TwoStep, Uniform
 
 LIMIT_UNIFORM = 4.0 / 9.0
@@ -496,30 +497,14 @@ def p_quadrature(model, n, config=None):
 
 
 def p_monte_carlo(model, n, reps=100000, seed=0):
-    """Empirical p_n: fraction of samples leaving the middle region empty."""
+    """Empirical p_n: the share of ``simulate.run`` replicates with gamma = 2."""
     n = _require_sample_size(n)
-    model = _to_unit(model)
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError(f"reps: need at least one replicate, got {reps}")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    block = max(1, min(reps, 20_000_000 // max(n, 1)))
-    done = 0
-    while done < reps:
-        k = min(block, reps - done)
-        x = model.quantile(rng.random((k, n)))
-        mn = x.min(axis=1)
-        mx = x.max(axis=1)
-        lo = 0.5 * mx
-        hi = 0.5 * (1.0 + mn)
-        inside = (x > lo[:, None]) & (x < hi[:, None])
-        hits += int(np.sum(~inside.any(axis=1)))
-        done += k
-    p = hits / reps
-    se = math.sqrt(max(p * (1.0 - p), 1e-12) / reps)
+    plan = simulate.SimulationPlan(fx=_to_unit(model), fy=(0.0, 1.0), n=n,
+                                   reps=int(reps), seed=seed)
+    p = simulate.run(plan).get(2, 0) / plan.reps
+    se = math.sqrt(max(p * (1.0 - p), 1e-12) / plan.reps)
     return ProbabilityReport(p, "monte-carlo", n, error_estimate=se,
-                             detail={"reps": reps, "seed": seed})
+                             detail={"reps": plan.reps, "seed": seed})
 
 
 def probability(model, n, method="auto", config=None, reps=100000, seed=0):

@@ -31,8 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import simulate
 from .densities import Uniform
-from .exact import probability
+from .exact import _to_unit, probability
 
 # Exact cell enumeration is capped here; the composition space grows like
 # C(n + m, m) and Monte Carlo takes over beyond the cap.
@@ -119,14 +120,6 @@ class AnchorConditional:
                 f"cell_models: expected {m - 1} middle-cell densities, got {len(self.cell_models)}")
 
 
-def _unit_model(model):
-    if model.support.lo == 0.0 and model.support.hi == 1.0:
-        return model
-    if hasattr(model, "to_unit"):
-        return model.to_unit()
-    raise ValueError(f"support: family {model.family} cannot be rescaled to the unit interval")
-
-
 def conditional_on_anchors(fx, anchors, hu_family=False):
     """Build the cell decomposition of ``fx`` for fixed anchors.
 
@@ -141,17 +134,8 @@ def conditional_on_anchors(fx, anchors, hu_family=False):
     for a in anchors:
         if not lo < a < hi:
             raise ValueError(f"anchors: {a!r} lies outside the open support ({lo}, {hi})")
-    if fx.family != "uniform" and not hu_family:
-        raise ValueError(
-            f"fx: cell-conditional densities are only available for the uniform family; "
-            f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
-    edges = np.array([lo, *anchors, hi])
-    if hu_family and fx.family != "uniform":
-        cell_probs = tuple(np.diff(edges) / (hi - lo))
-    else:
-        cell_probs = tuple(np.diff(fx.cdf(edges)))
-    unit = _unit_model(fx)
-    cell_models = (unit,) * (len(anchors) - 1)
+    cell_probs = tuple(_cell_masses(fx, anchors, hu_family)[0])
+    cell_models = (_to_unit(fx),) * (len(anchors) - 1)
     return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_models=cell_models)
 
 
@@ -207,16 +191,23 @@ def _pmf_vector(cell_probs, p_tables, n):
     return dp[:, 0]
 
 
-def pmf_conditional_table(cond, n):
-    """Full domination-number pmf given fixed anchors; index k holds P(gamma = k)."""
-    n = int(n)
+def _checked_sizes(n, m):
+    """``(n, m)`` as ints, at least 1 each and within the enumeration cap."""
+    n, m = int(n), int(m)
     if n < 1:
         raise ValueError(f"n: sample size must be at least 1, got {n}")
-    m = len(cond.anchors)
+    if m < 1:
+        raise ValueError(f"m: need at least one anchor, got {m}")
     if n + m > MAX_EXACT_TOTAL:
         raise ValueError(
             f"n + m = {n + m}: exact cell enumeration is capped at {MAX_EXACT_TOTAL}; "
             "use Monte Carlo beyond that")
+    return n, m
+
+
+def pmf_conditional_table(cond, n):
+    """Full domination-number pmf given fixed anchors; index k holds P(gamma = k)."""
+    n, _ = _checked_sizes(n, len(cond.anchors))
     return _pmf_vector([cond.cell_probs], _p_tables(cond.cell_models, n), n)[0]
 
 
@@ -236,14 +227,19 @@ def _require_matching_supports(fx, fy):
             f"point support [{fx.support.lo}, {fx.support.hi}]")
 
 
-def _cell_mass_probs(fx, anchors_sorted, hu_family):
-    """(rows, m + 1) cell masses for (rows, m) sorted anchor positions."""
+def _require_cell_law(fx, hu_family):
+    """Cells carry the uniform mass of their gap: uniform points, or the hu construction."""
+    if fx.family != "uniform" and not hu_family:
+        raise ValueError(
+            f"fx: cell-conditional densities are only available for the uniform family; "
+            f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
+
+
+def _cell_masses(fx, anchors_sorted, hu_family):
+    """(rows, m + 1) cell masses for (rows, m) or (m,) sorted anchor positions."""
+    _require_cell_law(fx, hu_family)
     lo, hi = fx.support.lo, fx.support.hi
-    if fx.family == "uniform" or hu_family:
-        return np.diff(np.atleast_2d(anchors_sorted), prepend=lo, append=hi, axis=1) / (hi - lo)
-    raise ValueError(
-        f"fx: cell-conditional densities are only available for the uniform family; "
-        f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
+    return np.diff(np.atleast_2d(anchors_sorted), prepend=lo, append=hi, axis=1) / (hi - lo)
 
 
 def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
@@ -270,23 +266,15 @@ def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
 
 def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_family=False):
     """Domination-number pmf with anchors drawn from ``fy``; index k holds P(gamma = k)."""
-    n, m = int(n), int(m)
-    if n < 1:
-        raise ValueError(f"n: sample size must be at least 1, got {n}")
-    if m < 1:
-        raise ValueError(f"m: need at least one anchor, got {m}")
-    if n + m > MAX_EXACT_TOTAL:
-        raise ValueError(
-            f"n + m = {n + m}: exact cell enumeration is capped at {MAX_EXACT_TOTAL}; "
-            "use Monte Carlo beyond that")
+    n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
-    p_tables = _p_tables((_unit_model(fx),) * (m - 1), n) if m > 1 else []
+    p_tables = _p_tables((_to_unit(fx),) * (m - 1), n) if m > 1 else []
 
     if mc_reps is not None:
         reps = int(mc_reps)
         if reps < 1:
             raise ValueError(f"mc_reps: need at least one replicate, got {mc_reps}")
-        rng = np.random.default_rng(seed)
+        rng = simulate._stream(seed, 0)
         ys = np.sort(fy.quantile(rng.random((reps, m))), axis=1)
         weights = np.full(reps, 1.0 / reps)
     else:
@@ -297,11 +285,16 @@ def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_fa
         ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, nodes,
                                              fy.interior_knots())
         weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
-    probs = _cell_mass_probs(fx, ys, hu_family)
+    probs = _cell_masses(fx, ys, hu_family)
     table = np.zeros(2 * m + 1)
     for start in range(0, len(ys), _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
         table += weights[rows] @ _pmf_vector(probs[rows], p_tables, n)
+    lost = 1.0 - float(np.sum(table))
+    if mc_reps is None and abs(lost) > 1e-9:
+        raise ValueError(
+            f"anchor quadrature (nodes={nodes}) lost mass {lost:.3g} on {fy.family} anchors; "
+            "pass mc_reps to sample anchors instead")
     return table
 
 
@@ -324,21 +317,11 @@ def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
     P(N_j = t) carries the binomial coefficient C(n, t) alongside the mass
     powers.
     """
-    n, m = int(n), int(m)
-    if n < 1:
-        raise ValueError(f"n: sample size must be at least 1, got {n}")
-    if m < 1:
-        raise ValueError(f"m: need at least one anchor, got {m}")
-    if n + m > MAX_EXACT_TOTAL:
-        raise ValueError(
-            f"n + m = {n + m}: exact cell enumeration is capped at {MAX_EXACT_TOTAL}; "
-            "use Monte Carlo beyond that")
+    n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
+    _require_cell_law(fx, hu_family)
     lo, hi = fx.support.lo, fx.support.hi
     width = hi - lo
-    uniform_mass = fx.family == "uniform" or hu_family
-    if not uniform_mass:
-        _cell_mass_probs(fx, np.array([]), hu_family)  # raises with the standard message
 
     knots = fy.interior_knots()
     ys, wy = _ordered_simplex_nodes(lo, hi, 1, nodes, knots)
@@ -354,7 +337,7 @@ def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
 
     middle = 0.0
     if m > 1:
-        p_vec = _p_tables((_unit_model(fx),), n)[0]
+        p_vec = _p_tables((_to_unit(fx),), n)[0]
         counts = np.arange(1, n + 1)
         binom = np.array([math.comb(n, int(t)) for t in counts], dtype=float)
         # (a, b) runs over the lower and upper anchor of one middle cell
@@ -429,40 +412,6 @@ def asymptotic_law_fixed_m(p_cell_limits, m):
     return {m + 1 + i: float(q) for i, q in enumerate(law)}
 
 
-def _gamma_rows(xs, ys, per_cell=False):
-    """Domination numbers for batches of sorted points against sorted anchors.
-
-    ``xs`` is (reps, n) with sorted rows; ``ys`` is (reps, m) or (m,).
-    Returns totals of shape (reps,), or the (reps, m + 1) per-cell
-    contributions when ``per_cell`` is set.  Float comparisons only;
-    intended for Monte Carlo, not for adversarial boundary cases.
-    """
-    xs = np.asarray(xs, dtype=float)
-    reps, _ = xs.shape
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if ys.ndim == 1:
-        ys = np.broadcast_to(ys, (reps, ys.shape[0]))
-    m = ys.shape[1]
-    idx = (xs[:, :, None] >= ys[:, None, :]).sum(axis=2)
-    cells = np.zeros((reps, m + 1), dtype=np.int64)
-    for c in range(m + 1):
-        mask = idx == c
-        occupied = mask.any(axis=1)
-        if c == 0 or c == m:
-            cells[:, c] = occupied
-            continue
-        mn = np.where(mask, xs, np.inf).min(axis=1)
-        mx = np.where(mask, xs, -np.inf).max(axis=1)
-        lo_edge = mx + ys[:, c - 1]
-        hi_edge = mn + ys[:, c]
-        doubled = 2.0 * xs
-        witness = (mask & (doubled > lo_edge[:, None]) & (doubled < hi_edge[:, None])).any(axis=1)
-        cells[:, c] = np.where(occupied, np.where(witness, 1, 2), 0)
-    if per_cell:
-        return cells
-    return cells.sum(axis=1)
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Monte Carlo summary of how the expected domination number scales."""
@@ -487,12 +436,10 @@ def gamma_growth_check(n_grid, reps=10_000, seed=0):
     reps = int(reps)
     if reps < 1:
         raise ValueError(f"reps: need at least one replicate, got {reps}")
-    rng = np.random.default_rng(seed)
     means = []
     for n in n_grid:
-        xs = np.sort(rng.random((reps, n)), axis=1)
-        ys = np.sort(rng.random((reps, n)), axis=1)
-        means.append(float(_gamma_rows(xs, ys).mean()))
+        plan = simulate.SimulationPlan(fx=Uniform(), fy=Uniform(), n=n, m=n, reps=reps, seed=seed)
+        means.append(sum(k * c for k, c in simulate.run(plan).items()) / reps)
     increasing = all(b > a for a, b in zip(means, means[1:]))
     bound = means[-1] >= 0.5 * n_grid[-1]
     return GrowthReport(n_grid=n_grid, means=tuple(means), reps=reps, seed=seed,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import DensityModel
-from .multianchor import _gamma_rows
+from .digraph import _cell_gammas
 
 BATCH_REPS = 2048
 MAX_TIE_REDRAWS = 100
@@ -110,27 +110,24 @@ class ComparisonVerdict:
         return self.verdict == "pass"
 
 
-def _bad_rows(xs, ys):
-    """Rows with coincident points, within xs or between xs and anchors."""
-    bad = (np.diff(xs, axis=1) == 0.0).any(axis=1)
-    if ys.ndim == 2 and ys.shape[1] > 1:
-        bad |= (np.diff(ys, axis=1) == 0.0).any(axis=1)
-    bad |= (xs[:, :, None] == ys[:, None, :]).any(axis=(1, 2))
-    return bad
+def _draw(plan: SimulationPlan, rng: np.random.Generator, rows: int):
+    """Sorted points (rows, n) and anchors, (rows, m) or fixed (m,), from ``rng``."""
+    if plan.random_anchors:
+        u = rng.random((rows, plan.m + plan.n))
+        ys = np.sort(plan.fy.quantile(u[:, : plan.m]), axis=1)
+        xs = np.sort(plan.fx.quantile(u[:, plan.m :]), axis=1)
+    else:
+        xs = np.sort(plan.fx.quantile(rng.random((rows, plan.n))), axis=1)
+        ys = np.asarray(plan.fy, dtype=float)
+    return xs, ys
 
 
 def _redraw_row(plan: SimulationPlan, replicate: int):
-    """Replacement draw for one replicate whose first draw had ties."""
+    """Replacement draw, as one-row arrays, for a replicate whose first draw had ties."""
     rng = _stream(plan.seed, _REDRAW_KEY_BASE + replicate)
     for _ in range(MAX_TIE_REDRAWS):
-        if plan.random_anchors:
-            u = rng.random(plan.m + plan.n)
-            ys = np.sort(plan.fy.quantile(u[: plan.m]))
-            xs = np.sort(plan.fx.quantile(u[plan.m :]))
-        else:
-            ys = np.asarray(plan.fy, dtype=float)
-            xs = np.sort(plan.fx.quantile(rng.random(plan.n)))
-        if not _bad_rows(xs[None, :], ys[None, :])[0]:
+        xs, ys = _draw(plan, rng, 1)
+        if not _cell_gammas(xs, ys)[1][0]:
             return xs, ys
     raise ValueError(
         "replicate %d still has tied points after %d redraws; "
@@ -142,21 +139,10 @@ def _batch_counts(plan: SimulationPlan, batch: int) -> np.ndarray:
     """Domination-number counts for one batch of replicates."""
     start = batch * BATCH_REPS
     rows = min(BATCH_REPS, plan.reps - start)
-    rng = _stream(plan.seed, batch)
-    if plan.random_anchors:
-        u = rng.random((rows, plan.m + plan.n))
-        ys = np.sort(plan.fy.quantile(u[:, : plan.m]), axis=1)
-        xs = np.sort(plan.fx.quantile(u[:, plan.m :]), axis=1)
-    else:
-        xs = np.sort(plan.fx.quantile(rng.random((rows, plan.n))), axis=1)
-        ys = np.broadcast_to(np.asarray(plan.fy, dtype=float), (rows, plan.m))
-    bad = _bad_rows(xs, ys)
-    if bad.any():
-        xs = np.array(xs)
-        ys = np.array(ys)
-        for row in np.flatnonzero(bad):
-            xs[row], ys[row] = _redraw_row(plan, start + int(row))
-    gammas = _gamma_rows(xs, ys)
+    cells, tied = _cell_gammas(*_draw(plan, _stream(plan.seed, batch), rows))
+    for row in np.flatnonzero(tied):
+        cells[row] = _cell_gammas(*_redraw_row(plan, start + int(row)))[0][0]
+    gammas = cells.sum(axis=1)
     if gammas.min() < 1 or gammas.max() > plan.gamma_cap:
         raise RuntimeError("domination number left [1, min(n, 2m)]; simulation internals are broken")
     return np.bincount(gammas, minlength=plan.gamma_cap + 1)

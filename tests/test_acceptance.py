@@ -179,7 +179,7 @@ def test_criterion_08_multi_anchor_exact():
     reps = 1_000_000
     ys = np.sort(rng.random((reps, 2)), axis=1)
     xs = np.sort(rng.random((reps, 2)), axis=1)
-    gammas = multianchor._gamma_rows(xs, ys)
+    gammas = digraph._cell_gammas(xs, ys)[0].sum(axis=1)
     mean = float(gammas.mean())
     spread = float(gammas.std(ddof=1)) / math.sqrt(reps)
     z = (mean - 14.0 / 9.0) / spread
@@ -230,7 +230,7 @@ def test_criterion_11_transformed_digraph_law():
     reps, n = 100_000, 10
     xs = model.quantile(rng.random((reps, n)))
     transformed = np.sort(model.cdf(xs), axis=1)
-    gammas = multianchor._gamma_rows(transformed, np.array([0.0, 1.0]))
+    gammas = digraph._cell_gammas(transformed, np.array([0.0, 1.0]))[0].sum(axis=1)
     counts = {int(k): int(c) for k, c in zip(*np.unique(gammas, return_counts=True))}
     p10 = float(p_uniform_fraction(10))
     verdict = simulate.compare(counts, {1: 1.0 - p10, 2: p10})

@@ -200,6 +200,14 @@ class TestMulti:
         assert summary["expected_gamma"] == pytest.approx(mean, abs=1e-6)
 
 
+    def test_anchor_quadrature_mass_loss_exits_one(self, capsys):
+        rc, out, err = run_cli(capsys, ["multi", "--density", '{"family": "arc_sine"}',
+                                        "--n", "4", "--m", "2"])
+        assert rc == 1
+        assert out == ""
+        assert "lost mass" in err and "mc_reps" in err
+
+
 class TestTable:
     def test_paper_flag_reports_single_known_failure(self, capsys):
         rc, out, _ = run_cli(capsys, ["table", "--paper", "--format", "csv"])

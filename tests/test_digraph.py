@@ -216,6 +216,46 @@ class TestDominationOracle:
                 == digraph.domination_number_fast(inst).total)
 
 
+def _check_cell_kernel(xs, ys):
+    """The batch kernel, in both anchor layouts, against the exact per-cell path."""
+    if set(xs) & set(ys):
+        return
+    want = digraph.domination_number_fast(digraph.build_instance(xs, ys))
+    row, anchors = np.sort(xs)[None, :], np.sort(ys)
+    for layout in (anchors, anchors[None, :]):
+        cells, tied = digraph._cell_gammas(row, layout)
+        assert not tied[0]
+        assert cells[0].tolist() == [r.gamma for r in want.per_interval]
+
+
+class TestCellKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=12, unique=True),
+           st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=6, unique=True))
+    def test_matches_fast_on_continuous_data(self, xs, ys):
+        _check_cell_kernel(xs, ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-8, 40), min_size=1, max_size=12, unique=True),
+           st.lists(st.integers(0, 32), min_size=1, max_size=6, unique=True))
+    def test_matches_fast_on_dyadic_data(self, xs, ys):
+        # on a 1/32 grid every edge sum and doubling is exact in floats, and
+        # points often sit exactly on a witness-region boundary
+        _check_cell_kernel([x / 32 for x in xs], [y / 32 for y in ys])
+
+    def test_empty_and_boundary_cells_in_one_batch(self):
+        xs = np.array([[0.05, 0.1, 0.15, 0.2],          # all in the left end cell
+                       [0.375, 0.5, 0.625, 0.8],        # 0.5 is a witness
+                       [0.375, 0.5625, 0.625, 0.8],     # on the region's upper edge
+                       [0.375, 0.4375, 0.625, 0.8]])    # on the region's lower edge
+        ys = np.array([0.25, 0.75, 0.875])
+        cells, tied = digraph._cell_gammas(xs, ys)
+        assert not tied.any()
+        for row, got in zip(xs, cells):
+            want = digraph.domination_number_fast(digraph.build_instance(row, ys))
+            assert got.tolist() == [r.gamma for r in want.per_interval]
+
+
 class TestUpperBound:
     def test_hand_counts(self):
         inst = digraph.build_instance([-0.5, -0.125, 0.25, 0.625, 1.25], [0.0, 1.0])

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from cccd import digraph
-from cccd.densities import GeneralLinear, TwoStep, Uniform
+from cccd.densities import ArcSine, GeneralLinear, TwoStep, Uniform
 from cccd.exact import p_uniform_fraction, probability
 from cccd.multianchor import (
     AnchorConditional,
@@ -24,10 +24,10 @@ from cccd.multianchor import (
     pmf_random_anchors,
     pmf_random_anchors_table,
     uniform_composition_probability,
-    _gamma_rows,
     _p_tables,
     _pmf_vector,
 )
+from cccd.simulate import _stream
 
 
 def end_cell_weight(k, t):
@@ -196,7 +196,7 @@ class TestPmfConditional:
         n, reps = 4, 1_000_000
         rng = np.random.default_rng(11)
         xs = np.sort(rng.random((reps, n)), axis=1)
-        counts = np.bincount(_gamma_rows(xs, anchors), minlength=6)
+        counts = np.bincount(digraph._cell_gammas(xs, anchors)[0].sum(axis=1), minlength=6)
         table = pmf_conditional_table(conditional_on_anchors(Uniform(), list(anchors)), n)
         for k, p in enumerate(table):
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / reps)
@@ -234,7 +234,7 @@ class TestBatchedCellProgram:
         table = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps, seed=seed)
         again = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps, seed=seed)
         assert np.array_equal(table, again)
-        ys = np.sort(Uniform().quantile(np.random.default_rng(seed).random((reps, m))), axis=1)
+        ys = np.sort(Uniform().quantile(_stream(seed, 0).random((reps, m))), axis=1)
         p_tables = _p_tables((Uniform(),) * (m - 1), n)
         rows = [_pmf_vector([np.diff(y, prepend=0.0, append=1.0)], p_tables, n)[0] for y in ys]
         want = np.array([math.fsum(column) / reps for column in zip(*rows)])
@@ -285,6 +285,14 @@ class TestPmfRandomAnchors:
         for n, m in ((4, 2), (6, 3)):
             table = pmf_random_anchors_table(model, model, n, m, hu_family=True)
             assert table.sum() == pytest.approx(1.0, abs=1e-12), (n, m)
+
+    def test_quadrature_that_loses_mass_raises(self):
+        # arc-sine anchors diverge at both ends, where Gauss nodes miss mass
+        for n, m in ((4, 2), (3, 1)):
+            with pytest.raises(ValueError, match="lost mass 0.0[23].*mc_reps"):
+                pmf_random_anchors_table(Uniform(), ArcSine(), n, m)
+        table = pmf_random_anchors_table(Uniform(), ArcSine(), 4, 2, mc_reps=2000)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="m <= 3"):
@@ -407,7 +415,7 @@ class TestAsymptoticLawFixedM:
         rng = np.random.default_rng(3)
         xs = np.sort(rng.random((2000, 5)), axis=1)
         ys = np.sort(rng.random((2000, 500)), axis=1)
-        assert (_gamma_rows(xs, ys) == 5).mean() >= 0.95
+        assert (digraph._cell_gammas(xs, ys)[0].sum(axis=1) == 5).mean() >= 0.95
 
 
 class TestGammaRows:
@@ -418,7 +426,7 @@ class TestGammaRows:
             m = int(rng.integers(1, 6))
             xs = np.sort(rng.random(n))
             ys = np.sort(rng.random(m))
-            got = _gamma_rows(xs[None, :], ys[None, :])[0]
+            got = digraph._cell_gammas(xs[None, :], ys[None, :])[0].sum()
             want = digraph.domination_number_fast(digraph.CccdInstance(xs, ys)).total
             assert got == want
 
