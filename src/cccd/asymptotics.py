@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import QuadratureConfig, probability
+from .exact import probability
 
 # Analytic one-sided derivatives are available through order 2, which caps
 # the expansion order this module can certify.
@@ -42,6 +42,9 @@ ZERO_TOL = 1e-12
 
 # Margins shrink geometrically by this factor across the stabilization grid.
 _MARGIN_GRID = [10.0 ** -i for i in range(2, 16)]
+
+# Successive endpoint ratios this close count as stabilized.
+_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,12 +183,12 @@ def _aitken(a, b, c):
     return c - (c - b) ** 2 / denom
 
 
-def limit_unbounded(model, *, window=1e-6):
+def limit_unbounded(model):
     """Limiting probability via the endpoint ratio at vanishing margins.
 
     Evaluates the limit expression at interior points a margin away from the
     endpoints, shrinking the margin geometrically until three successive
-    values agree within ``window``, then returns the Aitken extrapolation of
+    values agree within ``_WINDOW``, then returns the Aitken extrapolation of
     the last three (clipped to the unit interval to absorb rounding).  This
     covers densities that diverge at the support edge; bounded densities
     give the same answer as ``asymptotic_profile``.
@@ -208,8 +211,8 @@ def limit_unbounded(model, *, window=1e-6):
             continue
         values.append((a * b) / denom)
         if (len(values) >= 3
-                and abs(values[-1] - values[-2]) <= window
-                and abs(values[-2] - values[-3]) <= window):
+                and abs(values[-1] - values[-2]) <= _WINDOW
+                and abs(values[-2] - values[-3]) <= _WINDOW):
             return min(max(_aitken(values[-3], values[-2], values[-1]), 0.0), 1.0)
     raise ValueError(
         f"{model.family}: the endpoint ratio did not stabilize over margins "
@@ -277,7 +280,7 @@ def rate_constant(model):
     return numerator / denominator
 
 
-def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None, config=None):
+def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):
     """Fitted power-law decay exponent of p_n toward its limit.
 
     Computes p_n on the given grid, fits log |p_n - limit| against log n by
@@ -290,10 +293,9 @@ def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None, con
     if limit is None:
         limit = (limit_unbounded(model) if model.unbounded
                  else asymptotic_profile(model).p_limit)
-    config = config or QuadratureConfig()
     gaps = []
     for n in n_values:
-        report = probability(model, int(n), config=config)
+        report = probability(model, int(n))
         gap = abs(report.value - limit)
         if gap == 0.0:
             raise ValueError(

@@ -43,11 +43,6 @@ from .densities import (
 
 DEFAULT_DENSITY = '{"family": "uniform"}'
 
-# Random-anchor predictions in `simulate` are emitted only when an exact
-# route exists: anchors and points both uniform, deterministic anchor
-# quadrature (m <= 3), and within the exact cell-enumeration cap.
-_PREDICTABLE_M = 3
-
 
 @dataclass(frozen=True)
 class CommandRequest:
@@ -193,7 +188,9 @@ def _cmd_simulate(req: CommandRequest) -> int:
         plan = simulate.SimulationPlan(fx=model, fy=model, n=req.n, m=req.m,
                                        reps=req.reps, seed=req.seed, parallelism=req.threads)
         predicted = None
-        if (model.family == "uniform" and req.m <= _PREDICTABLE_M
+        # predict only where the exact route runs: uniform points and anchors,
+        # deterministic anchor quadrature, and the cell program's size cap
+        if (model.family == "uniform" and req.m <= multianchor.MAX_QUADRATURE_M
                 and req.n + req.m <= multianchor.MAX_EXACT_TOTAL):
             table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m)
             predicted = {k: float(p) for k, p in enumerate(table) if p > 0.0}
@@ -256,7 +253,7 @@ def _cmd_asymptotic(req: CommandRequest) -> int:
 def _cmd_multi(req: CommandRequest) -> int:
     model = _model(req)
     hu = model.family != "uniform"
-    mc_reps = None if req.m <= _PREDICTABLE_M else req.reps
+    mc_reps = None if req.m <= multianchor.MAX_QUADRATURE_M else req.reps
     table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m,
                                                  mc_reps=mc_reps, seed=req.seed, hu_family=hu)
     rows = [{"k": k, "probability": float(p)} for k, p in enumerate(table) if p > 0.0]

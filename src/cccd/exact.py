@@ -57,7 +57,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 20000
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -359,7 +358,7 @@ def _initial_cuts(model, n, transformed):
     return sorted(s_cuts), sorted(v_cuts)
 
 
-def _make_integrand(model, n, config):
+def _make_integrand(model, n):
     """Returns fun(s, v) on the unit square of (outer, sliver) coordinates.
 
     For a bounded density the outer variable is s itself. For a density
@@ -368,16 +367,13 @@ def _make_integrand(model, n, config):
     integrand stays finite.
     """
     power = n - 2
-    log_domain = config.log_domain and power > 0
 
     def weight(G):
         G = np.maximum(G, 0.0)
         if power == 0:
             return np.ones_like(G)
-        if log_domain:
-            with np.errstate(divide="ignore"):
-                return np.exp(power * np.log(np.maximum(G, 1e-300)))
-        return G ** power
+        with np.errstate(divide="ignore"):
+            return np.exp(power * np.log(np.maximum(G, 1e-300)))
 
     if model.unbounded:
         def fun(u, w_slot):
@@ -440,7 +436,7 @@ def p_quadrature(model, n, config=None):
     if n == 1:
         return ProbabilityReport(0.0, "quadrature", n, error_estimate=0.0,
                                  panels=0)
-    fun = _make_integrand(model, n, config)
+    fun = _make_integrand(model, n)
     s_cuts, v_cuts = _initial_cuts(model, n, model.unbounded)
     rects = np.array([(a, b, c, d)
                       for a, b in zip(s_cuts[:-1], s_cuts[1:])
@@ -542,7 +538,11 @@ def probability(model, n, method="auto", config=None, reps=100000, seed=0):
         f"multinomial, quadrature, monte-carlo; got {method!r}")
 
 
-def check_stochastic_order(model, n_values=tuple(range(2, 21)), tol=1e-9):
+# Gaps to the uniform p_n at or below this size count as ties.
+_ORDER_TOL = 1e-9
+
+
+def check_stochastic_order(model, n_values=tuple(range(2, 21))):
     """Compare p_n(model) with the uniform law over a grid of sample sizes.
 
     Returns one of 'equal', 'below-uniform', 'above-uniform', 'inconclusive'.
@@ -550,10 +550,10 @@ def check_stochastic_order(model, n_values=tuple(range(2, 21)), tol=1e-9):
     diffs = []
     for n in n_values:
         diffs.append(probability(model, n).value - p_uniform(n))
-    if all(abs(d) <= tol for d in diffs):
+    if all(abs(d) <= _ORDER_TOL for d in diffs):
         return "equal"
-    if all(d <= tol for d in diffs):
+    if all(d <= _ORDER_TOL for d in diffs):
         return "below-uniform"
-    if all(d >= -tol for d in diffs):
+    if all(d >= -_ORDER_TOL for d in diffs):
         return "above-uniform"
     return "inconclusive"

@@ -18,13 +18,15 @@ program runs once per batch of anchor configurations, not once per node.
 
 Middle-cell densities follow the support-rescaled construction: each cell
 hosts an affine copy of the point density, which makes the per-cell p
-values independent of the cell and is what makes closed-form expectations
-possible.  For the uniform family the rescaled copy coincides with the
-plain conditional density, so no flag is needed there.
+values independent of the cell, so one vector p_0..p_n, computed once per
+model and size, serves every cell; it is also what makes closed-form
+expectations possible.  For the uniform family the rescaled copy coincides
+with the plain conditional density, so no flag is needed there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +37,18 @@ from . import simulate
 from .densities import Uniform
 from .exact import _to_unit, probability
 
-# Exact cell enumeration is capped here; the composition space grows like
-# C(n + m, m) and Monte Carlo takes over beyond the cap.
+# Caps the sample plus anchor count of every exact route.  It bounds the
+# cell program's (n + 1, n + 1) transition arrays and the pair probabilities
+# p_t (t <= n) that its middle cells read; Monte Carlo takes over beyond it.
 MAX_EXACT_TOTAL = 24
+
+# Most anchors the nested Gauss rule integrates; `mc_reps` samples more.
+MAX_QUADRATURE_M = 3
+
+# Gauss-Legendre nodes per knot interval of the anchor rules: the pmf table
+# nests m of them, the expectation at most two.
+_TABLE_NODES = 24
+_MEAN_NODES = 48
 
 # Anchor configurations per batched cell DP call.  It bounds the DP's
 # (rows, n + 1, n + 1) transition arrays whatever the number of quadrature
@@ -45,61 +56,18 @@ MAX_EXACT_TOTAL = 24
 _BATCH_ROWS = 512
 
 
-def compositions(total, parts, part_range=None):
-    """Yield all tuples of length ``parts`` from ``part_range`` summing to ``total``.
-
-    ``part_range`` defaults to 0..total.  Each composition appears exactly
-    once, in lexicographic order.
-    """
-    total = int(total)
-    parts = int(parts)
-    if total < 0:
-        raise ValueError(f"total: expected a nonnegative sum, got {total}")
-    if parts < 1:
-        raise ValueError(f"parts: expected at least one part, got {parts}")
-    allowed = sorted(set(range(total + 1) if part_range is None else (int(v) for v in part_range)))
-    if any(v < 0 for v in allowed):
-        raise ValueError("part_range: parts must be nonnegative integers")
-    allowed_set = set(allowed)
-
-    def rec(remaining, slots):
-        if slots == 1:
-            if remaining in allowed_set:
-                yield (remaining,)
-            return
-        for v in allowed:
-            if v > remaining:
-                break
-            for rest in rec(remaining - v, slots - 1):
-                yield (v,) + rest
-
-    yield from rec(total, parts)
-
-
-def uniform_composition_probability(n, m):
-    """Probability of any single cell-count vector under uniform points and anchors.
-
-    When every cell carries the uniform mass of its gap, all C(n+m, m) count
-    vectors are equally likely, each with probability n! m! / (n+m)!.
-    """
-    n, m = int(n), int(m)
-    if n < 0 or m < 0:
-        raise ValueError("n, m: counts must be nonnegative")
-    return Fraction(math.factorial(n) * math.factorial(m), math.factorial(n + m))
-
-
 @dataclass(frozen=True)
 class AnchorConditional:
     """Cell decomposition induced by fixed anchor positions.
 
     ``cell_probs`` has one entry per cell (m + 1 of them, ends included) and
-    sums to 1; ``cell_models`` has one density per middle cell (m - 1 of
-    them), each on the unit interval.
+    sums to 1; ``cell_model`` is the unit-interval density that every middle
+    cell hosts.
     """
 
     anchors: tuple
     cell_probs: tuple
-    cell_models: tuple
+    cell_model: object
 
     def __post_init__(self):
         m = len(self.anchors)
@@ -115,9 +83,6 @@ class AnchorConditional:
             raise ValueError("cell_probs: cell masses must be nonnegative")
         if abs(sum(self.cell_probs) - 1.0) > 1e-9:
             raise ValueError(f"cell_probs: cell masses sum to {sum(self.cell_probs)!r}, not 1")
-        if len(self.cell_models) != m - 1:
-            raise ValueError(
-                f"cell_models: expected {m - 1} middle-cell densities, got {len(self.cell_models)}")
 
 
 def conditional_on_anchors(fx, anchors, hu_family=False):
@@ -135,30 +100,27 @@ def conditional_on_anchors(fx, anchors, hu_family=False):
         if not lo < a < hi:
             raise ValueError(f"anchors: {a!r} lies outside the open support ({lo}, {hi})")
     cell_probs = tuple(_cell_masses(fx, anchors, hu_family)[0])
-    cell_models = (_to_unit(fx),) * (len(anchors) - 1)
-    return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_models=cell_models)
+    return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_model=_to_unit(fx))
 
 
-def _p_tables(cell_models, n):
-    """Per-middle-cell tables of the pair probability p_t for t = 0..n."""
-    cache = {}
-    tables = []
-    for model in cell_models:
-        key = id(model)
-        if key not in cache:
-            vec = np.zeros(n + 1)
-            for t in range(2, n + 1):
-                vec[t] = probability(model, t).value
-            cache[key] = vec
-        tables.append(cache[key])
-    return tables
+@functools.cache
+def _pair_prob(model, t):
+    """p_t of a unit-interval model, computed once per process."""
+    return probability(model, t).value
 
 
-def _pmf_vector(cell_probs, p_tables, n):
+def _pair_probs(fx, n):
+    """p_0..p_n of the unit-interval copy of ``fx`` that every middle cell hosts."""
+    model = _to_unit(fx)
+    return np.array([0.0, 0.0] + [_pair_prob(model, t) for t in range(2, n + 1)])
+
+
+def _pmf_vector(cell_probs, p_pair, n):
     """Distributions of the domination total via a cell-by-cell program.
 
     ``cell_probs`` is (rows, m + 1), one row of cell masses per anchor
-    configuration, and the result is (rows, 2m + 1).  Cells are consumed left
+    configuration, ``p_pair`` holds p_0..p_n of the middle cells (unused when
+    m = 1), and the result is (rows, 2m + 1).  Cells are consumed left
     to right; conditional on the points remaining, the count in the next cell
     is binomial with the renormalized cell mass.  States track (points
     remaining, domination so far), and every step acts on all rows at once.
@@ -175,6 +137,7 @@ def _pmf_vector(cell_probs, p_tables, n):
     t = np.maximum(remaining - remaining[:, None], 0)
     binom = np.array([[math.comb(r, s) if r > s else 0 for r in remaining] for s in remaining],
                      dtype=float)
+    p_two = p_pair[t] if m > 1 else None
     dp = np.zeros((rows, n + 1, 2 * m + 1))
     dp[:, n, 0] = 1.0
     for j in range(cells):
@@ -184,7 +147,6 @@ def _pmf_vector(cell_probs, p_tables, n):
         if j == 0 or j == cells - 1:
             new[:, :, 1:] += move @ dp[:, :, :-1]
         else:
-            p_two = p_tables[j - 1][t]
             new[:, :, 1:] += (move * (1.0 - p_two)) @ dp[:, :, :-1]
             new[:, :, 2:] += (move * p_two) @ dp[:, :, :-2]
         dp = new
@@ -192,7 +154,7 @@ def _pmf_vector(cell_probs, p_tables, n):
 
 
 def _checked_sizes(n, m):
-    """``(n, m)`` as ints, at least 1 each and within the enumeration cap."""
+    """``(n, m)`` as ints, at least 1 each and within ``MAX_EXACT_TOTAL``."""
     n, m = int(n), int(m)
     if n < 1:
         raise ValueError(f"n: sample size must be at least 1, got {n}")
@@ -200,15 +162,16 @@ def _checked_sizes(n, m):
         raise ValueError(f"m: need at least one anchor, got {m}")
     if n + m > MAX_EXACT_TOTAL:
         raise ValueError(
-            f"n + m = {n + m}: exact cell enumeration is capped at {MAX_EXACT_TOTAL}; "
+            f"n + m = {n + m}: the exact cell program is capped at {MAX_EXACT_TOTAL}; "
             "use Monte Carlo beyond that")
     return n, m
 
 
 def pmf_conditional_table(cond, n):
     """Full domination-number pmf given fixed anchors; index k holds P(gamma = k)."""
-    n, _ = _checked_sizes(n, len(cond.anchors))
-    return _pmf_vector([cond.cell_probs], _p_tables(cond.cell_models, n), n)[0]
+    n, m = _checked_sizes(n, len(cond.anchors))
+    p_pair = _pair_probs(cond.cell_model, n) if m > 1 else None
+    return _pmf_vector([cond.cell_probs], p_pair, n)[0]
 
 
 def pmf_conditional(cond, n, k):
@@ -264,11 +227,20 @@ def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
     return points, weights
 
 
-def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_family=False):
+def _require_anchor_mass(mass, nodes, fy, hint=""):
+    """Raise when an anchor rule misses mass 1, as it does where ``fy`` diverges."""
+    lost = 1.0 - mass
+    if abs(lost) > 1e-9:
+        raise ValueError(
+            f"anchor quadrature (nodes={nodes}) lost mass {lost:.3g} on {fy.family} anchors"
+            + hint)
+
+
+def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False):
     """Domination-number pmf with anchors drawn from ``fy``; index k holds P(gamma = k)."""
     n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
-    p_tables = _p_tables((_to_unit(fx),) * (m - 1), n) if m > 1 else []
+    p_pair = _pair_probs(fx, n) if m > 1 else None
 
     if mc_reps is not None:
         reps = int(mc_reps)
@@ -278,44 +250,42 @@ def pmf_random_anchors_table(fx, fy, n, m, nodes=24, mc_reps=None, seed=0, hu_fa
         ys = np.sort(fy.quantile(rng.random((reps, m))), axis=1)
         weights = np.full(reps, 1.0 / reps)
     else:
-        if m > 3:
+        if m > MAX_QUADRATURE_M:
             raise ValueError(
-                f"m: deterministic anchor quadrature is limited to m <= 3, got {m}; "
-                "pass mc_reps to sample anchors instead")
-        ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, nodes,
+                f"m: deterministic anchor quadrature is limited to m <= {MAX_QUADRATURE_M}, "
+                f"got {m}; pass mc_reps to sample anchors instead")
+        ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, _TABLE_NODES,
                                              fy.interior_knots())
         weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
     probs = _cell_masses(fx, ys, hu_family)
     table = np.zeros(2 * m + 1)
     for start in range(0, len(ys), _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
-        table += weights[rows] @ _pmf_vector(probs[rows], p_tables, n)
-    lost = 1.0 - float(np.sum(table))
-    if mc_reps is None and abs(lost) > 1e-9:
-        raise ValueError(
-            f"anchor quadrature (nodes={nodes}) lost mass {lost:.3g} on {fy.family} anchors; "
-            "pass mc_reps to sample anchors instead")
+        table += weights[rows] @ _pmf_vector(probs[rows], p_pair, n)
+    if mc_reps is None:
+        _require_anchor_mass(float(np.sum(table)), _TABLE_NODES, fy,
+                             "; pass mc_reps to sample anchors instead")
     return table
 
 
-def pmf_random_anchors(fx, fy, n, m, k, nodes=24, mc_reps=None, seed=0, hu_family=False):
+def pmf_random_anchors(fx, fy, n, m, k, mc_reps=None, seed=0, hu_family=False):
     """P(gamma = k) with random anchors; zero outside 1 <= k <= 2m."""
-    table = pmf_random_anchors_table(fx, fy, n, m, nodes=nodes, mc_reps=mc_reps,
-                                     seed=seed, hu_family=hu_family)
+    table = pmf_random_anchors_table(fx, fy, n, m, mc_reps=mc_reps, seed=seed,
+                                     hu_family=hu_family)
     k = int(k)
     if k < 0 or k >= len(table):
         return 0.0
     return float(table[k])
 
 
-def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
+def expected_gamma(fx, fy, n, m, hu_family=False):
     """Expected domination number with random anchors.
 
     Splits into the chance that each end cell is occupied plus, for every
     middle cell, the count distribution integrated against the joint density
     of the two bracketing anchor order statistics.  The count probability
     P(N_j = t) carries the binomial coefficient C(n, t) alongside the mass
-    powers.
+    powers.  Raises when a rule misses the mass of the density it integrates.
     """
     n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
@@ -324,32 +294,37 @@ def expected_gamma(fx, fy, n, m, nodes=48, hu_family=False):
     width = hi - lo
 
     knots = fy.interior_knots()
-    ys, wy = _ordered_simplex_nodes(lo, hi, 1, nodes, knots)
+    ys, wy = _ordered_simplex_nodes(lo, hi, 1, _MEAN_NODES, knots)
     y = ys[:, 0]
     fy_pdf = fy.pdf(y)
     Fy = fy.cdf(y)
     mass_left = (y - lo) / width
     mass_right = (hi - y) / width
-    left = float(np.sum(wy * m * fy_pdf * (1.0 - Fy) ** (m - 1)
-                        * (1.0 - (1.0 - mass_left) ** n)))
-    right = float(np.sum(wy * m * fy_pdf * Fy ** (m - 1)
-                         * (1.0 - (1.0 - mass_right) ** n)))
+    # densities of the lowest and the highest anchor
+    lowest = wy * m * fy_pdf * (1.0 - Fy) ** (m - 1)
+    highest = wy * m * fy_pdf * Fy ** (m - 1)
+    masses = [float(np.sum(lowest)), float(np.sum(highest))]
+    left = float(np.sum(lowest * (1.0 - (1.0 - mass_left) ** n)))
+    right = float(np.sum(highest * (1.0 - (1.0 - mass_right) ** n)))
 
     middle = 0.0
     if m > 1:
-        p_vec = _p_tables((_to_unit(fx),), n)[0]
         counts = np.arange(1, n + 1)
         binom = np.array([math.comb(n, int(t)) for t in counts], dtype=float)
         # (a, b) runs over the lower and upper anchor of one middle cell
-        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, nodes, knots)
+        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, _MEAN_NODES, knots)
         a, b = pairs.T
         delta = (b - a) / width
         occupancy = binom * delta[:, None] ** counts * (1.0 - delta[:, None]) ** (n - counts)
-        inner = wp * fy.pdf(a) * fy.pdf(b) * (occupancy @ (1.0 + p_vec[1:]))
+        pair = wp * fy.pdf(a) * fy.pdf(b)
+        inner = pair * (occupancy @ (1.0 + _pair_probs(fx, n)[1:]))
         Fa, Fb = fy.cdf(a), fy.cdf(b)
         for j in range(2, m + 1):
             pair_norm = math.factorial(m) / (math.factorial(j - 2) * math.factorial(m - j))
+            masses.append(pair_norm * float(np.sum(pair * Fa ** (j - 2) * (1.0 - Fb) ** (m - j))))
             middle += pair_norm * float(np.sum(inner * Fa ** (j - 2) * (1.0 - Fb) ** (m - j)))
+    for mass in masses:
+        _require_anchor_mass(mass, _MEAN_NODES, fy)
     return left + right + middle
 
 

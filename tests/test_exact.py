@@ -176,13 +176,6 @@ class TestQuadrature:
             b = exact.p_quadrature(PieceQuadratic(0.0), n).value
             assert a == pytest.approx(b, abs=1e-10)
 
-    def test_log_domain_switch_is_cosmetic(self):
-        plain = exact.QuadratureConfig(log_domain=False)
-        for model in (Beta(2, 2), AbsSine()):
-            a = exact.p_quadrature(model, 10).value
-            b = exact.p_quadrature(model, 10, plain).value
-            assert a == pytest.approx(b, abs=1e-9)
-
     def test_general_linear_rescales(self):
         wide = GeneralLinear(0.1, (-1.0, 3.0))
         unit = wide.to_unit()

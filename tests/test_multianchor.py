@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cccd import digraph
+from cccd import digraph, multianchor
 from cccd.densities import ArcSine, GeneralLinear, TwoStep, Uniform
 from cccd.exact import p_uniform_fraction, probability
 from cccd.multianchor import (
     AnchorConditional,
     asymptotic_law_fixed_m,
-    compositions,
     conditional_on_anchors,
     expected_gamma,
     expected_gamma_hu,
@@ -23,11 +22,16 @@ from cccd.multianchor import (
     pmf_conditional_table,
     pmf_random_anchors,
     pmf_random_anchors_table,
-    uniform_composition_probability,
-    _p_tables,
+    _pair_probs,
     _pmf_vector,
 )
 from cccd.simulate import _stream
+
+
+def compositions(total, parts, values=None):
+    """Every tuple of ``parts`` entries from ``values`` (default 0..total) summing to ``total``."""
+    values = range(total + 1) if values is None else values
+    return [c for c in product(values, repeat=parts) if sum(c) == total]
 
 
 def end_cell_weight(k, t):
@@ -65,7 +69,7 @@ def exact_uniform_anchor_pmf(n, m):
     cells contribute independently: an occupied end cell 1, a middle cell with
     t points 1 or 2 with p_t deciding.
     """
-    weight = uniform_composition_probability(n, m)
+    weight = Fraction(1, math.comb(n + m, n))
     p = [Fraction(0)] + [p_uniform_fraction(t) for t in range(1, n + 1)]
     pmf = [Fraction(0)] * (2 * m + 1)
     for counts in compositions(n, m + 1):
@@ -87,37 +91,12 @@ def exact_uniform_anchor_pmf(n, m):
     return pmf
 
 
-class TestCompositions:
-    def test_count_matches_stars_and_bars(self):
-        for total, parts in ((5, 3), (4, 2), (0, 4), (7, 1)):
-            got = list(compositions(total, parts))
-            assert len(got) == math.comb(total + parts - 1, parts - 1)
-            assert len(set(got)) == len(got)
-            assert all(sum(c) == total and len(c) == parts for c in got)
-
-    def test_restricted_range_matches_brute_force(self):
-        got = set(compositions(4, 3, range(3)))
-        want = {c for c in product(range(3), repeat=3) if sum(c) == 4}
-        assert got == want
-
-    def test_impossible_is_empty(self):
-        assert list(compositions(5, 2, range(3))) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="total"):
-            list(compositions(-1, 2))
-        with pytest.raises(ValueError, match="parts"):
-            list(compositions(3, 0))
-        with pytest.raises(ValueError, match="part_range"):
-            list(compositions(3, 2, (-1, 0, 1)))
-
-
 class TestAnchorConditional:
     def test_uniform_cells(self):
         cond = conditional_on_anchors(Uniform(), [1 / 3, 2 / 3])
         assert cond.anchors == (1 / 3, 2 / 3)
         assert cond.cell_probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
-        assert len(cond.cell_models) == 1
+        assert cond.cell_model == Uniform()
 
     def test_anchors_are_sorted_and_unique(self):
         cond = conditional_on_anchors(Uniform(), [0.7, 0.2])
@@ -134,15 +113,13 @@ class TestAnchorConditional:
             conditional_on_anchors(TwoStep(0.4), [0.5])
         cond = conditional_on_anchors(TwoStep(0.4), [0.25, 0.5], hu_family=True)
         assert cond.cell_probs == pytest.approx([0.25, 0.25, 0.5])
-        assert cond.cell_models[0].family == "two_step"
+        assert cond.cell_model.family == "two_step"
 
     def test_direct_construction_validation(self):
         with pytest.raises(ValueError, match="cell masses sum"):
-            AnchorConditional((0.5,), (0.4, 0.4), ())
-        with pytest.raises(ValueError, match="cell_models"):
-            AnchorConditional((0.3, 0.6), (0.3, 0.3, 0.4), ())
+            AnchorConditional((0.5,), (0.4, 0.4), Uniform())
         with pytest.raises(ValueError, match="strictly increasing"):
-            AnchorConditional((0.6, 0.3), (0.3, 0.3, 0.4), (Uniform(),))
+            AnchorConditional((0.6, 0.3), (0.3, 0.3, 0.4), Uniform())
 
 
 class TestPmfConditional:
@@ -222,7 +199,7 @@ class TestBatchedCellProgram:
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.5, 0.5, 0.0],
         ])
-        got = _pmf_vector(rows, [p_vec, p_vec], n)
+        got = _pmf_vector(rows, p_vec, n)
         assert got.shape == (len(rows), 7)
         for row, table in zip(rows, got):
             for k in range(7):
@@ -235,29 +212,20 @@ class TestBatchedCellProgram:
         again = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps, seed=seed)
         assert np.array_equal(table, again)
         ys = np.sort(Uniform().quantile(_stream(seed, 0).random((reps, m))), axis=1)
-        p_tables = _p_tables((Uniform(),) * (m - 1), n)
-        rows = [_pmf_vector([np.diff(y, prepend=0.0, append=1.0)], p_tables, n)[0] for y in ys]
+        p_pair = _pair_probs(Uniform(), n)
+        rows = [_pmf_vector([np.diff(y, prepend=0.0, append=1.0)], p_pair, n)[0] for y in ys]
         want = np.array([math.fsum(column) / reps for column in zip(*rows)])
         assert np.max(np.abs(table - want)) <= 1e-15
 
 
 class TestUniformCompositionProbability:
-    def test_closed_form(self):
-        for n, m in ((3, 2), (5, 4), (1, 1), (10, 2)):
-            assert uniform_composition_probability(n, m) == Fraction(1, math.comb(n + m, n))
-
-    def test_enumeration_totals_one(self):
-        for n, m in ((3, 2), (5, 4), (6, 6), (9, 3)):
-            count = sum(1 for _ in compositions(n, m + 1))
-            assert count * uniform_composition_probability(n, m) == 1
-
     def test_simplex_integral_spot_check(self):
         # three uniform points, two uniform anchors, one point per cell
         def integrand(b, a):
             return 6.0 * 2.0 * a * (b - a) * (1.0 - b)
 
         val, _ = integrate.dblquad(integrand, 0.0, 1.0, lambda a: a, 1.0)
-        assert val == pytest.approx(float(uniform_composition_probability(3, 2)), abs=1e-10)
+        assert val == pytest.approx(1 / math.comb(5, 3), abs=1e-10)
 
 
 class TestPmfRandomAnchors:
@@ -338,6 +306,12 @@ class TestExpectedGamma:
             got = expected_gamma(model, model, n, m, hu_family=True)
             assert got == pytest.approx(mean, abs=1e-9), (n, m)
 
+    def test_quadrature_that_loses_mass_raises(self):
+        # the order-statistic densities of arc-sine anchors diverge at the ends
+        for n, m in ((4, 2), (3, 1), (6, 3)):
+            with pytest.raises(ValueError, match="lost mass"):
+                expected_gamma(Uniform(), ArcSine(), n, m)
+
     def test_rescaled_cells_change_the_mean(self):
         model = TwoStep(0.4)
         p_table = [0.0, probability(model, 2).value]
@@ -346,6 +320,31 @@ class TestExpectedGamma:
         assert got == pytest.approx(want, abs=1e-9)
         with pytest.raises(ValueError, match="hu_family"):
             expected_gamma(model, Uniform(), 2, 2)
+
+
+class TestPairProbabilityMemo:
+    def test_each_pair_probability_is_computed_once(self, monkeypatch):
+        multianchor._pair_prob.cache_clear()
+        calls = []
+
+        def counting(model, t):
+            calls.append((model, t))
+            return probability(model, t)
+
+        monkeypatch.setattr(multianchor, "probability", counting)
+        n = 7
+        # GeneralLinear rescales to a fresh Linear on every call
+        for model, anchors in ((Uniform(), [0.25, 0.5, 0.75]),
+                               (GeneralLinear(0.05, (-1.0, 3.0)), [0.0, 1.0])):
+            calls.clear()
+            cond = conditional_on_anchors(model, anchors, hu_family=True)
+            first = pmf_conditional_table(cond, n)
+            assert np.array_equal(pmf_conditional_table(cond, n), first)
+            expected_gamma(model, model, n, 2, hu_family=True)
+            assert len(calls) == n - 1, model
+        calls.clear()
+        pmf_random_anchors_table(Uniform(), Uniform(), n, 1)
+        assert calls == []
 
 
 class TestExpectedGammaHu:
