@@ -244,6 +244,13 @@ def domination_number_fast(instance):
     return DominationResult(total, tuple(reports), tuple(witness))
 
 
+def _two_sum(a, b):
+    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _cell_gammas(xs, ys):
     """Per-cell domination contributions for batches of sorted rows.
 
@@ -252,8 +259,10 @@ def _cell_gammas(xs, ys):
     each cell and ``tied`` flags rows with a repeated point, a repeated anchor
     or a point on an anchor, whose cells mean nothing.  Cells are found by
     rank, so each anchor costs one pass over the points and each middle cell
-    one more.  Float comparisons only: this is the Monte Carlo kernel, and
-    ``domination_number_fast`` is the exact reference.
+    one more.  The cells equal those of ``domination_number_fast``: a doubled
+    point is exact in floats, so a float comparison with a rounded edge sum
+    can only be wrong when the two are equal, and there the sum's rounding
+    error, from ``_two_sum``, decides.
     """
     reps, n = xs.shape
     ys = np.broadcast_to(ys, (reps, np.shape(ys)[-1]))
@@ -271,13 +280,16 @@ def _cell_gammas(xs, ys):
     doubled = 2.0 * xs
     for c in range(1, m):
         first, last = ranks[:, c], ranks[:, c + 1] - 1
-        lo_edge = xs[rows, np.maximum(last, 0)] + ys[:, c - 1]
-        hi_edge = xs[rows, np.minimum(first, n - 1)] + ys[:, c]
+        lo_edge, lo_err = _two_sum(xs[rows, np.maximum(last, 0)], ys[:, c - 1])
+        hi_edge, hi_err = _two_sum(xs[rows, np.minimum(first, n - 1)], ys[:, c])
         # 2x rises with rank and every point left of the cell has 2x <= lo_edge,
         # so a witness exists iff the first point past lo_edge is in the cell
-        # and short of hi_edge
-        k = np.count_nonzero(doubled <= lo_edge[:, None], axis=1)
-        witness = (k <= last) & (doubled[rows, np.minimum(k, n - 1)] < hi_edge)
+        # and short of hi_edge; at most one 2x equals a rounded edge
+        k = np.count_nonzero(doubled < lo_edge[:, None], axis=1)
+        at = doubled[rows, np.minimum(k, n - 1)]
+        k += (k < n) & (at == lo_edge) & (lo_err >= 0.0)
+        at = doubled[rows, np.minimum(k, n - 1)]
+        witness = (k <= last) & ((at < hi_edge) | ((at == hi_edge) & (hi_err > 0.0)))
         cells[:, c] += occupied[:, c] & ~witness
     return cells, tied
 

@@ -243,6 +243,20 @@ class TestCellKernel:
         # points often sit exactly on a witness-region boundary
         _check_cell_kernel([x / 32 for x in xs], [y / 32 for y in ys])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-50, 150), min_size=1, max_size=12, unique=True),
+           st.lists(st.integers(0, 100), min_size=1, max_size=6, unique=True))
+    def test_matches_fast_on_decimal_data(self, xs, ys):
+        # edge sums on a 0.01 grid round, and some land exactly on a doubled point
+        _check_cell_kernel([x / 100 for x in xs], [y / 100 for y in ys])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.5, 4.446732402317957e-189], [0.0, 1.0]),   # 1 + tiny rounds to 2 * 0.5
+        ([0.22, 0.66, 0.86, 1.1, 1.33], [0.46, 0.93]),   # 0.86 + 0.46 rounds to 2 * 0.66
+    ])
+    def test_rounded_edge_sum_equal_to_a_doubled_point(self, xs, ys):
+        _check_cell_kernel(xs, ys)
+
     def test_empty_and_boundary_cells_in_one_batch(self):
         xs = np.array([[0.05, 0.1, 0.15, 0.2],          # all in the left end cell
                        [0.375, 0.5, 0.625, 0.8],        # 0.5 is a witness
