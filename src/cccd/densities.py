@@ -126,7 +126,8 @@ class DensityModel:
 
     def quantile(self, u):
         a = _as_array(u)
-        if np.any((a < 0) | (a > 1)) or np.any(~np.isfinite(a)):
+        # NaN fails both comparisons, and min and max propagate it
+        if a.size and not (a.min() >= 0 and a.max() <= 1):
             raise ValueError(f"quantile: u must lie in [0,1], got {a[(a < 0) | (a > 1) | ~np.isfinite(a)][:1]}")
         out = np.clip(self._quantile(a), self.support.lo, self.support.hi)
         return _scalar_like(u, out)

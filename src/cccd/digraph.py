@@ -251,6 +251,23 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _lower_bound(xs, queries, scale=1.0):
+    """Per row of the sorted (reps, n) ``xs``, the count of ``scale * xs``
+    strictly below each of the (reps, q) ``queries``, for ``scale`` 1 or 2.
+
+    A branchless binary search over the flat array: each step gathers one
+    value per (row, query), so a call costs O(reps * q * log n).
+    """
+    flat, start = xs.ravel(), np.arange(xs.shape[0])[:, None] * xs.shape[1]
+    at = np.repeat(start, queries.shape[1], axis=1)
+    size = xs.shape[1]   # the count lies in [at - start, at - start + size]
+    while size > 1:
+        half = size // 2
+        at += half * (scale * flat[at + half] < queries)
+        size -= half
+    return at - start + (scale * flat[at] < queries)
+
+
 def _cell_gammas(xs, ys):
     """Per-cell domination contributions for batches of sorted rows.
 
@@ -258,39 +275,38 @@ def _cell_gammas(xs, ys):
     Returns ``(cells, tied)``: ``cells`` is the (reps, m + 1) contribution of
     each cell and ``tied`` flags rows with a repeated point, a repeated anchor
     or a point on an anchor, whose cells mean nothing.  Cells are found by
-    rank, so each anchor costs one pass over the points and each middle cell
-    one more.  The cells equal those of ``domination_number_fast``: a doubled
-    point is exact in floats, so a float comparison with a rounded edge sum
-    can only be wrong when the two are equal, and there the sum's rounding
-    error, from ``_two_sum``, decides.
+    rank, with one binary search for all anchors and one for all witnesses,
+    so only the tie check reads every point and the rest costs
+    O(reps * m * log n).  The cells equal those of ``domination_number_fast``:
+    a doubled point is exact in floats, so a float comparison with a rounded
+    edge sum can only be wrong when the two are equal, and there the sum's
+    rounding error, from ``_two_sum``, decides.
     """
     reps, n = xs.shape
     ys = np.broadcast_to(ys, (reps, np.shape(ys)[-1]))
     m = ys.shape[1]
-    rows = np.arange(reps)
-    tied = (np.diff(xs, axis=1) == 0.0).any(axis=1) | (np.diff(ys, axis=1) == 0.0).any(axis=1)
+    flat, start = xs.ravel(), np.arange(reps)[:, None] * n
+    tied = (xs[:, 1:] == xs[:, :-1]).any(axis=1) | (ys[:, 1:] == ys[:, :-1]).any(axis=1)
     # cell c holds the points of rank ranks[:, c] up to ranks[:, c + 1]
     ranks = np.zeros((reps, m + 2), dtype=np.intp)
     ranks[:, -1] = n
-    for c in range(m):
-        ranks[:, c + 1] = np.count_nonzero(xs < ys[:, c, None], axis=1)
-        tied |= xs[rows, np.minimum(ranks[:, c + 1], n - 1)] == ys[:, c]
+    ranks[:, 1:-1] = _lower_bound(xs, ys)
+    tied |= (flat[start + np.minimum(ranks[:, 1:-1], n - 1)] == ys).any(axis=1)
     occupied = np.diff(ranks, axis=1) > 0
     cells = occupied.astype(np.int64)
-    doubled = 2.0 * xs
-    for c in range(1, m):
-        first, last = ranks[:, c], ranks[:, c + 1] - 1
-        lo_edge, lo_err = _two_sum(xs[rows, np.maximum(last, 0)], ys[:, c - 1])
-        hi_edge, hi_err = _two_sum(xs[rows, np.minimum(first, n - 1)], ys[:, c])
-        # 2x rises with rank and every point left of the cell has 2x <= lo_edge,
-        # so a witness exists iff the first point past lo_edge is in the cell
-        # and short of hi_edge; at most one 2x equals a rounded edge
-        k = np.count_nonzero(doubled < lo_edge[:, None], axis=1)
-        at = doubled[rows, np.minimum(k, n - 1)]
-        k += (k < n) & (at == lo_edge) & (lo_err >= 0.0)
-        at = doubled[rows, np.minimum(k, n - 1)]
-        witness = (k <= last) & ((at < hi_edge) | ((at == hi_edge) & (hi_err > 0.0)))
-        cells[:, c] += occupied[:, c] & ~witness
+    # one column per middle cell 1..m-1
+    first, last = ranks[:, 1:m], ranks[:, 2:m + 1] - 1
+    lo_edge, lo_err = _two_sum(flat[start + np.maximum(last, 0)], ys[:, :-1])
+    hi_edge, hi_err = _two_sum(flat[start + np.minimum(first, n - 1)], ys[:, 1:])
+    # 2x rises with rank and every point left of the cell has 2x <= lo_edge,
+    # so a witness exists iff the first point past lo_edge is in the cell
+    # and short of hi_edge; at most one 2x equals a rounded edge
+    k = _lower_bound(xs, lo_edge, scale=2.0)
+    at = 2.0 * flat[start + np.minimum(k, n - 1)]
+    k += (k < n) & (at == lo_edge) & (lo_err >= 0.0)
+    at = 2.0 * flat[start + np.minimum(k, n - 1)]
+    witness = (k <= last) & ((at < hi_edge) | ((at == hi_edge) & (hi_err > 0.0)))
+    cells[:, 1:m] += occupied[:, 1:m] & ~witness
     return cells, tied
 
 

@@ -10,7 +10,10 @@ Replicate ``r`` consumes the Philox stream keyed by ``(seed, r // BATCH_REPS)``
 at row ``r % BATCH_REPS``, so the counts depend only on ``(seed, r)`` and are
 bit-identical for any worker count and any total replicate budget that
 includes ``r``.  Workers split work at batch boundaries and merge integer
-counts, which commutes.
+counts, which commutes.  A batch that would hold more than ``2**24`` uniform
+draws runs in chunks of whole rows, drawn one after another from its stream;
+the stream fills in order, so the chunks bound the working set at large ``n``
+and leave every count unchanged.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .digraph import _cell_gammas
 BATCH_REPS = 2048
 MAX_TIE_REDRAWS = 100
 DEFAULT_THRESHOLD = 4.0
+
+_CHUNK_VALUES = 1 << 24   # most uniform draws a batch holds at once
 
 # Second Philox key word for per-replicate redraw streams, disjoint from
 # batch indices (which stay far below 2**63).
@@ -114,11 +119,13 @@ def _draw(plan: SimulationPlan, rng: np.random.Generator, rows: int):
     """Sorted points (rows, n) and anchors, (rows, m) or fixed (m,), from ``rng``."""
     if plan.random_anchors:
         u = rng.random((rows, plan.m + plan.n))
-        ys = np.sort(plan.fy.quantile(u[:, : plan.m]), axis=1)
-        xs = np.sort(plan.fx.quantile(u[:, plan.m :]), axis=1)
+        ys = plan.fy.quantile(u[:, : plan.m])
+        ys.sort(axis=1)
+        xs = plan.fx.quantile(u[:, plan.m :])
     else:
-        xs = np.sort(plan.fx.quantile(rng.random((rows, plan.n))), axis=1)
+        xs = plan.fx.quantile(rng.random((rows, plan.n)))
         ys = np.asarray(plan.fy, dtype=float)
+    xs.sort(axis=1)   # quantile returns a fresh array
     return xs, ys
 
 
@@ -139,10 +146,15 @@ def _batch_counts(plan: SimulationPlan, batch: int) -> np.ndarray:
     """Domination-number counts for one batch of replicates."""
     start = batch * BATCH_REPS
     rows = min(BATCH_REPS, plan.reps - start)
-    cells, tied = _cell_gammas(*_draw(plan, _stream(plan.seed, batch), rows))
-    for row in np.flatnonzero(tied):
-        cells[row] = _cell_gammas(*_redraw_row(plan, start + int(row)))[0][0]
-    gammas = cells.sum(axis=1)
+    rng = _stream(plan.seed, batch)
+    step = max(1, _CHUNK_VALUES // (plan.n + (plan.m if plan.random_anchors else 0)))
+    gammas = []
+    for first in range(0, rows, step):
+        cells, tied = _cell_gammas(*_draw(plan, rng, min(step, rows - first)))
+        for row in np.flatnonzero(tied):
+            cells[row] = _cell_gammas(*_redraw_row(plan, start + first + int(row)))[0][0]
+        gammas.append(cells.sum(axis=1))
+    gammas = np.concatenate(gammas)
     if gammas.min() < 1 or gammas.max() > plan.gamma_cap:
         raise RuntimeError("domination number left [1, min(n, 2m)]; simulation internals are broken")
     return np.bincount(gammas, minlength=plan.gamma_cap + 1)

@@ -317,3 +317,16 @@ def test_beta_pdf_nonnegative_and_mass(nu1, nu2):
     xs = np.linspace(0, 1, 201)
     assert np.all(model.pdf(xs) >= 0)
     assert model.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, np.nextafter(1.0, 2.0)])
+def test_quantile_rejects_u_outside_the_unit_interval(bad):
+    for u in (bad, np.array([0.5, bad, 0.25])):
+        with pytest.raises(ValueError, match=r"u must lie in \[0,1\]"):
+            D.Uniform().quantile(u)
+
+
+def test_quantile_accepts_the_closed_unit_interval():
+    model = D.Beta(2, 2)
+    assert model.quantile(np.array([0.0, -0.0, 1.0])).tolist() == [0.0, 0.0, 1.0]
+    assert model.quantile(np.array([])).shape == (0,)

@@ -270,6 +270,50 @@ class TestCellKernel:
             assert got.tolist() == [r.gamma for r in want.per_interval]
 
 
+class TestLowerBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1024, 1025])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_matches_searchsorted_on_grid_rows_with_repeats(self, n, scale):
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.integers(0, max(2, n // 3), size=(5, n)), axis=1) / 8
+        pts = scale * xs
+        # each scaled point, the grid gaps just below and above it, and both extremes
+        queries = np.concatenate([pts, pts - 1 / 32, pts + 1 / 32,
+                                  np.full((5, 1), -1.0), np.full((5, 1), 1e9)], axis=1)
+        got = digraph._lower_bound(xs, queries, scale=scale)
+        want = [np.searchsorted(row, q, side="left") for row, q in zip(pts, queries)]
+        assert got.tolist() == np.array(want).tolist()
+
+
+class TestCellKernelWideRows:
+    # the hypothesis tests stay below 60 points, where the search takes at
+    # most 6 steps; these rows take 12
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_matches_fast_at_n_2500(self, grid):
+        rng = np.random.default_rng(2500)
+        if grid:
+            # distinct values of a 1/4096 grid for the points, the anchors of
+            # each row and the shared anchors: edge sums are exact and some
+            # doubled points equal an edge
+            shared = rng.choice(4096, 6, replace=False)
+            rest = np.setdiff1d(np.arange(4096), shared)
+            picks = np.array([rng.permutation(rest)[:2506] for _ in range(4)]) / 4096
+            xs, ys, fixed = picks[:, :2500], picks[:, 2500:], np.sort(shared / 4096)
+        else:
+            xs, ys, fixed = rng.random((4, 2500)), rng.random((4, 6)), np.sort(rng.random(6))
+        xs.sort(axis=1)
+        ys.sort(axis=1)
+        middle = set()
+        for layout in (ys, fixed):
+            cells, tied = digraph._cell_gammas(xs, layout)
+            assert not tied.any()
+            for row, anchors, got in zip(xs, np.broadcast_to(layout, ys.shape), cells):
+                want = digraph.domination_number_fast(digraph.build_instance(row, anchors))
+                assert got.tolist() == [r.gamma for r in want.per_interval]
+            middle |= set(cells[:, 1:-1].ravel().tolist())
+        assert middle == {1, 2}
+
+
 class TestUpperBound:
     def test_hand_counts(self):
         inst = digraph.build_instance([-0.5, -0.125, 0.25, 0.625, 1.25], [0.0, 1.0])

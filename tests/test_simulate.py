@@ -28,6 +28,25 @@ def two_anchor_prediction(n):
     return {1: 1.0 - p, 2: p}
 
 
+# recorded from the per-cell mask kernel that preceded the rank-based one; a
+# change means the stream layout or a float decision moved
+PINNED_COUNTS = [
+    (dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8, reps=5000, seed=2026),
+     {1: 5, 2: 222, 3: 1520, 4: 2248, 5: 919, 6: 86}),
+    (dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4, reps=5000, seed=2027),
+     {1: 54, 2: 576, 3: 1638, 4: 1813, 5: 762, 6: 153, 7: 4}),
+    (dict(fx=Beta(2, 5), fy=Beta(2, 5), n=12, m=4, reps=5000, seed=4243),
+     {1: 15, 2: 191, 3: 862, 4: 1633, 5: 1446, 6: 731, 7: 115, 8: 7}),
+]
+
+
+class _GridUniform(Uniform):
+    """Uniform draws rounded down to a 1/64 grid, so rows often repeat a point."""
+
+    def _quantile(self, u):
+        return np.floor(64.0 * u) / 64.0
+
+
 class TestPlanValidation:
     def test_fixed_anchors_normalized(self):
         plan = SimulationPlan(fx=UNIFORM, fy=[1.0, 0.0], n=3)
@@ -123,18 +142,7 @@ class TestDeterminism:
         assert sum(counts.values()) == BATCH_REPS + 1
 
     def test_counts_are_pinned(self):
-        # recorded from the per-cell mask kernel that preceded the rank-based
-        # one; a change means the stream layout or a float decision moved
-        beta = Beta(2, 5)
-        cases = [
-            (dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8, reps=5000, seed=2026),
-             {1: 5, 2: 222, 3: 1520, 4: 2248, 5: 919, 6: 86}),
-            (dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4, reps=5000, seed=2027),
-             {1: 54, 2: 576, 3: 1638, 4: 1813, 5: 762, 6: 153, 7: 4}),
-            (dict(fx=beta, fy=beta, n=12, m=4, reps=5000, seed=4243),
-             {1: 15, 2: 191, 3: 862, 4: 1633, 5: 1446, 6: 731, 7: 115, 8: 7}),
-        ]
-        for kwargs, want in cases:
+        for kwargs, want in PINNED_COUNTS:
             assert run(SimulationPlan(**kwargs)) == want
 
     def test_library_draws_only_from_philox_streams(self):
@@ -224,6 +232,26 @@ class TestCompare:
         assert loose.passed and not tight.passed
         with pytest.raises(ValueError, match="threshold"):
             compare(counts, {1: 1.0}, threshold=0.0)
+
+
+class TestChunkedBatches:
+    def test_chunks_of_a_few_rows_leave_counts_unchanged(self, monkeypatch):
+        plans = [
+            dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8, reps=BATCH_REPS + 300, seed=2026),
+            dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4, reps=BATCH_REPS + 300, seed=2027),
+            # about a third of these rows repeat a point and are redrawn by
+            # replicate index
+            dict(fx=_GridUniform(), fy=(0.1, 0.35, 0.6), n=8, reps=1200, seed=5),
+        ]
+        want = [run(SimulationPlan(**kwargs)) for kwargs in plans]
+        redrawn = []
+        monkeypatch.setattr("cccd.simulate._redraw_row",
+                            lambda plan, r: (redrawn.append(r), _redraw_row(plan, r))[1])
+        monkeypatch.setattr("cccd.simulate._CHUNK_VALUES", 64)   # 4 to 8 rows a chunk
+        assert [run(SimulationPlan(**kwargs)) for kwargs in plans] == want
+        assert len(set(redrawn)) == len(redrawn) > 300
+        for kwargs, pinned in PINNED_COUNTS:
+            assert run(SimulationPlan(**kwargs)) == pinned
 
 
 class TestTieHandling:
