@@ -8,6 +8,7 @@ constructors validate parameters and check that the density integrates to 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +20,9 @@ from scipy import integrate, special
 MASS_TOL = 1e-10
 QUANTILE_BISECT_TOL = 1e-12
 MAX_DERIVATIVE_ORDER = 2
+BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
+BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
+_GAUSS3 = np.polynomial.legendre.leggauss(3)
 
 
 @dataclass(frozen=True)
@@ -637,29 +641,35 @@ class Beta(DensityModel):
         self.nu1, self.nu2 = nu1, nu2
         self._lognorm = special.betaln(nu1, nu2)
         super().__init__(_unit_support(support))
+        if nu1 > 1.0 and nu2 > 1.0:  # build it here: built amid sample buffers, it pins the heap
+            _beta_quantile_table(nu1, nu2)
 
     @property
     def params(self):
         return {"nu1": self.nu1, "nu2": self.nu2}
 
     def _pdf(self, x):
-        a, b = self.nu1 - 1.0, self.nu2 - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
-            l1x = np.where(x < 1.0, np.log1p(-np.where(x < 1.0, x, 0.0)), -np.inf)
-            lg = a * lx + b * l1x - self._lognorm
-            out = np.exp(lg)
-        out = np.where((x == 0.0) & (a == 0.0), np.exp(b * np.log1p(-0.0) - self._lognorm), out)
-        out = np.where((x == 1.0) & (b == 0.0), np.exp(a * 0.0 - self._lognorm), out)
-        out = np.where((x == 0.0) & (a > 0.0), 0.0, out)
-        out = np.where((x == 1.0) & (b > 0.0), 0.0, out)
-        return out
+        inner = (x > 0.0) & (x < 1.0)
+        out = _beta_pdf(self.nu1, self.nu2, self._lognorm, np.where(inner, x, 0.5))
+        # at an end the density is 1/B where that end's shape is 1, else 0
+        unit_end = np.where(x <= 0.0, self.nu1, self.nu2) == 1.0
+        return np.where(inner, out, np.where(unit_end, np.exp(-self._lognorm), 0.0))
 
     def _cdf(self, x):
         return special.betainc(self.nu1, self.nu2, x)
 
     def _quantile(self, u):
-        return special.betaincinv(self.nu1, self.nu2, u)
+        a, b = self.nu1, self.nu2
+        if u.ndim == 0 or a == 1.0 or b == 1.0:  # boost solves a unit shape in closed form
+            x = special.betaincinv(a, b, u)
+        else:  # in chunks, so that the temporaries stay in cache
+            chunks = np.split(u.reshape(-1), range(BETA_CHUNK, u.size, BETA_CHUNK))
+            x = np.concatenate([_beta_quantile_cells(a, b, c) for c in chunks]).reshape(u.shape)
+        tail = (u > 0.0) & (u < special.betainc(a, b, BETA_TAIL_X))
+        if tail.any():  # invert I(x) = x^a / (a B) * (1 - a (b-1)/(a+1) x + O(x^2))
+            y = np.exp((np.log(np.where(tail, u, 1.0)) + math.log(a) + special.betaln(a, b)) / a)
+            x = np.where(tail, y * (1.0 + (b - 1.0) / (a + 1.0) * y), x)
+        return x
 
     def _pdf_derivative(self, x, order):
         a, b = self.nu1 - 1.0, self.nu2 - 1.0
@@ -707,6 +717,49 @@ class Beta(DensityModel):
         if a < 2.0:
             return math.inf, True
         return 0.0, False
+
+
+def _beta_pdf(a, b, lognorm, x):
+    return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lognorm)
+
+
+@functools.lru_cache(maxsize=64)
+def _beta_quantile_table(a, b):
+    """Nodes x_i = Q(i/n) on the 2^-53 grid, so 1 - x_i is exact and boost's ``betaincc``
+    gives the defects I(x_i) - i/n to half an ulp; dQ/dt at the nodes; and log B, refit
+    to the table's mass because scipy's ``betaln`` is 5e-14 off at shapes like (2, 200)."""
+    n, e = BETA_CELLS, BETA_END_CELLS
+    u = np.arange(n + 1) / n
+    x = np.round(special.betaincinv(a, b, u) * 2.0 ** 53) * 2.0 ** -53
+    low = u < 0.5  # I(x) = betaincc(b, a, 1 - x) below the median, 1 - betaincc(a, b, x) above
+    ic = special.betaincc(np.where(low, b, a), np.where(low, a, b), np.where(low, 1.0 - x, x))
+    defect = np.where(low, ic - u, (1.0 - u) - ic)
+    lo, h, lognorm = x[e:-e - 1], 0.5 * np.diff(x[e:-e]), special.betaln(a, b)
+    mass = sum(w * h * _beta_pdf(a, b, lognorm, lo + (1.0 + z) * h) for z, w in zip(*_GAUSS3)).sum()
+    lognorm += math.log(mass / ((n - 2 * e) / n + defect[-e - 1] - defect[e]))
+    with np.errstate(divide="ignore"):
+        return x, 1.0 / (n * _beta_pdf(a, b, lognorm, x)), defect, lognorm
+
+
+def _beta_quantile_cells(a, b, u):
+    """Cubic Hermite start in the table cell, then one Newton step on the residual
+    I(x) - u = defect + (3-point Gauss-Legendre integral of the pdf from the node).
+    End cells and any step above 1e-8 x are left to ``betaincinv``."""
+    nodes, dq, defect, lognorm = _beta_quantile_table(a, b)
+    n, e = BETA_CELLS, BETA_END_CELLS
+    outer = (u < e / n) | (u >= 1.0 - e / n)
+    i = np.clip((u * n).astype(np.intp), e, n - 1 - e)
+    t = np.where(outer, 0.0, u * n - i)
+    x0, d0, d1, dx = nodes[i], dq[i], dq[i + 1], nodes[i + 1] - nodes[i]
+    x = x0 + t * (d0 + t * (3.0 * dx - 2.0 * d0 - d1 + t * (d0 + d1 - 2.0 * dx)))
+    h, r = 0.5 * (x - x0), defect[i] - t / n
+    for z, w in zip(*_GAUSS3):
+        r += w * h * _beta_pdf(a, b, lognorm, x0 + (1.0 + z) * h)
+    step = r / _beta_pdf(a, b, lognorm, x)
+    x -= step
+    redo = outer | ~(np.abs(step) <= 1e-8 * x)
+    x[redo] = special.betaincinv(a, b, u[redo])
+    return x
 
 
 class TruncatedNormal(DensityModel):

@@ -38,23 +38,6 @@ def _suspect_band(a, b):
 
 
 @dataclass(frozen=True)
-class ProximityBall:
-    center: float
-    radius: float
-
-    @property
-    def lo(self):
-        return self.center - self.radius
-
-    @property
-    def hi(self):
-        return self.center + self.radius
-
-    def contains(self, x):
-        return self.lo < x < self.hi
-
-
-@dataclass(frozen=True)
 class GammaOneRegion:
     """Open interval of cell points whose ball covers the whole cell."""
 
@@ -126,9 +109,6 @@ class CccdInstance:
         left = np.where(pos > 0, self.xs - self.ys[np.clip(pos - 1, 0, self.m - 1)], np.inf)
         right = np.where(pos < self.m, self.ys[np.clip(pos, 0, self.m - 1)] - self.xs, np.inf)
         return np.minimum(left, right)
-
-    def balls(self):
-        return [ProximityBall(float(x), float(r)) for x, r in zip(self.xs, self.radii())]
 
     def cell_bounds(self, c):
         """Bounds of 0-based cell c as floats, infinite at the ends."""

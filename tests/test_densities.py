@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from cccd import densities as D
 
@@ -330,3 +330,144 @@ def test_quantile_accepts_the_closed_unit_interval():
     model = D.Beta(2, 2)
     assert model.quantile(np.array([0.0, -0.0, 1.0])).tolist() == [0.0, 0.0, 1.0]
     assert model.quantile(np.array([])).shape == (0,)
+
+
+def test_beta_pdf_at_the_ends():
+    for (nu1, nu2), ends in {(1, 3): [3.0, 0.0], (2, 1): [0.0, 2.0], (1, 1): [1.0, 1.0],
+                             (2, 2): [0.0, 0.0]}.items():
+        assert D.Beta(nu1, nu2).pdf(np.array([0.0, 1.0])) == pytest.approx(ends, rel=1e-15)
+
+
+# ---------------------------------------------------- Beta quantile route
+
+BETA_ROUTE_SHAPES = [(2, 2), (2, 5), (5, 2), (1.5, 1.5), (3.5, 1.7), (9, 9), (30, 30),
+                     (2, 200), (4, 1), (1, 3)]
+
+
+def _route_inputs(count, seed):
+    """u = 0, 1, 2^-53, 1 - 2^-53, table nodes and cell midpoints around the
+    first and last inner cells and the middle, and uniform draws."""
+    n, e = D.BETA_CELLS, D.BETA_END_CELLS
+    nodes = np.array([1, e - 1, e, e + 1, e + 2, n // 2, n - e - 1, n - e, n - e + 1, n - 1])
+    mids = np.array([0, e - 1, e, e + 1, n // 2, n - e - 2, n - e - 1, n - e, n - 1]) + 0.5
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53], nodes / n, mids / n,
+                           rng.random(count)])
+
+
+def _mp_quantile(a, b, u):
+    """The Beta(a, b) quantile of u to 40 digits: Newton on mpmath's betainc."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, b, u = mp.mpf(a), mp.mpf(b), mp.mpf(u)
+        x = (u * a * mp.beta(a, b)) ** (1 / a)
+        if x > mp.mpf(2) ** -40:
+            x = mp.mpf(float(special.betaincinv(float(a), float(b), float(u))))
+        for _ in range(40):
+            step = (mp.betainc(a, b, 0, x, regularized=True) - u) * mp.beta(a, b) \
+                / (x ** (a - 1) * (1 - x) ** (b - 1))
+            x -= step
+            if abs(step) < x * mp.mpf(10) ** -36:
+                return x
+    raise AssertionError(f"no convergence at u={u}")
+
+
+def _ulps(xs, refs):
+    return np.array([float(abs(x - r) / np.spacing(float(r))) for x, r in zip(xs, refs)])
+
+
+def _assert_within_betaincinv_error(a, b, u, x):
+    inner = (u > 0.0) & (u < 1.0)
+    refs = [_mp_quantile(a, b, v) for v in u[inner]]
+    route, inv = _ulps(x[inner], refs), _ulps(special.betaincinv(a, b, u[inner]), refs)
+    worst = np.argmax(route - inv)
+    assert route[worst] <= inv[worst] + 2.0, (
+        f"Beta({a}, {b}) u={u[inner][worst]!r}: {route[worst]:.2f} ulp vs betaincinv {inv[worst]:.2f}")
+
+
+@pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES, ids=str)
+def test_beta_quantile_route_matches_betaincinv(shape):
+    a, b = shape
+    u = _route_inputs(4000, seed=1)
+    x, inv = D.Beta(a, b).quantile(u), special.betaincinv(a, b, u)
+    if a == 1 or b == 1:
+        assert np.array_equal(x, inv)
+    assert x[0] == 0.0 and x[1] == 1.0
+    assert np.all(np.diff(x[np.argsort(u)]) >= 0)
+    assert x == pytest.approx(inv, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES, ids=str)
+def test_beta_quantile_route_error_against_mpmath(shape):
+    a, b = shape
+    u = _route_inputs(60, seed=2)
+    _assert_within_betaincinv_error(a, b, u, D.Beta(a, b).quantile(u))
+
+
+@pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES, ids=str)
+def test_beta_quantile_scalar_and_zero_d_input(shape):
+    a, b = shape
+    model = D.Beta(a, b)
+    for u in (0.3, np.float64(0.3), np.array(0.3)):
+        x = model.quantile(u)
+        assert isinstance(x, float) and x == special.betaincinv(a, b, 0.3)
+    assert model.quantile(np.array([0.3]))[0] == pytest.approx(model.quantile(0.3), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES + [(1.01, 50), (100, 100)], ids=str)
+def test_beta_quantile_has_no_nan_at_tiny_u(shape):
+    a, b = shape
+    tiny = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-200])
+    model = D.Beta(a, b)
+    for x in (model.quantile(tiny), np.array([model.quantile(v) for v in tiny])):
+        assert not np.isnan(x).any() and x[0] == 0.0 and np.all((x >= 0.0) & (x < 1.0))
+        for v, got in zip(tiny[1:], x[1:]):
+            want = _mp_quantile(a, b, v)
+            # the series route, where the answer is a normal double
+            if np.finfo(float).tiny <= want < D.BETA_TAIL_X:
+                assert float(abs(got - want) / want) < 1e-12, (v, got, float(want))
+
+
+def _spy_on_betaincinv(monkeypatch):
+    """Record how many values each ``special.betaincinv`` call gets."""
+    real, seen = special.betaincinv, []
+
+    def spy(a, b, v):
+        seen.append(np.size(v))
+        return real(a, b, v)
+
+    monkeypatch.setattr(special, "betaincinv", spy)
+    return seen
+
+
+def _end_cell_values(u):
+    n, e = D.BETA_CELLS, D.BETA_END_CELLS
+    return np.count_nonzero((u < e / n) | (u >= 1 - e / n))
+
+
+def test_beta_quantile_route_replaces_betaincinv_in_inner_cells(monkeypatch):
+    D._beta_quantile_table.cache_clear()
+    D.Beta(4, 1), D.Beta(1, 3)
+    assert D._beta_quantile_table.cache_info().currsize == 0   # unit shapes keep betaincinv
+    model = D.Beta(2.5, 3.5)
+    assert D._beta_quantile_table.cache_info().currsize == 1   # built with the model
+    u = np.random.default_rng(3).random((64, 300))
+    expect = special.betaincinv(2.5, 3.5, u)
+    seen = _spy_on_betaincinv(monkeypatch)
+    x = model.quantile(u)
+    assert sum(seen) == _end_cell_values(u) > 0
+    assert x == pytest.approx(expect, rel=1e-14, abs=0.0)
+    monkeypatch.setattr(D, "BETA_CHUNK", 1000)   # 20 chunks, the last one short
+    assert np.array_equal(model.quantile(u), x)
+
+
+def test_beta_quantile_falls_back_on_a_skewed_start(monkeypatch):
+    a, b = 2.0, 5.0
+    nodes, dq, defect, lognorm = D._beta_quantile_table(a, b)
+    # slopes 50% off: starts miss by up to ~1e-6 x, more than one Newton step can mend
+    monkeypatch.setattr(D, "_beta_quantile_table", lambda *_: (nodes, 1.5 * dq, defect, lognorm))
+    seen = _spy_on_betaincinv(monkeypatch)
+    u = _route_inputs(60, seed=4)
+    x = D.Beta(a, b).quantile(u)
+    assert sum(seen) > _end_cell_values(u) + 40
+    _assert_within_betaincinv_error(a, b, u, x)

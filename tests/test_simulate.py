@@ -37,6 +37,9 @@ PINNED_COUNTS = [
      {1: 54, 2: 576, 3: 1638, 4: 1813, 5: 762, 6: 153, 7: 4}),
     (dict(fx=Beta(2, 5), fy=Beta(2, 5), n=12, m=4, reps=5000, seed=4243),
      {1: 15, 2: 191, 3: 862, 4: 1633, 5: 1446, 6: 731, 7: 115, 8: 7}),
+    # the benchmark's Beta shape, counted while Beta quantiles came from betaincinv
+    (dict(fx=Beta(2, 2), fy=Beta(2, 2), n=200, m=5, reps=4096, seed=2028),
+     {4: 7, 5: 124, 6: 636, 7: 1378, 8: 1254, 9: 592, 10: 105}),
 ]
 
 
