@@ -1,9 +1,9 @@
 """Density families on a bounded interval with known endpoint behavior.
 
-Every family exposes a vectorized pdf/cdf/quantile triple, one-sided
+Every family exposes a vectorized pdf/cdf/quantile triple and one-sided
 derivatives of the density at the support endpoints and midpoint (orders
-0 through 2), and inverse-cdf sampling. Models are immutable value objects;
-constructors validate parameters and check that the density integrates to 1.
+0 through 2). Models are immutable value objects; constructors validate
+parameters and check that the density integrates to 1.
 """
 
 from __future__ import annotations
@@ -176,11 +176,6 @@ class DensityModel:
 
     def _one_sided(self, which, side, order):
         raise NotImplementedError
-
-    def sample(self, n, rng):
-        """n sorted draws via the quantile transform of rng uniforms."""
-        u = rng.random(int(n))
-        return np.sort(self.quantile(u))
 
     def _check_mass(self):
         mass = self._mass()

@@ -10,7 +10,6 @@ into independent per-cell contributions, which is what the fast path exploits.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,17 +37,6 @@ def _suspect_band(a, b):
 
 
 @dataclass(frozen=True)
-class GammaOneRegion:
-    """Open interval of cell points whose ball covers the whole cell."""
-
-    lo: float
-    hi: float
-
-    def contains(self, x):
-        return self.lo < x < self.hi
-
-
-@dataclass(frozen=True)
 class IntervalReport:
     j: int              # 1-based cell index; 1 and m+1 are the end cells
     lo: float           # -inf for the left end cell
@@ -63,16 +51,6 @@ class DominationResult:
     total: int
     per_interval: tuple
     dominating_set: tuple
-
-    def to_json(self):
-        return json.dumps({
-            "total": self.total,
-            "per_interval": [{
-                "j": r.j, "lo": r.lo, "hi": r.hi, "count": r.count,
-                "gamma": r.gamma, "witness": list(r.witness),
-            } for r in self.per_interval],
-            "dominating_set": list(self.dominating_set),
-        }, sort_keys=True)
 
 
 class CccdInstance:
@@ -148,37 +126,6 @@ def arcs(instance):
     """All arcs (i, j) by sorted point index, i -> j when x_j is in ball i."""
     ii, jj = np.nonzero(_membership(instance))
     return list(zip(ii.tolist(), jj.tolist()))
-
-
-def boundary_contacts(instance):
-    """Pairs (i, j) where x_j sits exactly on the boundary of ball i.
-
-    Membership is strict, so these are non-arcs; they are surfaced as a
-    diagnostic because they usually indicate constructed or degenerate data.
-    """
-    x = instance.xs
-    r = instance.radii()
-    dist = np.abs(x[None, :] - x[:, None])
-    suspect = _suspect_band(dist, r[:, None])
-    np.fill_diagonal(suspect, False)
-    out = []
-    for i, j in zip(*np.nonzero(suspect)):
-        gap = abs(Fraction(float(x[j])) - Fraction(float(x[i])))
-        if gap == _exact_radius(x[i], instance.ys):
-            out.append((int(i), int(j)))
-    return out
-
-
-def gamma_one_region(instance, j):
-    """The region of cell j (1-based, middle cells only) giving gamma = 1."""
-    if not 2 <= j <= instance.m:
-        raise ValueError(f"j: middle cells are 2..{instance.m}, got {j}")
-    c = j - 1
-    pts = instance.cell_points(c)
-    if pts.size == 0:
-        raise ValueError(f"j: cell {j} contains no points")
-    lo_anchor, hi_anchor = instance.cell_bounds(c)
-    return GammaOneRegion(0.5 * (pts.max() + lo_anchor), 0.5 * (pts.min() + hi_anchor))
 
 
 def _end_cell_report(instance, c, j):
@@ -352,77 +299,3 @@ def domination_number_oracle(instance):
         total += found
     return total
 
-
-def transformed_digraph_gamma(model, xs, ys=(0.0, 1.0)):
-    """Domination number after mapping the points through the model cdf.
-
-    The anchors must be {0, 1} (the model support endpoints); the image
-    instance keeps the same anchors because the cdf fixes them.
-    """
-    ys = tuple(sorted(float(v) for v in ys))
-    if ys != (0.0, 1.0):
-        raise ValueError(f"ys: transformed digraphs are defined for anchors (0, 1), got {ys}")
-    if not (model.support.lo == 0.0 and model.support.hi == 1.0):
-        raise ValueError("model: transformed digraphs need unit support")
-    xs = np.asarray(xs, dtype=float)
-    if np.any((xs <= 0.0) | (xs >= 1.0)):
-        raise ValueError("xs: points must lie strictly inside (0, 1)")
-    images = model.cdf(xs)
-    return domination_number_fast(build_instance(images, ys))
-
-
-def transformed_ball(model, x):
-    """Pullback, to original coordinates, of the image-space ball at x.
-
-    The image point F(x) has radius min(F(x), 1 - F(x)) toward the anchors
-    {0, 1}; applying the quantile to the clipped image ball gives the set of
-    original points whose images it catches.
-    """
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x: point must lie strictly inside (0, 1), got {x}")
-    u = float(model.cdf(x))
-    r = min(u, 1.0 - u)
-    lo = float(model.quantile(max(0.0, u - r)))
-    hi = float(model.quantile(min(1.0, u + r)))
-    return lo, hi
-
-
-# plain-text and JSON round trips
-
-def instance_to_text(instance):
-    lines = ([f"x {float(v)!r}" for v in instance.xs]
-             + [f"y {float(v)!r}" for v in instance.ys])
-    return "\n".join(lines) + "\n"
-
-
-def instance_from_text(text):
-    xs, ys = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("x", "y"):
-            raise ValueError(f"line {lineno}: expected 'x <value>' or 'y <value>', got {raw!r}")
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {parts[1]!r}") from None
-        (xs if parts[0] == "x" else ys).append(value)
-    return build_instance(xs, ys)
-
-
-def instance_to_json(instance):
-    return json.dumps({"xs": instance.xs.tolist(), "ys": instance.ys.tolist()},
-                      sort_keys=True)
-
-
-def instance_from_json(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"instance JSON: {e}") from e
-    if not isinstance(obj, dict) or set(obj) != {"xs", "ys"}:
-        raise ValueError("instance JSON: expected an object with keys xs and ys")
-    return build_instance(obj["xs"], obj["ys"])

@@ -24,9 +24,8 @@ Evaluation routes, from most to least exact:
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,12 +35,16 @@ from .densities import GapUniform, ShrunkUniform, TwoStep, Uniform
 
 LIMIT_UNIFORM = 4.0 / 9.0
 
+# Error floor of the quadrature, and its panel budget.
+_ABS_TOL = 1e-12
+MAX_PANELS = 20_000
+
 _GL15 = np.polynomial.legendre.leggauss(15)
 _GL7 = np.polynomial.legendre.leggauss(7)
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement hits the subdivision cap.
+    """Raised when adaptive refinement hits the panel budget ``MAX_PANELS``.
 
     Carries the best running estimate so a caller can still inspect it.
     """
@@ -55,14 +58,10 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 20000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("rel_tol/abs_tol: tolerances must be positive")
-        if self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions: need at least 4 panels")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol: tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class ProbabilityReport:
     exact: Fraction | None = None
     error_estimate: float | None = None
     panels: int | None = None
-    detail: dict = field(default_factory=dict)
 
 
 def _require_sample_size(n):
@@ -443,53 +441,29 @@ def p_quadrature(model, n, config=None):
                       for c, d in zip(v_cuts[:-1], v_cuts[1:])])
     vals, rough = _evaluate_panels(fun, rects)
     errs = np.abs(vals - rough)
-    heap = [(-e, i) for i, e in enumerate(errs)]
-    heapq.heapify(heap)
-    store_rect = list(map(tuple, rects))
-    store_val = list(vals)
-    store_err = list(errs)
-    dead = set()
-
-    def totals():
-        val = sum(v for i, v in enumerate(store_val) if i not in dead)
-        err = sum(e for i, e in enumerate(store_err) if i not in dead)
-        return val, err
-
-    value, error = totals()
-    while error > max(config.abs_tol, config.rel_tol * abs(value)):
-        if len(store_rect) - len(dead) >= config.max_subdivisions:
+    # live panels stay in creation order, which fixes the order of the sums
+    # (left to right: cumsum, not pairwise np.sum or compensated sum()) and
+    # breaks error ties toward the older panel
+    value, error = vals.cumsum()[-1], errs.cumsum()[-1]
+    while error > max(_ABS_TOL, config.rel_tol * abs(value)):
+        if len(rects) >= MAX_PANELS:
             raise QuadratureError(
                 f"quadrature did not reach rel_tol={config.rel_tol:g} within "
-                f"{config.max_subdivisions} panels (best estimate {value:.12g}, "
-                f"error estimate {error:.3g}); raise max_subdivisions",
+                f"{MAX_PANELS} panels (best estimate {value:.12g}, "
+                f"error estimate {error:.3g}); loosen rel_tol",
                 best_estimate=value, error_estimate=error)
-        batch = []
-        while heap and len(batch) < 64:
-            _, i = heapq.heappop(heap)
-            if i in dead:
-                continue
-            dead.add(i)
-            batch.append(store_rect[i])
-        if not batch:
-            break
-        children = []
-        for a, b, c, d in batch:
-            mx, my = 0.5 * (a + b), 0.5 * (c + d)
-            children += [(a, mx, c, my), (a, mx, my, d),
-                         (mx, b, c, my), (mx, b, my, d)]
-        child_rects = np.array(children)
-        vals, rough = _evaluate_panels(fun, child_rects)
-        errs = np.abs(vals - rough)
-        for rect, v, e in zip(children, vals, errs):
-            idx = len(store_rect)
-            store_rect.append(rect)
-            store_val.append(v)
-            store_err.append(e)
-            heapq.heappush(heap, (-e, idx))
-        value, error = totals()
+        worst = np.argsort(-errs, kind="stable")[:64]
+        a, b, c, d = rects[worst].T
+        mx, my = 0.5 * (a + b), 0.5 * (c + d)
+        children = np.stack([(a, mx, c, my), (a, mx, my, d), (mx, b, c, my), (mx, b, my, d)])
+        children = children.transpose(2, 0, 1).reshape(-1, 4)   # four per panel, worst first
+        child_vals, child_rough = _evaluate_panels(fun, children)
+        rects = np.concatenate([np.delete(rects, worst, axis=0), children])
+        vals = np.concatenate([np.delete(vals, worst), child_vals])
+        errs = np.concatenate([np.delete(errs, worst), np.abs(child_vals - child_rough)])
+        value, error = vals.cumsum()[-1], errs.cumsum()[-1]
     return ProbabilityReport(float(value), "quadrature", n,
-                             error_estimate=float(error),
-                             panels=len(store_rect) - len(dead))
+                             error_estimate=float(error), panels=len(rects))
 
 
 def p_monte_carlo(model, n, reps=100000, seed=0):
@@ -499,8 +473,7 @@ def p_monte_carlo(model, n, reps=100000, seed=0):
                                    reps=int(reps), seed=seed)
     p = simulate.run(plan).get(2, 0) / plan.reps
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / plan.reps)
-    return ProbabilityReport(p, "monte-carlo", n, error_estimate=se,
-                             detail={"reps": plan.reps, "seed": seed})
+    return ProbabilityReport(p, "monte-carlo", n, error_estimate=se)
 
 
 def probability(model, n, method="auto", config=None, reps=100000, seed=0):
@@ -537,23 +510,3 @@ def probability(model, n, method="auto", config=None, reps=100000, seed=0):
         f"method: expected one of auto, closed-form, exact-rational, "
         f"multinomial, quadrature, monte-carlo; got {method!r}")
 
-
-# Gaps to the uniform p_n at or below this size count as ties.
-_ORDER_TOL = 1e-9
-
-
-def check_stochastic_order(model, n_values=tuple(range(2, 21))):
-    """Compare p_n(model) with the uniform law over a grid of sample sizes.
-
-    Returns one of 'equal', 'below-uniform', 'above-uniform', 'inconclusive'.
-    """
-    diffs = []
-    for n in n_values:
-        diffs.append(probability(model, n).value - p_uniform(n))
-    if all(abs(d) <= _ORDER_TOL for d in diffs):
-        return "equal"
-    if all(d <= _ORDER_TOL for d in diffs):
-        return "below-uniform"
-    if all(d >= -_ORDER_TOL for d in diffs):
-        return "above-uniform"
-    return "inconclusive"

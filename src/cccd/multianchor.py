@@ -174,15 +174,6 @@ def pmf_conditional_table(cond, n):
     return _pmf_vector([cond.cell_probs], p_pair, n)[0]
 
 
-def pmf_conditional(cond, n, k):
-    """P(gamma = k) given fixed anchors; zero outside 1 <= k <= 2m."""
-    table = pmf_conditional_table(cond, n)
-    k = int(k)
-    if k < 0 or k >= len(table):
-        return 0.0
-    return float(table[k])
-
-
 def _require_matching_supports(fx, fy):
     if (fx.support.lo, fx.support.hi) != (fy.support.lo, fy.support.hi):
         raise ValueError(
@@ -266,16 +257,6 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
         _require_anchor_mass(float(np.sum(table)), _TABLE_NODES, fy,
                              "; pass mc_reps to sample anchors instead")
     return table
-
-
-def pmf_random_anchors(fx, fy, n, m, k, mc_reps=None, seed=0, hu_family=False):
-    """P(gamma = k) with random anchors; zero outside 1 <= k <= 2m."""
-    table = pmf_random_anchors_table(fx, fy, n, m, mc_reps=mc_reps, seed=seed,
-                                     hu_family=hu_family)
-    k = int(k)
-    if k < 0 or k >= len(table):
-        return 0.0
-    return float(table[k])
 
 
 def expected_gamma(fx, fy, n, m, hu_family=False):

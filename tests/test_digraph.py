@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccd import digraph
-from cccd.densities import SquareCdf, Uniform
 
 
 def covers(instance, witness):
@@ -98,7 +96,6 @@ class TestBallsAndArcs:
         # is strictly inside the ball of -0.5 and the arc must exist
         inst = digraph.build_instance([-0.5, -1e-143], [0.0])
         assert (0, 1) in digraph.arcs(inst)
-        assert digraph.boundary_contacts(inst) == []
         assert digraph.domination_number_oracle(inst) == 1
         assert digraph.domination_number_fast(inst).total == 1
 
@@ -106,29 +103,8 @@ class TestBallsAndArcs:
         # ball of 0.5 is (0.25, 0.75); 0.75 sits exactly on its boundary
         inst = digraph.build_instance([0.5, 0.75], [0.25])
         assert (0, 1) not in digraph.arcs(inst)
-        assert (0, 1) in digraph.boundary_contacts(inst)
         # 0.75 has radius 0.5, so its ball (0.25, 1.25) does catch 0.5
         assert (1, 0) in digraph.arcs(inst)
-
-
-class TestGammaOneRegion:
-    def test_hand_value(self):
-        inst = digraph.build_instance([0.1, 0.3, 0.8], [0.0, 1.0])
-        region = digraph.gamma_one_region(inst, 2)
-        assert region.lo == pytest.approx(0.4)
-        assert region.hi == pytest.approx(0.55)
-
-    def test_end_cells_rejected(self):
-        inst = digraph.build_instance([0.1, 1.5], [0.0, 1.0])
-        with pytest.raises(ValueError, match="middle"):
-            digraph.gamma_one_region(inst, 1)
-        with pytest.raises(ValueError, match="middle"):
-            digraph.gamma_one_region(inst, 3)
-
-    def test_empty_cell_rejected(self):
-        inst = digraph.build_instance([1.5], [0.0, 1.0])
-        with pytest.raises(ValueError, match="no points"):
-            digraph.gamma_one_region(inst, 2)
 
 
 class TestDominationFast:
@@ -143,6 +119,7 @@ class TestDominationFast:
             digraph.build_instance([0.1, 0.3, 0.8], [0.0, 1.0]))
         assert res.total == 2
         assert res.dominating_set == (0.3, 0.8)
+        assert [r.gamma for r in res.per_interval] == [0, 2, 0]
 
     def test_end_cells(self):
         # dyadic coordinates so float and real arithmetic coincide
@@ -329,87 +306,3 @@ class TestUpperBound:
             _, _, bound = digraph.upper_bound_counts(inst)
             assert 1 <= gamma <= bound <= min(inst.n, 2 * inst.m)
 
-
-class TestTransformed:
-    def test_uniform_model_changes_nothing(self):
-        xs = [0.1, 0.3, 0.8]
-        res = digraph.transformed_digraph_gamma(Uniform(), xs)
-        assert res.total == digraph.domination_number_fast(
-            digraph.build_instance(xs, [0.0, 1.0])).total == 2
-
-    def test_square_cdf_images(self):
-        xs = np.sqrt([0.1, 0.3, 0.8])
-        res = digraph.transformed_digraph_gamma(SquareCdf(), xs)
-        assert res.total == 2
-
-    def test_pullback_ball_left_branch(self):
-        # for images below 1/2 the pullback region is (0, sqrt(2) * x)
-        lo, hi = digraph.transformed_ball(SquareCdf(), 0.5)
-        assert lo == pytest.approx(0.0)
-        assert hi == pytest.approx(math.sqrt(2) * 0.5)
-
-    def test_pullback_ball_right_branch(self):
-        lo, hi = digraph.transformed_ball(SquareCdf(), 0.9)
-        assert lo == pytest.approx(math.sqrt(2 * 0.81 - 1))
-        assert hi == pytest.approx(1.0)
-
-    def test_pullback_matches_image_membership(self):
-        rng = np.random.default_rng(23)
-        model = SquareCdf()
-        xs = np.sort(rng.uniform(0.01, 0.99, size=8))
-        images = model.cdf(xs)
-        radii = np.minimum(images, 1.0 - images)
-        for i, x in enumerate(xs):
-            lo, hi = digraph.transformed_ball(model, x)
-            for k, other in enumerate(xs):
-                if k == i:
-                    continue
-                in_pullback = lo < other < hi
-                in_image = abs(images[k] - images[i]) < radii[i]
-                assert in_pullback == in_image
-
-    def test_requires_unit_anchors(self):
-        with pytest.raises(ValueError, match="anchors"):
-            digraph.transformed_digraph_gamma(Uniform(), [0.5], ys=(0.0, 2.0))
-
-    def test_requires_interior_points(self):
-        with pytest.raises(ValueError, match="inside"):
-            digraph.transformed_digraph_gamma(Uniform(), [0.0, 0.5])
-
-
-class TestSerialization:
-    def test_text_round_trip(self):
-        inst = digraph.build_instance([0.1, 0.3, 0.8], [0.0, 1.0])
-        text = digraph.instance_to_text(inst)
-        back = digraph.instance_from_text(text)
-        assert back.xs.tolist() == inst.xs.tolist()
-        assert back.ys.tolist() == inst.ys.tolist()
-
-    def test_text_ignores_comments_and_blanks(self):
-        inst = digraph.instance_from_text("# header\n\nx 0.25\ny 0.0\ny 1.0\n")
-        assert inst.n == 1 and inst.m == 2
-
-    def test_text_errors_name_the_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            digraph.instance_from_text("x 0.5\nz 1.0\n")
-        with pytest.raises(ValueError, match="not a number"):
-            digraph.instance_from_text("x abc\n")
-
-    def test_json_round_trip(self):
-        inst = digraph.build_instance([0.1, 0.8], [0.0, 1.0])
-        back = digraph.instance_from_json(digraph.instance_to_json(inst))
-        assert back.xs.tolist() == inst.xs.tolist()
-
-    def test_json_shape_errors(self):
-        with pytest.raises(ValueError, match="xs and ys"):
-            digraph.instance_from_json('{"xs": [0.1]}')
-        with pytest.raises(ValueError, match="instance JSON"):
-            digraph.instance_from_json("not json")
-
-    def test_result_json(self):
-        res = digraph.domination_number_fast(
-            digraph.build_instance([0.1, 0.3, 0.8], [0.0, 1.0]))
-        obj = json.loads(res.to_json())
-        assert obj["total"] == 2
-        assert obj["dominating_set"] == [0.3, 0.8]
-        assert [r["gamma"] for r in obj["per_interval"]] == [0, 2, 0]

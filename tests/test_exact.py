@@ -188,14 +188,26 @@ class TestQuadrature:
         rep = exact.p_quadrature(Beta(2, 2), 1)
         assert rep.value == 0.0 and rep.error_estimate == 0.0
 
-    def test_budget_exhaustion_raises_with_best_estimate(self):
-        tight = exact.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300,
-                                       max_subdivisions=16)
-        with pytest.raises(exact.QuadratureError, match="max_subdivisions") as info:
+    def test_budget_exhaustion_raises_with_best_estimate(self, monkeypatch):
+        # 36 seed panels already exceed the budget, and their error of
+        # 2.08e-12 is above the 1e-12 floor
+        monkeypatch.setattr(exact, "MAX_PANELS", 16)
+        tight = exact.QuadratureConfig(rel_tol=1e-15)
+        with pytest.raises(exact.QuadratureError, match="loosen rel_tol") as info:
             exact.p_quadrature(Beta(2, 2), 10, tight)
         best = info.value.best_estimate
         assert best == pytest.approx(exact.p_quadrature(Beta(2, 2), 10).value,
                                      abs=1e-4)
+
+    @pytest.mark.parametrize("model, n, rel_tol, value, panels", [
+        (ArcSine(), 10, 1e-10, "0x1.9b09d575b0c09p-1", 2256),
+        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e880p-1", 732),
+        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7da1eep-1", 772),
+    ], ids=["arc_sine", "three_step", "q_power"])
+    def test_refinement_is_pinned(self, model, n, rel_tol, value, panels):
+        # refinement order decides every bit of the sum; these pins hold it
+        rep = exact.p_quadrature(model, n, exact.QuadratureConfig(rel_tol=rel_tol))
+        assert (rep.value.hex(), rep.panels) == (value, panels)
 
     def test_large_n_approaches_known_limits(self):
         for model, limit in ((Uniform(), 4 / 9), (Linear(1.0), 3 / 8),
@@ -206,8 +218,6 @@ class TestQuadrature:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="rel_tol"):
             exact.QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError, match="max_subdivisions"):
-            exact.QuadratureConfig(max_subdivisions=2)
 
 
 class TestMonteCarlo:
@@ -250,17 +260,3 @@ class TestProbabilityRouting:
                 for m in ("closed-form", "exact-rational", "quadrature")}
             assert max(values) - min(values) < 1e-8
 
-
-class TestStochasticOrder:
-    def test_uniform_is_equal(self):
-        assert exact.check_stochastic_order(Uniform()) == "equal"
-
-    def test_shrunk_below(self):
-        assert exact.check_stochastic_order(ShrunkUniform(0.2)) == "below-uniform"
-
-    def test_gap_above(self):
-        assert exact.check_stochastic_order(GapUniform(0.1)) == "above-uniform"
-
-    def test_grid_override(self):
-        verdict = exact.check_stochastic_order(TwoStep(0.6), n_values=(2, 3, 4))
-        assert verdict in {"below-uniform", "above-uniform", "equal", "inconclusive"}

@@ -18,9 +18,7 @@ from cccd.multianchor import (
     expected_gamma,
     expected_gamma_hu,
     gamma_growth_check,
-    pmf_conditional,
     pmf_conditional_table,
-    pmf_random_anchors,
     pmf_random_anchors_table,
     _pair_probs,
     _pmf_vector,
@@ -125,14 +123,16 @@ class TestAnchorConditional:
 class TestPmfConditional:
     def test_single_point_is_always_one(self):
         cond = conditional_on_anchors(Uniform(), [1 / 3, 2 / 3])
-        assert pmf_conditional(cond, 1, 1) == pytest.approx(1.0, abs=1e-12)
-        assert pmf_conditional(cond, 1, 0) == 0.0
-        assert pmf_conditional(cond, 1, 2) == 0.0
+        table = pmf_conditional_table(cond, 1)
+        assert table[1] == pytest.approx(1.0, abs=1e-12)
+        assert table[0] == 0.0
+        assert table[2] == 0.0
 
     def test_median_anchor_splits_evenly(self):
         cond = conditional_on_anchors(Uniform(), [0.5])
-        assert pmf_conditional(cond, 2, 1) == pytest.approx(0.5)
-        assert pmf_conditional(cond, 2, 2) == pytest.approx(0.5)
+        table = pmf_conditional_table(cond, 2)
+        assert table[1] == pytest.approx(0.5)
+        assert table[2] == pytest.approx(0.5)
 
     def test_normalization(self):
         for n, anchors in ((4, [0.3, 0.7]), (3, [0.2, 0.55, 0.8]),
@@ -147,8 +147,6 @@ class TestPmfConditional:
         assert table[0] == 0.0
         assert table[1:].sum() == pytest.approx(1.0, abs=1e-12)
         assert len(table) == 2 * 2 + 1
-        assert pmf_conditional(cond, n, 99) == 0.0
-        assert pmf_conditional(cond, n, -1) == 0.0
 
     def test_matches_literal_composition_sum(self):
         uniform_p = [0.0] + [float(p_uniform_fraction(t)) for t in range(1, 9)]
@@ -156,17 +154,19 @@ class TestPmfConditional:
                            (5, [0.2, 0.55, 0.8]), (6, [0.5])):
             cond = conditional_on_anchors(Uniform(), anchors)
             m = len(anchors)
+            table = pmf_conditional_table(cond, n)
             for k in range(0, 2 * m + 1):
                 want = reference_pmf(cond.cell_probs, uniform_p, n, k)
-                assert pmf_conditional(cond, n, k) == pytest.approx(want, abs=1e-12), (n, m, k)
+                assert table[k] == pytest.approx(want, abs=1e-12), (n, m, k)
 
     def test_rescaled_cells_use_their_own_pair_probability(self):
         model = TwoStep(0.4)
         cond = conditional_on_anchors(model, [0.3, 0.6], hu_family=True)
         p_vec = [probability(model, t).value if t >= 2 else 0.0 for t in range(4)]
+        table = pmf_conditional_table(cond, 3)
         for k in range(0, 5):
             want = reference_pmf(cond.cell_probs, p_vec, 3, k)
-            assert pmf_conditional(cond, 3, k) == pytest.approx(want, abs=1e-12)
+            assert table[k] == pytest.approx(want, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         anchors = np.array([0.3, 0.7])
@@ -230,10 +230,10 @@ class TestUniformCompositionProbability:
 
 class TestPmfRandomAnchors:
     def test_one_point_one_anchor(self):
-        assert pmf_random_anchors(Uniform(), Uniform(), 1, 1, 1) == pytest.approx(1.0, abs=1e-12)
+        assert pmf_random_anchors_table(Uniform(), Uniform(), 1, 1)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_points_one_anchor(self):
-        got = pmf_random_anchors(Uniform(), Uniform(), 2, 1, 2)
+        got = pmf_random_anchors_table(Uniform(), Uniform(), 2, 1)[2]
         assert got == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_normalization(self):
@@ -264,20 +264,20 @@ class TestPmfRandomAnchors:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="m <= 3"):
-            pmf_random_anchors(Uniform(), Uniform(), 2, 4, 3)
+            pmf_random_anchors_table(Uniform(), Uniform(), 2, 4)
 
     def test_monte_carlo_path(self):
-        got = pmf_random_anchors(Uniform(), Uniform(), 2, 1, 2, mc_reps=4000, seed=5)
+        got = pmf_random_anchors_table(Uniform(), Uniform(), 2, 1, mc_reps=4000, seed=5)[2]
         sigma = math.sqrt((1 / 3) * (2 / 3) / 4000)
         assert abs(got - 1.0 / 3.0) < 4 * sigma
-        again = pmf_random_anchors(Uniform(), Uniform(), 2, 1, 2, mc_reps=4000, seed=5)
+        again = pmf_random_anchors_table(Uniform(), Uniform(), 2, 1, mc_reps=4000, seed=5)[2]
         assert got == again
         table = pmf_random_anchors_table(Uniform(), Uniform(), 3, 4, mc_reps=500)
         assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="support"):
-            pmf_random_anchors(GeneralLinear(0.05, (-1.0, 3.0)), Uniform(), 2, 1, 2)
+            pmf_random_anchors_table(GeneralLinear(0.05, (-1.0, 3.0)), Uniform(), 2, 1)
 
 
 class TestExpectedGamma:
