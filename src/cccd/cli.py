@@ -257,7 +257,7 @@ def _cmd_multi(req: CommandRequest) -> int:
     table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m,
                                                  mc_reps=mc_reps, seed=req.seed, hu_family=hu)
     rows = [{"k": k, "probability": float(p)} for k, p in enumerate(table) if p > 0.0]
-    expected = multianchor.expected_gamma(model, model, req.n, req.m, hu_family=hu)
+    expected = sum(row["k"] * row["probability"] for row in rows)
     _emit(req, ["k", "probability"], rows, {"expected_gamma": expected})
     return 0
 

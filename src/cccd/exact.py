@@ -251,27 +251,17 @@ def p_exact_rational(model, n):
 MULTINOMIAL_MAX_N = 60
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _x_moment(coeffs, d):
+    """Integral of x * q(x) over [0, 1/d] for integer coefficients of q.
 
-
-def _poly_pow(p, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_integrate_x(p, lo, hi):
-    """Integral of x * p(x) between Fraction bounds."""
-    total = Fraction(0)
-    for k, c in enumerate(p):
-        total += c * (hi ** (k + 2) - lo ** (k + 2)) / (k + 2)
-    return total
+    Every term c_k x^(k+2) / (k+2) of the antiderivative is brought over the
+    one denominator lcm(2..K) * d^K, with K = deg q + 2, so the sum runs in
+    integers.
+    """
+    top = len(coeffs) + 1
+    scale = math.lcm(*range(2, top + 1))
+    num = sum(c * (scale // (k + 2)) * d ** (top - k - 2) for k, c in enumerate(coeffs))
+    return Fraction(num, scale * d ** top)
 
 
 def p_multinomial_squarecdf(n):
@@ -285,8 +275,9 @@ def p_multinomial_squarecdf(n):
 
     with P1 = 1 - x/2 - 5x^2/4 (value of G at t = 1), P2 = 1/16 + x/8
     - 15x^2/16 (at t = (1+x)/2) and P3 = -1/4 - x/2 + 15x^2/4 (at t = 2x).
-    Powers are expanded with exact rational coefficients, so the result is
-    a Fraction; the n cap only bounds the polynomial degree.
+    The powers of 4 P1, 16 P2 and 4 P3 are expanded in integer arithmetic
+    and the scale comes off once at the end, so the result is an exact
+    Fraction; the n cap only bounds the polynomial degree.
     """
     n = _require_sample_size(n)
     if n == 1:
@@ -294,16 +285,17 @@ def p_multinomial_squarecdf(n):
     if n > MULTINOMIAL_MAX_N:
         raise ValueError(
             f"n: polynomial expansion is supported for n <= {MULTINOMIAL_MAX_N}, got {n}")
-    p1 = [Fraction(1), Fraction(-1, 2), Fraction(-5, 4)]
-    p2 = [Fraction(1, 16), Fraction(1, 8), Fraction(-15, 16)]
-    p3 = [Fraction(-1, 4), Fraction(-1, 2), Fraction(15, 4)]
-    q1, q2, q3 = (_poly_pow(p, n - 1) for p in (p1, p2, p3))
-    third, half = Fraction(1, 3), Fraction(1, 2)
-    lam1 = (_poly_integrate_x(q1, Fraction(0), third)
-            - _poly_integrate_x(q2, Fraction(0), third))
-    lam2 = (_poly_integrate_x(q1, third, half)
-            - _poly_integrate_x(q3, third, half))
-    return Fraction(8 * n, 5) * (lam1 + lam2)
+    powers = []
+    for a, b, c in ((4, -2, -5), (1, 2, -15), (-1, -2, 15)):
+        q = [1]
+        for _ in range(n - 1):
+            q = [a * x + b * y + c * z
+                 for x, y, z in zip(q + [0, 0], [0] + q + [0], [0, 0] + q)]
+        powers.append(q)
+    q1, q2, q3 = powers
+    # int_0^{1/3} + int_{1/3}^{1/2} of x q1 is the moment of q1 up to 1/2
+    quarter = _x_moment(q1, 2) - _x_moment(q3, 2) + _x_moment(q3, 3)
+    return Fraction(8 * n, 5) * (quarter / 4 ** (n - 1) - _x_moment(q2, 3) / 16 ** (n - 1))
 
 
 # adaptive two-dimensional quadrature
@@ -359,6 +351,8 @@ def _initial_cuts(model, n, transformed):
 def _make_integrand(model, n):
     """Returns fun(s, v) on the unit square of (outer, sliver) coordinates.
 
+    The outer nodes come in as (P, k, 1) and the sliver nodes as (P, 1, k),
+    so the factors that depend on s alone are evaluated once per outer node.
     For a bounded density the outer variable is s itself. For a density
     unbounded at the support edge the outer variable is u = F(s) and the
     sliver is placed in w = F(t); both density factors then cancel and the
@@ -389,17 +383,16 @@ def _make_integrand(model, n):
     bands = rungs.size - 1
 
     def fun(s, v):
-        S, V = np.broadcast_arrays(s, v)
-        L = _lower_edge(S)
-        ladder = np.maximum(rungs.reshape((-1,) + (1,) * S.ndim), L[None])
-        b = np.clip((V * bands).astype(int), 0, bands - 1)
-        lo = np.take_along_axis(ladder, b[None], axis=0)[0]
-        hi = np.take_along_axis(ladder, b[None] + 1, axis=0)[0]
-        t = lo + (V * bands - b) * (hi - lo)
-        G = (model.cdf(t) + model.cdf(0.5 * t)
-             - model.cdf(S) - model.cdf(0.5 * (1.0 + S)))
+        L = _lower_edge(s)
+        cdf_s, cdf_half_s = model.cdf(s), model.cdf(0.5 * (1.0 + s))
+        pdf_s = model.pdf(s)
+        b = np.clip((v * bands).astype(int), 0, bands - 1)
+        lo = np.maximum(rungs[b], L)
+        hi = np.maximum(rungs[b + 1], L)
+        t = lo + (v * bands - b) * (hi - lo)
+        G = model.cdf(t) + model.cdf(0.5 * t) - cdf_s - cdf_half_s
         jac = bands * (hi - lo)
-        return n * (n - 1) * model.pdf(S) * model.pdf(t) * weight(G) * jac
+        return n * (n - 1) * pdf_s * model.pdf(t) * weight(G) * jac
 
     return fun
 

@@ -199,6 +199,16 @@ class TestMulti:
         mean = sum(row["k"] * row["probability"] for row in rows)
         assert summary["expected_gamma"] == pytest.approx(mean, abs=1e-6)
 
+    def test_sampled_anchors_report_the_mean_of_their_table(self, capsys):
+        # arc-sine anchors lose mass under quadrature; for m > 3 both the
+        # table and its mean come from sampled anchors
+        rc, out, _ = run_cli(capsys, ["multi", "--density", '{"family": "arc_sine"}',
+                                      "--n", "8", "--m", "5", "--reps", "2000"])
+        assert rc == 0
+        _, rows, summary = parse_json_lines(out)
+        assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-9)
+        mean = sum(row["k"] * row["probability"] for row in rows)
+        assert summary["expected_gamma"] == pytest.approx(mean, abs=1e-12)
 
     def test_anchor_quadrature_mass_loss_exits_one(self, capsys):
         rc, out, err = run_cli(capsys, ["multi", "--density", '{"family": "arc_sine"}',

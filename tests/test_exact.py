@@ -125,9 +125,33 @@ class TestExactRational:
         assert cf == pytest.approx(en, abs=1e-12)
 
 
+def multinomial_oracle(top):
+    """p_1..p_top for the density 2x by expansion in Fraction coefficients."""
+    polys = [(Fraction(1), Fraction(-1, 2), Fraction(-5, 4)),
+             (Fraction(1, 16), Fraction(1, 8), Fraction(-15, 16)),
+             (Fraction(-1, 4), Fraction(-1, 2), Fraction(15, 4))]
+    powers, out = [[Fraction(1)]] * 3, [Fraction(0)]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+
+    def moment(q, lo, hi):
+        return sum(c * (hi ** (k + 2) - lo ** (k + 2)) / (k + 2) for k, c in enumerate(q))
+
+    for n in range(2, top + 1):
+        powers = [[sum(p[j] * q[i - j] for j in range(3) if 0 <= i - j < len(q))
+                   for i in range(len(q) + 2)] for p, q in zip(polys, powers)]
+        q1, q2, q3 = powers
+        out.append(Fraction(8 * n, 5) * (moment(q1, 0, third) - moment(q2, 0, third)
+                                         + moment(q1, third, half) - moment(q3, third, half)))
+    return out
+
+
 class TestMultinomialSquareCdf:
     def test_hand_value_n2(self):
         assert exact.p_multinomial_squarecdf(2) == Fraction(35, 162)
+
+    def test_integer_route_equals_fraction_expansion(self):
+        top = exact.MULTINOMIAL_MAX_N
+        assert [exact.p_multinomial_squarecdf(n) for n in range(1, top + 1)] == multinomial_oracle(top)
 
     def test_matches_quadrature(self):
         for n in (2, 5, 10, 25, 60):
@@ -199,15 +223,26 @@ class TestQuadrature:
         assert best == pytest.approx(exact.p_quadrature(Beta(2, 2), 10).value,
                                      abs=1e-4)
 
-    @pytest.mark.parametrize("model, n, rel_tol, value, panels", [
-        (ArcSine(), 10, 1e-10, "0x1.9b09d575b0c09p-1", 2256),
-        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e880p-1", 732),
-        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7da1eep-1", 772),
-    ], ids=["arc_sine", "three_step", "q_power"])
-    def test_refinement_is_pinned(self, model, n, rel_tol, value, panels):
-        # refinement order decides every bit of the sum; these pins hold it
+    @pytest.mark.parametrize("model, n, rel_tol, value, error, panels", [
+        (ArcSine(), 10, 1e-10, "0x1.9b09d575b0c09p-1", "0x1.5bee1ec7b7a91p-34", 2256),
+        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e880p-1", "0x1.e496e51804094p-43", 732),
+        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7da1eep-1", "0x1.786da58820a85p-36", 772),
+        (Linear(1.0), 10, 1e-10, "0x1.93a422031b81dp-2", "0x1.d972580000000p-47", 36),
+        (AbsSine(), 1000, 1e-8, "0x1.479336c035bc0p-1", "0x1.0014bf4b40745p-32", 465),
+        (PieceQuadratic(2.0 / 3.0), 1_000_000, 1e-8,
+         "0x1.c71c6d01974e6p-2", "0x1.696e08d9d0f5ap-31", 388),
+        (Beta(4, 1), 50, 1e-8, "0x1.3dfd513293499p-7", "0x1.6373145b40689p-36", 196),
+        (TruncatedNormal(0.3, 0.5), 1000, 1e-10,
+         "0x1.2844a6627cfb3p-2", "0x1.2c2c1b14b37dbp-41", 465),
+        (TwoStep(0.5), 10, 1e-8, "0x1.5f0e40ffffffcp-2", "0x1.7488d00000000p-52", 36),
+        (ArcSine(), 10, 1e-8, "0x1.9b09d57b5c7b4p-1", "0x1.630d1d03f5182p-28", 528),
+    ], ids=["arc_sine", "three_step", "q_power", "linear", "abs_sine", "piece_quadratic",
+            "beta41", "truncated_normal", "two_step", "arc_sine_loose"])
+    def test_refinement_is_pinned(self, model, n, rel_tol, value, error, panels):
+        # refinement order and the order of every float operation in the
+        # integrand decide each bit of the sum; these pins hold both
         rep = exact.p_quadrature(model, n, exact.QuadratureConfig(rel_tol=rel_tol))
-        assert (rep.value.hex(), rep.panels) == (value, panels)
+        assert (rep.value.hex(), rep.error_estimate.hex(), rep.panels) == (value, error, panels)
 
     def test_large_n_approaches_known_limits(self):
         for model, limit in ((Uniform(), 4 / 9), (Linear(1.0), 3 / 8),
