@@ -2,9 +2,10 @@
 
 Anchors partition the interval into cells; end cells contribute 1 when
 occupied, middle cells contribute 1 or 2.  Conditioning on the anchor
-positions gives a fast dynamic program over cell occupancies; integrating
-the anchors out gives pmfs and expected values for the random-anchor
-digraph.  For equal sample and anchor counts the expectation grows
+positions gives a fast dynamic program over cell occupancies.  Uniform
+anchors make the cell counts uniform over the compositions of n, so the
+same program gives the random-anchor pmf exactly, at any number of
+anchors.  For equal sample and anchor counts the expectation grows
 linearly, and for anchors dense relative to the points the domination
 number saturates at n.
 """
@@ -37,14 +38,23 @@ def main():
             print(f"  P(gamma = {k}) = {prob:.6f}")
     print()
 
-    print("Random anchors, exact pmf by anchor quadrature (n=4, m=2):")
+    print("Random uniform anchors, exact pmf from uniform compositions (n=4, m=2):")
     table = pmf_random_anchors_table(uniform, uniform, 4, 2)
     for k, prob in enumerate(table):
         if prob > 0:
             print(f"  P(gamma = {k}) = {prob:.6f}")
     mean = float(np.arange(len(table)) @ table)
-    print(f"  mean {mean:.6f} vs expected_gamma "
+    print(f"  mean {mean:.6f} vs expected_gamma by anchor quadrature "
           f"{expected_gamma(uniform, uniform, 4, 2):.6f}")
+    print()
+
+    print("The same exact route at n = m = 30, far past any anchor quadrature:")
+    table = pmf_random_anchors_table(uniform, uniform, 30, 30)
+    mode = int(np.argmax(table))
+    mean = float(np.arange(len(table)) @ table)
+    exact_mean = expected_gamma_hu(30, 30, [p_uniform_fraction(i) for i in range(1, 31)])
+    print(f"  mass {table.sum():.15f}, mode P(gamma = {mode}) = {table[mode]:.6f}")
+    print(f"  mean {mean:.12f} vs exact rational mean {float(exact_mean):.12f}")
     print()
 
     print("Small exact expectations under equal-mass uniform anchors:")

@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +42,7 @@ from .densities import (
 )
 
 DEFAULT_DENSITY = '{"family": "uniform"}'
+MULTI_SAMPLED_REPS = 20000  # anchor draws for `multi` when m > 3 rules out anchor quadrature
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,9 @@ def _build_parser():
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--reps", type=int, default=20000,
-                   help="anchor draws when m > 3 forces Monte Carlo anchor averaging")
+    p.add_argument("--reps", type=int, default=None,
+                   help="sample this many anchor sets instead of the exact route; without it, "
+                        f"non-uniform densities with m > 3 take {MULTI_SAMPLED_REPS}")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("table", help="reproduce the cited reference values with pass/fail grades")
@@ -188,12 +190,12 @@ def _cmd_simulate(req: CommandRequest) -> int:
         plan = simulate.SimulationPlan(fx=model, fy=model, n=req.n, m=req.m,
                                        reps=req.reps, seed=req.seed, parallelism=req.threads)
         predicted = None
-        # predict only where the exact route runs: uniform points and anchors,
-        # deterministic anchor quadrature, and the cell program's size cap
-        if (model.family == "uniform" and req.m <= multianchor.MAX_QUADRATURE_M
-                and req.n + req.m <= multianchor.MAX_EXACT_TOTAL):
-            table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m)
-            predicted = {k: float(p) for k, p in enumerate(table) if p > 0.0}
+        if model.family == "uniform":  # the exact uniform-anchor law, within its size cap
+            try:
+                table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m)
+                predicted = {k: float(p) for k, p in enumerate(table) if p > 0.0}
+            except ValueError:
+                pass
     else:
         anchors = (model.support.lo, model.support.hi)
         plan = simulate.SimulationPlan(fx=model, fy=anchors, n=req.n,
@@ -253,9 +255,10 @@ def _cmd_asymptotic(req: CommandRequest) -> int:
 def _cmd_multi(req: CommandRequest) -> int:
     model = _model(req)
     hu = model.family != "uniform"
-    mc_reps = None if req.m <= multianchor.MAX_QUADRATURE_M else req.reps
+    if req.reps is None and hu and req.m > multianchor.MAX_QUADRATURE_M:
+        req = replace(req, reps=MULTI_SAMPLED_REPS)
     table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m,
-                                                 mc_reps=mc_reps, seed=req.seed, hu_family=hu)
+                                                 mc_reps=req.reps, seed=req.seed, hu_family=hu)
     rows = [{"k": k, "probability": float(p)} for k, p in enumerate(table) if p > 0.0]
     expected = sum(row["k"] * row["probability"] for row in rows)
     _emit(req, ["k", "probability"], rows, {"expected_gamma": expected})
@@ -460,11 +463,11 @@ def _selftest_checks():
     ok = all(float(np.abs(model.cdf(model.quantile(u)) - u).max()) <= 1e-9 for model in catalog)
     grade("cdf-quantile-roundtrip", ok)
 
-    ok = True
-    for n, m in ((4, 2), (5, 3)):
-        table = multianchor.pmf_random_anchors_table(uniform, uniform, n, m)
-        ok &= abs(float(np.sum(table)) - 1.0) <= 1e-9
-    grade("multi-pmf-normalization", ok)
+    # Beta(1, 1) is uniform, but its family sends it through anchor quadrature
+    exact_law = multianchor.pmf_random_anchors_table(uniform, uniform, 4, 2)
+    quadrature = multianchor.pmf_random_anchors_table(uniform, Beta(1, 1), 4, 2)
+    grade("multi-uniform-law-vs-anchor-quadrature",
+          float(np.max(np.abs(exact_law - quadrature))) <= 1e-12)
 
     plan = dict(fx=uniform, fy=uniform, n=4, m=2, reps=2000, seed=1)
     first = simulate.run(simulate.SimulationPlan(**plan))

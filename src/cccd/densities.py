@@ -655,8 +655,13 @@ class Beta(DensityModel):
 
     def _quantile(self, u):
         a, b = self.nu1, self.nu2
-        if u.ndim == 0 or a == 1.0 or b == 1.0:  # boost solves a unit shape in closed form
+        if u.ndim == 0:
             x = special.betaincinv(a, b, u)
+        elif b == 1.0:  # I(x) = x^a
+            x = u ** (1.0 / a)
+        elif a == 1.0:  # I(x) = 1 - (1 - x)^b
+            with np.errstate(divide="ignore"):
+                x = -np.expm1(np.log1p(-u) / b)
         else:  # in chunks, so that the temporaries stay in cache
             chunks = np.split(u.reshape(-1), range(BETA_CHUNK, u.size, BETA_CHUNK))
             x = np.concatenate([_beta_quantile_cells(a, b, c) for c in chunks]).reshape(u.shape)

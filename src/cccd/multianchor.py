@@ -10,11 +10,12 @@ from that decomposition.
 
 Conditional on the anchor positions the cell counts are multinomial in the
 per-cell masses, and the distribution of the total is a small dynamic
-program over cells.  With random anchors the conditional law is integrated
-against the order-statistic density m! * prod f_Y(y_j) on the ordered
-region, deterministically through nested Gauss-Legendre rules for m <= 3
-(split at the knots of f_Y) and by Monte Carlo above that.  Either way the
-program runs once per batch of anchor configurations, not once per node.
+program over cells.  Uniform anchors make the m + 1 cell counts uniform
+over the C(n + m, m) compositions of n, so the same program gives their law
+exactly, with no anchor integral.  Other anchor densities integrate the
+conditional law against the order-statistic density m! * prod f_Y(y_j),
+through nested Gauss-Legendre rules for m <= 3 (split at the knots of f_Y),
+or sample the anchors (``mc_reps``), once per batch of anchor configurations.
 
 Middle-cell densities follow the support-rescaled construction: each cell
 hosts an affine copy of the point density, which makes the per-cell p
@@ -32,17 +33,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import special
 
 from . import simulate
 from .densities import Uniform
 from .exact import _to_unit, probability
 
-# Caps the sample plus anchor count of every exact route.  It bounds the
-# cell program's (n + 1, n + 1) transition arrays and the pair probabilities
-# p_t (t <= n) that its middle cells read; Monte Carlo takes over beyond it.
+# Caps n + m for fixed anchors, anchor quadrature and `expected_gamma`.
 MAX_EXACT_TOTAL = 24
 
-# Most anchors the nested Gauss rule integrates; `mc_reps` samples more.
+# Caps n + m for uniform and sampled anchors, by the cell program's cost:
+# uniform anchors take about 0.4 s at n = m = 200 on two cores.
+MAX_CELL_TOTAL = 400
+
+# Most non-uniform anchors the nested Gauss rule integrates.
 MAX_QUADRATURE_M = 3
 
 # Gauss-Legendre nodes per knot interval of the anchor rules: the pmf table
@@ -50,10 +54,9 @@ MAX_QUADRATURE_M = 3
 _TABLE_NODES = 24
 _MEAN_NODES = 48
 
-# Anchor configurations per batched cell DP call.  It bounds the DP's
-# (rows, n + 1, n + 1) transition arrays whatever the number of quadrature
-# nodes or Monte Carlo draws.
-_BATCH_ROWS = 512
+# Anchor configurations per cell program call: at most _BATCH_ROWS, and fewer
+# at large n, so that a batch's (rows, n + 1, n + 1) moves fit _BATCH_DOUBLES.
+_BATCH_ROWS, _BATCH_DOUBLES = 512, 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -115,55 +118,87 @@ def _pair_probs(fx, n):
     return np.array([0.0, 0.0] + [_pair_prob(model, t) for t in range(2, n + 1)])
 
 
-def _pmf_vector(cell_probs, p_pair, n):
-    """Distributions of the domination total via a cell-by-cell program.
+@functools.lru_cache(maxsize=32)
+def _log_binomials(n):
+    """log C(r, s) over [s, r] (-inf where s > r) by log-gamma, so that nothing
+    overflows at large n; with s and t = max(r - s, 0) as floats."""
+    log_fact = special.gammaln(np.arange(n + 1) + 1.0)  # log k!
+    r = np.arange(n + 1)
+    s, t = r[:, None], np.maximum(r - r[:, None], 0)
+    return np.where(s <= r, log_fact[r] - log_fact[s] - log_fact[t], -np.inf), s + 0.0, t + 0.0
 
-    ``cell_probs`` is (rows, m + 1), one row of cell masses per anchor
-    configuration, ``p_pair`` holds p_0..p_n of the middle cells (unused when
-    m = 1), and the result is (rows, 2m + 1).  Cells are consumed left
-    to right; conditional on the points remaining, the count in the next cell
-    is binomial with the renormalized cell mass.  States track (points
-    remaining, domination so far), and every step acts on all rows at once.
-    """
+
+def _binomial_moves(cell_probs, n):
+    """Per-cell moves for fixed cell masses (rows, m + 1): the next cell leaves s
+    of r points with C(r, s) q^(r - s) (1 - q)^s, q its renormalized mass."""
     probs = np.asarray(cell_probs, dtype=float)
-    rows, cells = probs.shape
-    m = cells - 1
     tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(tail > 0.0, np.minimum(probs / tail, 1.0), 0.0)
-    # a cell that takes t >= 1 of the r points still unplaced leaves s = r - t;
-    # move[s, r] = C(r, t) q^t (1 - q)^s with q the renormalized cell mass
-    remaining = np.arange(n + 1)
-    t = np.maximum(remaining - remaining[:, None], 0)
-    binom = np.array([[math.comb(r, s) if r > s else 0 for r in remaining] for s in remaining],
-                     dtype=float)
-    p_two = p_pair[t] if m > 1 else None
-    dp = np.zeros((rows, n + 1, 2 * m + 1))
+        ratio = np.where(tail > 0.0, np.minimum(probs / tail, 1.0), 0.0).T
+        # log 0 floored to a finite value, so 0^0 stays 1 and n * floor cannot overflow
+        log_q, log_rest = np.maximum(np.log([ratio, 1.0 - ratio]), -1e300)[..., None, None]
+    log_binom, s, t = _log_binomials(n)
+    for lq, lr in zip(log_q, log_rest):
+        move = t * lq
+        move += log_binom
+        move += s * lr
+        yield np.exp(move, out=move)
+
+
+def _composition_moves(n, m):
+    """Per-cell moves when the cell counts are uniform over the compositions of n.
+
+    With r points and k cells left, the next cell leaves s of them with
+    C(s + k - 2, k - 2) / C(r + k - 1, k - 1): the binomial move averaged over
+    a Beta(1, k - 1) cell mass.  The last cell takes every point."""
+    log_binom = _log_binomials(n + m)[0]
+    s, r = np.arange(n + 1)[:, None], np.arange(n + 1)
+    for k in range(m + 1, 1, -1):
+        log_move = log_binom[k - 2, s + k - 2] - log_binom[k - 1, r + k - 1]
+        yield np.where(s <= r, np.exp(log_move), 0.0)[None]
+    yield np.where(s == 0, 1.0, 0.0 * r)[None]
+
+
+def _cell_program(moves, m, p_pair, n):
+    """Distributions (rows, 2m + 1) of the domination total, cell by cell.
+
+    ``moves`` yields one (rows, n + 1, n + 1) array per cell, left to right,
+    whose [s, r] entry is the chance that the cell leaves s of r points
+    unplaced; ``p_pair`` holds p_0..p_n of the middle cells (unused when m = 1).
+    States track (points remaining, domination so far) for all rows at once."""
+    occupied = 1.0 - np.eye(n + 1)  # the cell takes t = r - s >= 1 points
+    if m > 1:
+        p_two = occupied * p_pair[np.maximum(np.arange(n + 1) - np.arange(n + 1)[:, None], 0)]
+        p_one = occupied - p_two
+    dp = np.zeros((1, n + 1, 2 * m + 1))  # broadcasts to the rows of the first move
     dp[:, n, 0] = 1.0
-    for j in range(cells):
-        q = ratio[:, j, None, None]
-        move = binom * q ** t * (1.0 - q) ** remaining[:, None]
-        new = ((1.0 - ratio[:, j, None]) ** remaining)[:, :, None] * dp  # cell left empty
-        if j == 0 or j == cells - 1:
-            new[:, :, 1:] += move @ dp[:, :, :-1]
+    for j, move in enumerate(moves):
+        new = np.diagonal(move, axis1=1, axis2=2)[:, :, None] * dp  # cell left empty
+        if j == 0 or j == m:
+            new[:, :, 1:] += (move * occupied) @ dp[:, :, :-1]
         else:
-            new[:, :, 1:] += (move * (1.0 - p_two)) @ dp[:, :, :-1]
+            new[:, :, 1:] += (move * p_one) @ dp[:, :, :-1]
             new[:, :, 2:] += (move * p_two) @ dp[:, :, :-2]
         dp = new
     return dp[:, 0]
 
 
-def _checked_sizes(n, m):
-    """``(n, m)`` as ints, at least 1 each and within ``MAX_EXACT_TOTAL``."""
+def _pmf_vector(cell_probs, p_pair, n):
+    """Domination pmfs (rows, 2m + 1) for fixed cell masses (rows, m + 1)."""
+    return _cell_program(_binomial_moves(cell_probs, n), np.shape(cell_probs)[1] - 1, p_pair, n)
+
+
+def _checked_sizes(n, m, cap=MAX_EXACT_TOTAL):
+    """``(n, m)`` as ints, at least 1 each and with n + m within ``cap``."""
     n, m = int(n), int(m)
     if n < 1:
         raise ValueError(f"n: sample size must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"m: need at least one anchor, got {m}")
-    if n + m > MAX_EXACT_TOTAL:
+    if n + m > cap:
         raise ValueError(
-            f"n + m = {n + m}: the exact cell program is capped at {MAX_EXACT_TOTAL}; "
-            "use Monte Carlo beyond that")
+            f"n + m = {n + m}: the exact cell program is capped at {cap} on this route; "
+            "use Monte Carlo simulation beyond that")
     return n, m
 
 
@@ -228,10 +263,18 @@ def _require_anchor_mass(mass, nodes, fy, hint=""):
 
 
 def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False):
-    """Domination-number pmf with anchors drawn from ``fy``; index k holds P(gamma = k)."""
-    n, m = _checked_sizes(n, m)
+    """Domination-number pmf with anchors drawn from ``fy``; index k holds P(gamma = k).
+
+    Exact for uniform anchors; other anchors take the nested rule, and
+    ``mc_reps`` samples that many anchor sets instead."""
+    compositions = mc_reps is None and fy.family == "uniform"
+    cap = MAX_CELL_TOTAL if compositions or mc_reps is not None else MAX_EXACT_TOTAL
+    n, m = _checked_sizes(n, m, cap)
     _require_matching_supports(fx, fy)
+    _require_cell_law(fx, hu_family)
     p_pair = _pair_probs(fx, n) if m > 1 else None
+    if compositions:
+        return _cell_program(_composition_moves(n, m), m, p_pair, n)[0]
 
     if mc_reps is not None:
         reps = int(mc_reps)
@@ -244,18 +287,19 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
         if m > MAX_QUADRATURE_M:
             raise ValueError(
                 f"m: deterministic anchor quadrature is limited to m <= {MAX_QUADRATURE_M}, "
-                f"got {m}; pass mc_reps to sample anchors instead")
+                f"got {m}; pass mc_reps (cccd multi --reps) to sample anchors instead")
         ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, _TABLE_NODES,
                                              fy.interior_knots())
         weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
     probs = _cell_masses(fx, ys, hu_family)
+    batch = max(1, min(_BATCH_ROWS, _BATCH_DOUBLES // (n + 1) ** 2))
     table = np.zeros(2 * m + 1)
-    for start in range(0, len(ys), _BATCH_ROWS):
-        rows = slice(start, start + _BATCH_ROWS)
+    for start in range(0, len(ys), batch):
+        rows = slice(start, start + batch)
         table += weights[rows] @ _pmf_vector(probs[rows], p_pair, n)
     if mc_reps is None:
         _require_anchor_mass(float(np.sum(table)), _TABLE_NODES, fy,
-                             "; pass mc_reps to sample anchors instead")
+                             "; pass mc_reps (cccd multi --reps) to sample anchors instead")
     return table
 
 

@@ -7,9 +7,11 @@ import math
 import pytest
 
 from cccd import multianchor
-from cccd.cli import main
+from cccd.cli import MULTI_SAMPLED_REPS, main
 from cccd.densities import Uniform
 from cccd.exact import p_uniform_fraction
+
+LINEAR = '{"family": "linear", "params": {"a": 1.0}}'
 
 
 def run_cli(capsys, argv):
@@ -65,7 +67,8 @@ class TestArgumentHandling:
         assert run_cli(capsys, ["--help"])[0] == 0
 
     def test_computation_failure_maps_to_one(self, capsys):
-        rc, _, err = run_cli(capsys, ["multi", "--n", "30", "--m", "4"])
+        # non-uniform anchors take anchor quadrature, capped at n + m = 24
+        rc, _, err = run_cli(capsys, ["multi", "--density", LINEAR, "--n", "30", "--m", "2"])
         assert rc == 1
         assert "Monte Carlo" in err
 
@@ -122,14 +125,30 @@ class TestSimulate:
             assert row["predicted"] == pytest.approx(float(table[row["k"]]), abs=1e-12)
         assert summary["verdict"] == "pass"
 
-    def test_many_anchor_run_has_no_prediction(self, capsys):
+    def test_many_anchor_run_grades_against_exact_law(self, capsys):
         rc, out, _ = run_cli(
             capsys, ["simulate", "--n", "3", "--m", "50", "--reps", "2000", "--format", "csv"])
         assert rc == 0
         _, rows, summary = parse_csv(out)
-        assert all(row["predicted"] == "" and row["z"] == "" for row in rows)
-        assert summary["verdict"] is None
+        assert all(row["predicted"] != "" for row in rows)
+        assert summary["verdict"] == "pass"
         assert max(int(row["k"]) for row in rows) <= 3
+
+    def test_equal_counts_run_grades_against_exact_law(self, capsys):
+        rc, out, _ = run_cli(capsys, ["simulate", "--n", "30", "--m", "30", "--reps", "20000"])
+        assert rc == 0
+        _, rows, summary = parse_json_lines(out)
+        assert all(row["predicted"] is not None for row in rows)
+        assert sum(row["predicted"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+        assert summary["verdict"] == "pass"
+
+    def test_runs_past_the_exact_cap_have_no_prediction(self, capsys):
+        n = multianchor.MAX_CELL_TOTAL
+        rc, out, _ = run_cli(capsys, ["simulate", "--n", str(n), "--m", "1", "--reps", "50"])
+        assert rc == 0
+        _, rows, summary = parse_json_lines(out)
+        assert all(row["predicted"] is None for row in rows)
+        assert summary["verdict"] is None
 
     def test_reruns_are_byte_identical(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -210,12 +229,37 @@ class TestMulti:
         mean = sum(row["k"] * row["probability"] for row in rows)
         assert summary["expected_gamma"] == pytest.approx(mean, abs=1e-12)
 
+    def test_uniform_anchors_run_exactly_at_any_m(self, capsys):
+        rc, out, _ = run_cli(capsys, ["multi", "--n", "30", "--m", "30"])
+        assert rc == 0
+        config, rows, summary = parse_json_lines(out)
+        assert config["reps"] is None
+        assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+        p_table = [p_uniform_fraction(t) for t in range(1, 31)]
+        want = float(multianchor.expected_gamma_hu(30, 30, p_table))
+        assert summary["expected_gamma"] == pytest.approx(want, abs=1e-12)
+
+    def test_reps_samples_anchors_at_any_m(self, capsys):
+        rc, out, _ = run_cli(capsys, ["multi", "--density", '{"family": "arc_sine"}',
+                                      "--n", "4", "--m", "2", "--reps", "2000"])
+        assert rc == 0
+        config, rows, _ = parse_json_lines(out)
+        assert config["reps"] == 2000
+        assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_uniform_many_anchors_default_to_sampling(self, capsys):
+        rc, out, _ = run_cli(capsys, ["multi", "--density", LINEAR, "--n", "4", "--m", "4"])
+        assert rc == 0
+        config, rows, _ = parse_json_lines(out)
+        assert config["reps"] == MULTI_SAMPLED_REPS
+        assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_anchor_quadrature_mass_loss_exits_one(self, capsys):
         rc, out, err = run_cli(capsys, ["multi", "--density", '{"family": "arc_sine"}',
                                         "--n", "4", "--m", "2"])
         assert rc == 1
         assert out == ""
-        assert "lost mass" in err and "mc_reps" in err
+        assert "lost mass" in err and "mc_reps" in err and "--reps" in err
 
 
 class TestTable:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from cccd import densities as D
+from cccd import densities as D, simulate
 
 
 def model_zoo():
@@ -391,11 +391,17 @@ def test_beta_quantile_route_matches_betaincinv(shape):
     a, b = shape
     u = _route_inputs(4000, seed=1)
     x, inv = D.Beta(a, b).quantile(u), special.betaincinv(a, b, u)
-    if a == 1 or b == 1:
-        assert np.array_equal(x, inv)
     assert x[0] == 0.0 and x[1] == 1.0
     assert np.all(np.diff(x[np.argsort(u)]) >= 0)
     assert x == pytest.approx(inv, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("shape, counts", [((4, 1), {1: 99041, 2: 959}),
+                                           ((1, 4), {1: 99005, 2: 995})], ids=str)
+def test_unit_shape_closed_form_keeps_the_criterion_05_counts(shape, counts):
+    # counts recorded with the betaincinv quantile that the closed forms replaced
+    plan = simulate.SimulationPlan(fx=D.Beta(*shape), fy=(0.0, 1.0), n=50, reps=100_000, seed=14)
+    assert simulate.run(plan) == counts
 
 
 @pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES, ids=str)

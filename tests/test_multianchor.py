@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from cccd import digraph, multianchor
-from cccd.densities import ArcSine, GeneralLinear, TwoStep, Uniform
+from cccd.densities import ArcSine, Beta, GeneralLinear, Linear, TwoStep, Uniform
 from cccd.exact import p_uniform_fraction, probability
 from cccd.multianchor import (
     AnchorConditional,
@@ -86,6 +86,36 @@ def exact_uniform_anchor_pmf(n, m):
             law = convolved
         for k, prob in law.items():
             pmf[k] += weight * prob
+    return pmf
+
+
+def generating_function_pmf(n, m, p):
+    """[x^n] E(x, z)^2 M(x, z)^(m - 1) / C(n + m, m) as Fractions, one entry per z^k.
+
+    E = 1 + z x / (1 - x) is an end cell and M = 1 + sum_t x^t ((1 - p_t) z + p_t z^2)
+    a middle cell; polynomials are dicts keyed by (power of x, power of z).
+    """
+    def cell(middle):
+        poly = {(0, 0): Fraction(1)}
+        for t in range(1, n + 1):
+            poly.update({(t, 1): 1 - p[t], (t, 2): p[t]} if middle else {(t, 1): Fraction(1)})
+        return poly
+
+    def times(a, b):
+        out = {}
+        for (ta, ka), va in a.items():
+            for (tb, kb), vb in b.items():
+                if ta + tb <= n:
+                    out[ta + tb, ka + kb] = out.get((ta + tb, ka + kb), 0) + va * vb
+        return out
+
+    product = times(cell(False), cell(False))
+    for _ in range(m - 1):
+        product = times(product, cell(True))
+    pmf = [Fraction(0)] * (2 * m + 1)
+    for (t, k), value in product.items():
+        if t == n:
+            pmf[k] += value / math.comb(n + m, m)
     return pmf
 
 
@@ -247,6 +277,43 @@ class TestPmfRandomAnchors:
             got = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
             assert np.max(np.abs(got - want)) <= 1e-12, (n, m)
 
+    def test_uniform_route_equals_beta11_anchor_quadrature(self):
+        # Beta(1, 1) is the uniform density, but its family takes anchor quadrature
+        for m in (1, 2, 3):
+            for n in range(1, 12):
+                exact = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
+                quadrature = pmf_random_anchors_table(Uniform(), Beta(1, 1), n, m)
+                assert np.max(np.abs(exact - quadrature)) <= 1e-12, (n, m)
+        model = Linear(1.0)
+        exact = pmf_random_anchors_table(model, Uniform(), 6, 2, hu_family=True)
+        quadrature = pmf_random_anchors_table(model, Beta(1, 1), 6, 2, hu_family=True)
+        assert np.max(np.abs(exact - quadrature)) <= 1e-12
+
+    def test_uniform_route_equals_the_generating_function(self):
+        for n, m in ((3, 1), (4, 2), (5, 3), (8, 2)):
+            p = [Fraction(0)] + [p_uniform_fraction(t) for t in range(1, n + 1)]
+            want = [float(v) for v in generating_function_pmf(n, m, p)]
+            got = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
+            assert np.max(np.abs(got - want)) <= 1e-15, (n, m)
+
+    def test_uniform_route_at_equal_counts(self):
+        n = m = 30
+        table = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        want = expected_gamma_hu(n, m, [p_uniform_fraction(t) for t in range(1, n + 1)])
+        assert float(np.arange(len(table)) @ table) == pytest.approx(float(want), abs=1e-12)
+
+    def test_uniform_route_size_cap(self):
+        table = pmf_random_anchors_table(Uniform(), Uniform(), 100, 100)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            pmf_random_anchors_table(Uniform(), Uniform(), multianchor.MAX_CELL_TOTAL, 1)
+
+    def test_sampled_anchors_run_past_the_quadrature_cap(self):
+        for n, m, reps in ((20, 8, 100), (199, 1, 20)):
+            table = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps)
+            assert table.sum() == pytest.approx(1.0, abs=1e-12), (n, m)
+
     def test_jumping_anchor_density_normalizes(self):
         # the quadrature splits at the density's jump, where the integrand has a kink
         model = TwoStep(0.5)
@@ -263,8 +330,9 @@ class TestPmfRandomAnchors:
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="m <= 3"):
-            pmf_random_anchors_table(Uniform(), Uniform(), 2, 4)
+        # uniform anchors need no quadrature; other anchor densities stop at m = 3
+        with pytest.raises(ValueError, match="m <= 3.*--reps"):
+            pmf_random_anchors_table(Uniform(), Beta(2, 2), 2, 4)
 
     def test_monte_carlo_path(self):
         got = pmf_random_anchors_table(Uniform(), Uniform(), 2, 1, mc_reps=4000, seed=5)[2]
