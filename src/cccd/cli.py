@@ -133,8 +133,9 @@ def _resolve(args) -> CommandRequest:
         raise ValueError("--curves needs --out pointing at a directory")
     if req.n is not None and req.n < 1:
         raise ValueError("--n must be at least 1")
-    if req.m is not None and req.m < 0:
-        raise ValueError("--m must be nonnegative")
+    least_m = 1 if req.subcommand == "multi" else 0  # simulate reads 0 as endpoint anchors
+    if req.m is not None and req.m < least_m:
+        raise ValueError(f"--m must be at least {least_m}")
     if req.reps is not None and req.reps < 1:
         raise ValueError("--reps must be at least 1")
     if req.rel_tol is not None and req.rel_tol <= 0:
@@ -191,11 +192,12 @@ def _cmd_simulate(req: CommandRequest) -> int:
                                        reps=req.reps, seed=req.seed, parallelism=req.threads)
         predicted = None
         if model.family == "uniform":  # the exact uniform-anchor law, within its size cap
-            try:
+            if req.n + req.m <= multianchor.MAX_CELL_TOTAL:
                 table = multianchor.pmf_random_anchors_table(model, model, req.n, req.m)
                 predicted = {k: float(p) for k, p in enumerate(table) if p > 0.0}
-            except ValueError:
-                pass
+            else:
+                print(f"note: no predicted law: n + m = {req.n + req.m} is past the cell "
+                      f"program's cap of {multianchor.MAX_CELL_TOTAL}", file=sys.stderr)
     else:
         anchors = (model.support.lo, model.support.hi)
         plan = simulate.SimulationPlan(fx=model, fy=anchors, n=req.n,

@@ -634,10 +634,13 @@ class Beta(DensityModel):
         if nu2 < 1.0:
             raise ValueError(f"nu2: beta shape must be >= 1, got {nu2}")
         self.nu1, self.nu2 = nu1, nu2
-        self._lognorm = special.betaln(nu1, nu2)
+        # the quantile table's log B is refit to its mass, exact where betaln is not; build
+        # the table here in any case: built amid sample buffers, it pins the heap
+        if nu1 > 1.0 and nu2 > 1.0:
+            self._lognorm = _beta_quantile_table(nu1, nu2)[3]
+        else:
+            self._lognorm = special.betaln(nu1, nu2)
         super().__init__(_unit_support(support))
-        if nu1 > 1.0 and nu2 > 1.0:  # build it here: built amid sample buffers, it pins the heap
-            _beta_quantile_table(nu1, nu2)
 
     @property
     def params(self):
@@ -667,7 +670,7 @@ class Beta(DensityModel):
             x = np.concatenate([_beta_quantile_cells(a, b, c) for c in chunks]).reshape(u.shape)
         tail = (u > 0.0) & (u < special.betainc(a, b, BETA_TAIL_X))
         if tail.any():  # invert I(x) = x^a / (a B) * (1 - a (b-1)/(a+1) x + O(x^2))
-            y = np.exp((np.log(np.where(tail, u, 1.0)) + math.log(a) + special.betaln(a, b)) / a)
+            y = np.exp((np.log(np.where(tail, u, 1.0)) + math.log(a) + self._lognorm) / a)
             x = np.where(tail, y * (1.0 + (b - 1.0) / (a + 1.0) * y), x)
         return x
 

@@ -33,8 +33,6 @@ import numpy as np
 from . import simulate
 from .densities import GapUniform, ShrunkUniform, TwoStep, Uniform
 
-LIMIT_UNIFORM = 4.0 / 9.0
-
 # Error floor of the quadrature, and its panel budget.
 _ABS_TOL = 1e-12
 MAX_PANELS = 20_000

@@ -39,11 +39,8 @@ from . import simulate
 from .densities import Uniform
 from .exact import _to_unit, probability
 
-# Caps n + m for fixed anchors, anchor quadrature and `expected_gamma`.
-MAX_EXACT_TOTAL = 24
-
-# Caps n + m for uniform and sampled anchors, by the cell program's cost:
-# uniform anchors take about 0.4 s at n = m = 200 on two cores.
+# Caps n + m on every route that runs the cell program or reads p_0..p_n, by
+# its cost: uniform anchors take about 0.4 s at n = m = 200 on two cores.
 MAX_CELL_TOTAL = 400
 
 # Most non-uniform anchors the nested Gauss rule integrates.
@@ -188,16 +185,16 @@ def _pmf_vector(cell_probs, p_pair, n):
     return _cell_program(_binomial_moves(cell_probs, n), np.shape(cell_probs)[1] - 1, p_pair, n)
 
 
-def _checked_sizes(n, m, cap=MAX_EXACT_TOTAL):
-    """``(n, m)`` as ints, at least 1 each and with n + m within ``cap``."""
+def _checked_sizes(n, m):
+    """``(n, m)`` as ints, at least 1 each and with n + m within ``MAX_CELL_TOTAL``."""
     n, m = int(n), int(m)
     if n < 1:
         raise ValueError(f"n: sample size must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"m: need at least one anchor, got {m}")
-    if n + m > cap:
+    if n + m > MAX_CELL_TOTAL:
         raise ValueError(
-            f"n + m = {n + m}: the exact cell program is capped at {cap} on this route; "
+            f"n + m = {n + m}: the cell program is capped at {MAX_CELL_TOTAL}; "
             "use Monte Carlo simulation beyond that")
     return n, m
 
@@ -267,13 +264,11 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
 
     Exact for uniform anchors; other anchors take the nested rule, and
     ``mc_reps`` samples that many anchor sets instead."""
-    compositions = mc_reps is None and fy.family == "uniform"
-    cap = MAX_CELL_TOTAL if compositions or mc_reps is not None else MAX_EXACT_TOTAL
-    n, m = _checked_sizes(n, m, cap)
+    n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
     _require_cell_law(fx, hu_family)
     p_pair = _pair_probs(fx, n) if m > 1 else None
-    if compositions:
+    if mc_reps is None and fy.family == "uniform":
         return _cell_program(_composition_moves(n, m), m, p_pair, n)[0]
 
     if mc_reps is not None:
@@ -309,8 +304,8 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
     Splits into the chance that each end cell is occupied plus, for every
     middle cell, the count distribution integrated against the joint density
     of the two bracketing anchor order statistics.  The count probability
-    P(N_j = t) carries the binomial coefficient C(n, t) alongside the mass
-    powers.  Raises when a rule misses the mass of the density it integrates.
+    P(N_j = t) = C(n, t) d^t (1 - d)^(n - t) of a cell of mass d is formed in
+    log space.  Raises when a rule misses the mass of the density it integrates.
     """
     n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
@@ -335,12 +330,12 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
     middle = 0.0
     if m > 1:
         counts = np.arange(1, n + 1)
-        binom = np.array([math.comb(n, int(t)) for t in counts], dtype=float)
+        log_binom = _log_binomials(n)[0][1:, n]  # log C(n, t)
         # (a, b) runs over the lower and upper anchor of one middle cell
         pairs, wp = _ordered_simplex_nodes(lo, hi, 2, _MEAN_NODES, knots)
         a, b = pairs.T
-        delta = (b - a) / width
-        occupancy = binom * delta[:, None] ** counts * (1.0 - delta[:, None]) ** (n - counts)
+        delta = ((b - a) / width)[:, None]
+        occupancy = np.exp(log_binom + counts * np.log(delta) + (n - counts) * np.log1p(-delta))
         pair = wp * fy.pdf(a) * fy.pdf(b)
         inner = pair * (occupancy @ (1.0 + _pair_probs(fx, n)[1:]))
         Fa, Fb = fy.cdf(a), fy.cdf(b)

@@ -62,13 +62,15 @@ class TestArgumentHandling:
         assert run_cli(capsys, ["exact", "--n", "0"])[0] == 2
         assert run_cli(capsys, ["simulate", "--n", "3", "--reps", "0"])[0] == 2
         assert run_cli(capsys, ["quadrature", "--n", "3", "--rel-tol", "-1"])[0] == 2
+        assert run_cli(capsys, ["multi", "--n", "3", "--m", "0"])[0] == 2
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
 
     def test_computation_failure_maps_to_one(self, capsys):
-        # non-uniform anchors take anchor quadrature, capped at n + m = 24
-        rc, _, err = run_cli(capsys, ["multi", "--density", LINEAR, "--n", "30", "--m", "2"])
+        # the cell program is capped at n + m = 400 on every route
+        n = str(multianchor.MAX_CELL_TOTAL - 1)
+        rc, _, err = run_cli(capsys, ["multi", "--density", LINEAR, "--n", n, "--m", "2"])
         assert rc == 1
         assert "Monte Carlo" in err
 
@@ -144,8 +146,9 @@ class TestSimulate:
 
     def test_runs_past_the_exact_cap_have_no_prediction(self, capsys):
         n = multianchor.MAX_CELL_TOTAL
-        rc, out, _ = run_cli(capsys, ["simulate", "--n", str(n), "--m", "1", "--reps", "50"])
+        rc, out, err = run_cli(capsys, ["simulate", "--n", str(n), "--m", "1", "--reps", "50"])
         assert rc == 0
+        assert f"cap of {n}" in err
         _, rows, summary = parse_json_lines(out)
         assert all(row["predicted"] is None for row in rows)
         assert summary["verdict"] is None

@@ -1,10 +1,11 @@
-"""Every public function and class of cccd is reached from outside the tests.
+"""Every public function, class and constant of cccd is reached from outside the tests.
 
-A public module-level name in ``src/cccd`` must be named in ``src/cccd``,
-``demos/`` or ``perfbench/`` somewhere other than inside its own definition:
-as a name, an attribute, an import or a string (the benchmark's tracer looks
-some functions up by name).  Code that only tests reach should be deleted
-with its tests, or wired into a command, a demo or the benchmark.
+A public module-level function, class or UPPERCASE constant in ``src/cccd``
+must be named in ``src/cccd``, ``demos/`` or ``perfbench/`` somewhere other
+than inside its own definition or assignment: as a name, an attribute, an
+import or a string (the benchmark's tracer looks some functions up by name).
+Code that only tests reach should be deleted with its tests, or wired into a
+command, a demo or the benchmark.
 """
 
 import ast
@@ -33,22 +34,39 @@ def _named(node):
             yield sub.value
 
 
+def _own(stmt):
+    """Names a top-level statement defines: a def's or class's name, an assignment's targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)}
+    return set()
+
+
 def _mentions():
-    """How often each name occurs, leaving out a top-level definition's own name."""
+    """How often each name occurs, leaving out a top-level definition's own names."""
     seen = Counter()
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
-                own = getattr(stmt, "name", None)
-                seen.update(name for name in _named(stmt) if name != own)
+                own = _own(stmt)
+                seen.update(name for name in _named(stmt) if name not in own)
     return seen
 
 
+def _public(stmt):
+    """Public functions and classes, and UPPERCASE constants."""
+    names = _own(stmt)
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        names = {name for name in names if name.isupper()}
+    return sorted(name for name in names if not name.startswith("_"))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    defined = [stmt.name for path in sorted(PACKAGE.glob("*.py"))
-               for stmt in ast.parse(path.read_text()).body
-               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-               and not stmt.name.startswith("_")]
+    defined = [name for path in sorted(PACKAGE.glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body for name in _public(stmt)]
     assert set(ALLOWED) <= set(defined)
     mentions = _mentions()
     assert sorted(name for name in defined

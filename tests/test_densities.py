@@ -339,6 +339,15 @@ def test_beta_pdf_at_the_ends():
         assert D.Beta(nu1, nu2).pdf(np.array([0.0, 1.0])) == pytest.approx(ends, rel=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(2, 200), (100, 100), (2, 2)], ids=str)
+def test_beta_normalizer_against_mpmath(shape):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        want = mp.log(mp.beta(*shape))
+    got = D.Beta(*shape)._lognorm
+    assert float(abs(got - want)) <= np.spacing(abs(float(want))), (got, float(want))
+
+
 # ---------------------------------------------------- Beta quantile route
 
 BETA_ROUTE_SHAPES = [(2, 2), (2, 5), (5, 2), (1.5, 1.5), (3.5, 1.7), (9, 9), (30, 30),

@@ -209,11 +209,6 @@ class TestPmfConditional:
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / reps)
             assert abs(counts[k] / reps - p) < 4 * sigma + 1e-9, k
 
-    def test_enumeration_cap(self):
-        cond = conditional_on_anchors(Uniform(), [0.5])
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            pmf_conditional_table(cond, 24)
-
 
 class TestBatchedCellProgram:
     def test_rows_match_literal_composition_sum(self):
@@ -303,12 +298,6 @@ class TestPmfRandomAnchors:
         want = expected_gamma_hu(n, m, [p_uniform_fraction(t) for t in range(1, n + 1)])
         assert float(np.arange(len(table)) @ table) == pytest.approx(float(want), abs=1e-12)
 
-    def test_uniform_route_size_cap(self):
-        table = pmf_random_anchors_table(Uniform(), Uniform(), 100, 100)
-        assert table.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            pmf_random_anchors_table(Uniform(), Uniform(), multianchor.MAX_CELL_TOTAL, 1)
-
     def test_sampled_anchors_run_past_the_quadrature_cap(self):
         for n, m, reps in ((20, 8, 100), (199, 1, 20)):
             table = pmf_random_anchors_table(Uniform(), Uniform(), n, m, mc_reps=reps)
@@ -348,6 +337,31 @@ class TestPmfRandomAnchors:
             pmf_random_anchors_table(GeneralLinear(0.05, (-1.0, 3.0)), Uniform(), 2, 1)
 
 
+# every route that runs the cell program: its anchor count, and (n, m) -> pmf table or mean
+CAP_ROUTES = {
+    "fixed": (3, lambda n, m: pmf_conditional_table(
+        conditional_on_anchors(Uniform(), np.arange(1, m + 1) / (m + 1)), n)),
+    "uniform": (100, lambda n, m: pmf_random_anchors_table(Uniform(), Uniform(), n, m)),
+    "quadrature": (1, lambda n, m: pmf_random_anchors_table(Uniform(), Beta(2, 2), n, m)),
+    "sampled": (3, lambda n, m: pmf_random_anchors_table(Uniform(), Uniform(), n, m,
+                                                         mc_reps=20)),
+    "expected": (3, lambda n, m: expected_gamma(Uniform(), Uniform(), n, m)),
+}
+
+
+@pytest.mark.parametrize("route", CAP_ROUTES)
+def test_enumeration_cap(route):
+    m, compute = CAP_ROUTES[route]
+    n = multianchor.MAX_CELL_TOTAL - m
+    result = compute(n, m)
+    if route == "expected":
+        assert m + 1 <= result <= 2 * m
+    else:
+        assert result.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="Monte Carlo"):
+        compute(n + 1, m)
+
+
 class TestExpectedGamma:
     def test_hand_values(self):
         assert expected_gamma(Uniform(), Uniform(), 1, 1) == pytest.approx(1.0, abs=1e-9)
@@ -359,6 +373,12 @@ class TestExpectedGamma:
             p_table = [p_uniform_fraction(i) for i in range(1, n + 1)]
             want = float(expected_gamma_hu(n, m, p_table))
             assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(want, abs=1e-9)
+
+    def test_matches_closed_form_at_the_cap(self):
+        for n, m in ((397, 3), (390, 10)):
+            p_table = [p_uniform_fraction(i) for i in range(1, n + 1)]
+            want = float(expected_gamma_hu(n, m, p_table))
+            assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(want, abs=1e-10)
 
     def test_consistent_with_pmf_mean(self):
         for n, m in ((2, 2), (3, 2)):
@@ -477,6 +497,14 @@ class TestAsymptoticLawFixedM:
         law = asymptotic_law_fixed_m([4 / 9], 2)
         assert table[3] == pytest.approx(law[3], abs=0.01)
         assert table[4] == pytest.approx(law[4], abs=0.01)
+
+    def test_fixed_anchor_pmf_meets_the_law_at_the_cap(self):
+        cond = conditional_on_anchors(Uniform(), [0.25, 0.5, 0.75])
+        table = pmf_conditional_table(cond, multianchor.MAX_CELL_TOTAL - 3)
+        law = asymptotic_law_fixed_m([4 / 9, 4 / 9], 3)
+        limit = np.array([law.get(k, 0.0) for k in range(len(table))])
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 * np.abs(table - limit).sum() <= 1e-12
 
     def test_many_anchors_isolate_every_point(self):
         rng = np.random.default_rng(3)
