@@ -130,11 +130,18 @@ class DensityModel:
 
     def quantile(self, u):
         a = _as_array(u)
+        out = self._unit_quantile(a)
+        return _scalar_like(u, out.copy() if out is a else out)
+
+    def _unit_quantile(self, a):
+        """Checked quantile, clipped to the support, or ``a`` itself when the
+        quantile is the identity: the support is then [0, 1], where the checked
+        ``a`` needs no clip, and a caller that owns ``a`` pays no copy."""
         # NaN fails both comparisons, and min and max propagate it
         if a.size and not (a.min() >= 0 and a.max() <= 1):
             raise ValueError(f"quantile: u must lie in [0,1], got {a[(a < 0) | (a > 1) | ~np.isfinite(a)][:1]}")
-        out = np.clip(self._quantile(a), self.support.lo, self.support.hi)
-        return _scalar_like(u, out)
+        out = self._quantile(a)
+        return out if out is a else np.clip(out, self.support.lo, self.support.hi)
 
     def pdf_derivative(self, x, order):
         """Derivative of the density at interior points, orders 0 to 2."""

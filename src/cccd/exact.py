@@ -44,13 +44,15 @@ _GL7 = np.polynomial.legendre.leggauss(7)
 class QuadratureError(RuntimeError):
     """Raised when adaptive refinement hits the panel budget ``MAX_PANELS``.
 
-    Carries the best running estimate so a caller can still inspect it.
+    Carries the best running estimate, its error estimate and the live
+    panel count so a caller can still inspect them.
     """
 
-    def __init__(self, message, best_estimate, error_estimate):
+    def __init__(self, message, best_estimate, error_estimate, panels):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
+        self.panels = panels
 
 
 @dataclass(frozen=True)
@@ -416,8 +418,12 @@ def p_quadrature(model, n, config=None):
 
     Panels are seeded on density knots and on the images of the lower edge
     kink, then refined where a 15-point and a 7-point rule disagree most.
-    Raises QuadratureError (with the best estimate attached) if the panel
-    budget runs out before the requested tolerance is met.
+    Each round splits the fewest worst panels whose error estimates sum to
+    at least the error minus half the target, and never more than 64, so
+    the last rounds stop near the target instead of far below it.
+    Raises QuadratureError (with the best estimate, its error and the
+    panel count attached) if the panel budget runs out before the
+    requested tolerance is met.
     """
     n = _require_sample_size(n)
     model = _to_unit(model)
@@ -436,14 +442,16 @@ def p_quadrature(model, n, config=None):
     # (left to right: cumsum, not pairwise np.sum or compensated sum()) and
     # breaks error ties toward the older panel
     value, error = vals.cumsum()[-1], errs.cumsum()[-1]
-    while error > max(_ABS_TOL, config.rel_tol * abs(value)):
+    while error > (target := max(_ABS_TOL, config.rel_tol * abs(value))):
         if len(rects) >= MAX_PANELS:
             raise QuadratureError(
                 f"quadrature did not reach rel_tol={config.rel_tol:g} within "
-                f"{MAX_PANELS} panels (best estimate {value:.12g}, "
-                f"error estimate {error:.3g}); loosen rel_tol",
-                best_estimate=value, error_estimate=error)
-        worst = np.argsort(-errs, kind="stable")[:64]
+                f"{MAX_PANELS} panels (stopped at {len(rects)} panels with best "
+                f"estimate {value:.12g}, error estimate {error:.3g}); loosen rel_tol",
+                best_estimate=value, error_estimate=error, panels=len(rects))
+        order = np.argsort(-errs, kind="stable")
+        k = np.searchsorted(errs[order].cumsum(), error - 0.5 * target) + 1
+        worst = order[:min(k, 64)]
         a, b, c, d = rects[worst].T
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         children = np.stack([(a, mx, c, my), (a, mx, my, d), (mx, b, c, my), (mx, b, my, d)])

@@ -123,9 +123,10 @@ def _draw(plan: SimulationPlan, rng: np.random.Generator, rows: int):
         ys.sort(axis=1)
         xs = plan.fx.quantile(u[:, plan.m :])
     else:
-        xs = plan.fx.quantile(rng.random((rows, plan.n)))
+        # the draw is ours, so its quantile may be the draw itself, unclipped
+        xs = plan.fx._unit_quantile(rng.random((rows, plan.n)))
         ys = np.asarray(plan.fy, dtype=float)
-    xs.sort(axis=1)   # quantile returns a fresh array
+    xs.sort(axis=1)   # a fresh array either way
     return xs, ys
 
 

@@ -325,6 +325,18 @@ def test_quantile_rejects_u_outside_the_unit_interval(bad):
     for u in (bad, np.array([0.5, bad, 0.25])):
         with pytest.raises(ValueError, match=r"u must lie in \[0,1\]"):
             D.Uniform().quantile(u)
+    # the copy-free path simulate takes keeps the check
+    with pytest.raises(ValueError, match=r"u must lie in \[0,1\]"):
+        D.Uniform()._unit_quantile(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("model", [D.Uniform(), D.Linear(0.0), D.Beta(2, 2)])
+def test_quantile_never_hands_back_its_argument(model):
+    # Uniform and Linear(0) have the identity quantile
+    u = np.array([0.0, 0.25, 1.0])
+    out = model.quantile(u)
+    assert out.tolist() == model._unit_quantile(u).tolist()
+    assert not np.shares_memory(out, u)
 
 
 def test_quantile_accepts_the_closed_unit_interval():

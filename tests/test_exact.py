@@ -222,20 +222,22 @@ class TestQuadrature:
         best = info.value.best_estimate
         assert best == pytest.approx(exact.p_quadrature(Beta(2, 2), 10).value,
                                      abs=1e-4)
+        assert info.value.panels == 36
+        assert "stopped at 36 panels" in str(info.value)
 
     @pytest.mark.parametrize("model, n, rel_tol, value, error, panels", [
-        (ArcSine(), 10, 1e-10, "0x1.9b09d575b0c09p-1", "0x1.5bee1ec7b7a91p-34", 2256),
-        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e880p-1", "0x1.e496e51804094p-43", 732),
-        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7da1eep-1", "0x1.786da58820a85p-36", 772),
+        (ArcSine(), 10, 1e-10, "0x1.9b09d575adf59p-1", "0x1.300671a207944p-34", 2001),
+        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e8c7p-1", "0x1.4b1a7fdeae26ap-41", 366),
+        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7f450ep-1", "0x1.62421fa1f3466p-35", 337),
         (Linear(1.0), 10, 1e-10, "0x1.93a422031b81dp-2", "0x1.d972580000000p-47", 36),
-        (AbsSine(), 1000, 1e-8, "0x1.479336c035bc0p-1", "0x1.0014bf4b40745p-32", 465),
+        (AbsSine(), 1000, 1e-8, "0x1.479336c035b97p-1", "0x1.6a40b82b0c11dp-29", 153),
         (PieceQuadratic(2.0 / 3.0), 1_000_000, 1e-8,
-         "0x1.c71c6d01974e6p-2", "0x1.696e08d9d0f5ap-31", 388),
-        (Beta(4, 1), 50, 1e-8, "0x1.3dfd513293499p-7", "0x1.6373145b40689p-36", 196),
+         "0x1.c71c6d01b4eb6p-2", "0x1.1484765ab6533p-30", 226),
+        (Beta(4, 1), 50, 1e-8, "0x1.3dfd51329349ap-7", "0x1.2a4ad81d20f41p-34", 58),
         (TruncatedNormal(0.3, 0.5), 1000, 1e-10,
-         "0x1.2844a6627cfb3p-2", "0x1.2c2c1b14b37dbp-41", 465),
+         "0x1.2844a6627d053p-2", "0x1.07b6c4423558fp-36", 186),
         (TwoStep(0.5), 10, 1e-8, "0x1.5f0e40ffffffcp-2", "0x1.7488d00000000p-52", 36),
-        (ArcSine(), 10, 1e-8, "0x1.9b09d57b5c7b4p-1", "0x1.630d1d03f5182p-28", 528),
+        (ArcSine(), 10, 1e-8, "0x1.9b09d57b8e751p-1", "0x1.6fb59decd1becp-28", 126),
     ], ids=["arc_sine", "three_step", "q_power", "linear", "abs_sine", "piece_quadratic",
             "beta41", "truncated_normal", "two_step", "arc_sine_loose"])
     def test_refinement_is_pinned(self, model, n, rel_tol, value, error, panels):
@@ -243,6 +245,24 @@ class TestQuadrature:
         # integrand decide each bit of the sum; these pins hold both
         rep = exact.p_quadrature(model, n, exact.QuadratureConfig(rel_tol=rel_tol))
         assert (rep.value.hex(), rep.error_estimate.hex(), rep.panels) == (value, error, panels)
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("model, n, reference", [
+        pytest.param(model, n, reference, id=f"{model!r}-{n}")
+        for model, ns, reference in (
+            *[(model, (2, 3, 5, 10, 25, 100, 400), exact.p_exact_rational)
+              for model in (Uniform(), ShrunkUniform(0.1), GapUniform(0.1), GapUniform(0.45),
+                            TwoStep(0.4), TwoStep(-0.7), ThreeStep(0.6), ThreeStep(-0.3))],
+            (SquareCdf(), (2, 3, 5, 10, 25, 60),
+             lambda model, n: exact.p_multinomial_squarecdf(n)),
+            (Uniform(), (10**3, 10**4, 10**6), lambda model, n: exact.p_uniform_fraction(n)))
+        for n in ns])
+    def test_tolerance_is_met_against_exact_values(self, model, n, reference, rel_tol):
+        # the refinement stops on its own error estimate; the exact routes
+        # check that the estimate does not undercount the true error
+        want = float(reference(model, n))
+        rep = exact.p_quadrature(model, n, exact.QuadratureConfig(rel_tol=rel_tol))
+        assert abs(rep.value - want) <= max(1e-12, rel_tol * abs(want))
 
     def test_large_n_approaches_known_limits(self):
         for model, limit in ((Uniform(), 4 / 9), (Linear(1.0), 3 / 8),
