@@ -9,7 +9,6 @@ into independent per-cell contributions, which is what the fast path exploits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,13 +80,6 @@ class CccdInstance:
         # cell index per point: 0..m, cell c spans (ys[c-1], ys[c])
         self.cell_of = np.searchsorted(ys, xs)
 
-    def radii(self):
-        """Distance from each point to its nearest anchor."""
-        pos = np.searchsorted(self.ys, self.xs)
-        left = np.where(pos > 0, self.xs - self.ys[np.clip(pos - 1, 0, self.m - 1)], np.inf)
-        right = np.where(pos < self.m, self.ys[np.clip(pos, 0, self.m - 1)] - self.xs, np.inf)
-        return np.minimum(left, right)
-
     def cell_bounds(self, c):
         """Bounds of 0-based cell c as floats, infinite at the ends."""
         lo = -math.inf if c == 0 else float(self.ys[c - 1])
@@ -102,30 +94,28 @@ def build_instance(xs, ys):
     return CccdInstance(xs, ys)
 
 
-def _membership(instance):
-    """Strict ball membership matrix, exact at the boundary.
+def arcs(xs, ys):
+    """Strict ball membership for rows of points, exact at the boundary.
 
-    The bulk is float comparison; pairs whose distance lands within a few
-    ulps of the radius get re-checked in Fraction arithmetic, so the result
-    matches the real-number predicate on the given float coordinates.
+    ``xs`` is (R, n) and ``ys`` is (R, m) or (m,).  Returns the (R, n, n)
+    array that is True at ``[r, i, j]`` when x_j lies inside the ball of x_i
+    in row r, so each True is an arc i -> j.  The bulk is float comparison;
+    pairs whose distance lands within a few ulps of the radius get re-checked
+    in Fraction arithmetic, so the result matches the real-number predicate
+    on the given float coordinates.
     """
-    x = instance.xs
-    r = instance.radii()
-    dist = np.abs(x[None, :] - x[:, None])
-    inside = dist < r[:, None]
-    suspect = _suspect_band(dist, r[:, None])
-    np.fill_diagonal(suspect, False)
-    for i, j in zip(*np.nonzero(suspect)):
-        gap = abs(Fraction(float(x[j])) - Fraction(float(x[i])))
-        inside[i, j] = gap < _exact_radius(x[i], instance.ys)
-    np.fill_diagonal(inside, False)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.broadcast_to(np.asarray(ys, dtype=float), (xs.shape[0], np.shape(ys)[-1]))
+    r = np.abs(xs[:, :, None] - ys[:, None, :]).min(axis=2)[:, :, None]
+    dist = np.abs(xs[:, None, :] - xs[:, :, None])
+    inside = dist < r
+    for k, i, j in zip(*np.nonzero(_suspect_band(dist, r))):
+        if i != j:
+            gap = abs(Fraction(float(xs[k, j])) - Fraction(float(xs[k, i])))
+            inside[k, i, j] = gap < _exact_radius(xs[k, i], ys[k])
+    diagonal = np.arange(xs.shape[1])
+    inside[:, diagonal, diagonal] = False
     return inside
-
-
-def arcs(instance):
-    """All arcs (i, j) by sorted point index, i -> j when x_j is in ball i."""
-    ii, jj = np.nonzero(_membership(instance))
-    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def _end_cell_report(instance, c, j):
@@ -251,51 +241,38 @@ def upper_bound_counts(instance):
     return k1, k2, 2 * k1 + k2
 
 
-def domination_number_oracle(instance):
-    """Exact minimum dominating set by exhaustive subset search.
+def domination_number_oracle(xs, ys):
+    """Exact domination number of each row by exhaustive subset search.
 
-    Independent of the cell decomposition: works on the raw arc list,
-    splitting only by weakly connected components. Guarded to small n.
+    ``xs`` is (R, n) and ``ys`` is (R, m) or (m,); rows need not be sorted.
+    Independent of the cell decomposition: each point gets one cover bitmask
+    (itself and the points in its ball, from ``arcs``), n doublings build the
+    union for all 2^n subsets, and the answer is the smallest size of a subset
+    whose union covers every point.  Rows go in chunks of at most 2^22
+    subsets.  Guarded to small n; rows with a repeated point, a repeated
+    anchor or a point on an anchor raise, as ``CccdInstance`` does.
     """
-    n = instance.n
+    xs = np.sort(np.asarray(xs, dtype=float), axis=1)
+    reps, n = xs.shape
+    ys = np.sort(np.broadcast_to(np.asarray(ys, dtype=float), (reps, np.shape(ys)[-1])), axis=1)
     if n > ORACLE_MAX_POINTS:
         raise ValueError(f"oracle: exhaustive search is limited to n <= {ORACLE_MAX_POINTS}, got {n}")
-    arc_list = arcs(instance)
-    adj = [set() for _ in range(n)]
-    cover = [1 << i for i in range(n)]
-    for i, j in arc_list:
-        adj[i].add(j)
-        adj[j].add(i)
-        cover[i] |= 1 << j
-    seen = [False] * n
-    total = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        target = 0
-        for v in comp:
-            target |= 1 << v
-        found = None
-        for size in range(1, len(comp) + 1):
-            for subset in itertools.combinations(comp, size):
-                mask = 0
-                for v in subset:
-                    mask |= cover[v]
-                if mask & target == target:
-                    found = size
-                    break
-            if found is not None:
-                break
-        total += found
-    return total
-
+    tied = ((xs[:, 1:] == xs[:, :-1]).any(axis=1) | (ys[:, 1:] == ys[:, :-1]).any(axis=1)
+            | (xs[:, :, None] == ys[:, None, :]).any(axis=(1, 2)))
+    if tied.any():
+        raise ValueError(f"oracle: row {int(np.argmax(tied))} has a repeated point, "
+                         "a repeated anchor or a point on an anchor")
+    bits = 1 << np.arange(n, dtype=np.int32)
+    sizes = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    gammas = np.empty(reps, dtype=np.int64)
+    step = max(1, (1 << 22) >> n)
+    for lo in range(0, reps, step):
+        inside = arcs(xs[lo:lo + step], ys[lo:lo + step])
+        covers = np.where(inside, bits, 0).sum(axis=2, dtype=np.int32) | bits
+        union = np.zeros((covers.shape[0], 1 << n), dtype=np.int32)
+        for i in range(n):
+            np.bitwise_or(union[:, :1 << i], covers[:, i, None], out=union[:, 1 << i:2 << i])
+        gammas[lo:lo + step] = np.where(union == (1 << n) - 1, sizes, n).min(axis=1)
+    return gammas

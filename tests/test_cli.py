@@ -325,11 +325,13 @@ class TestCurves:
 
 class TestSelftest:
     def test_clean_build_passes(self, capsys):
-        rc, out, _ = run_cli(capsys, ["selftest"])
-        assert rc == 0
-        lines = out.strip().splitlines()[1:]
-        assert len(lines) == 7
-        assert all(line.startswith("ok ") for line in lines)
+        rc, out, err = run_cli(capsys, ["selftest"])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "ok oracle-equivalence-1000", "ok uniform-closed-vs-quadrature",
+            "ok two-step-closed-vs-quadrature", "ok square-cdf-multinomial-vs-quadrature",
+            "ok cdf-quantile-roundtrip", "ok multi-uniform-law-vs-anchor-quadrature",
+            "ok simulate-determinism"]
 
     def test_corrupted_closed_form_fails(self, capsys, monkeypatch):
         from fractions import Fraction
@@ -340,3 +342,33 @@ class TestSelftest:
         rc, out, _ = run_cli(capsys, ["selftest"])
         assert rc == 1
         assert "FAIL uniform-closed-vs-quadrature" in out
+
+    def test_broken_kernel_fails_and_names_the_instance(self, capsys, monkeypatch):
+        import re
+
+        import numpy as np
+
+        from cccd import digraph
+
+        kernel = digraph._cell_gammas
+
+        def off_by_one(xs, ys):
+            # one cell of one row: the last row of the (n, m) = (5, 2) group
+            cells, tied = kernel(xs, ys)
+            if xs.shape[1:] == (5,) and np.shape(ys)[-1] == 2:
+                cells[-1, 0] += 1
+            return cells, tied
+
+        monkeypatch.setattr(digraph, "_cell_gammas", off_by_one)
+        rc, out, err = run_cli(capsys, ["selftest"])
+        assert rc == 1
+        lines = out.strip().splitlines()[1:]
+        assert lines[0] == "FAIL oracle-equivalence-1000"
+        assert all(line.startswith("ok ") for line in lines[1:])
+        found = re.fullmatch(r"oracle-equivalence-1000: instance (\d+) xs=(\[.*\]) ys=(\[.*\]) "
+                             r"kernel=(\d+) oracle=(\d+)\n", err)
+        assert found
+        xs, ys = json.loads(found[2]), json.loads(found[3])
+        assert (len(xs), len(ys)) == (5, 2)
+        want = int(digraph.domination_number_oracle([xs], ys)[0])
+        assert (int(found[4]), int(found[5])) == (want + 1, want)

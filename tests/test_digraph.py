@@ -29,6 +29,15 @@ def covers(instance, witness):
     return True
 
 
+def arc_pairs(xs, ys):
+    """The arcs (i, j) of one row, by sorted point index."""
+    return [tuple(pair) for pair in np.argwhere(digraph.arcs([np.sort(xs)], np.sort(ys))[0]).tolist()]
+
+
+def oracle_total(instance):
+    return int(digraph.domination_number_oracle(instance.xs[None, :], instance.ys)[0])
+
+
 def random_instance(rng, n_max=12, m_max=4):
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
@@ -72,39 +81,30 @@ class TestConstruction:
 
 
 class TestBallsAndArcs:
-    def test_radii(self):
-        inst = digraph.build_instance([-0.5, 0.3, 0.8], [0.0, 1.0])
-        assert inst.radii().tolist() == pytest.approx([0.5, 0.3, 0.2])
-
-    def test_radius_with_single_anchor(self):
-        inst = digraph.build_instance([-2.0, 3.0], [1.0])
-        assert inst.radii().tolist() == [3.0, 2.0]
-
     def test_arcs_hand_example(self):
         # balls: 0.1 -> (-0.1, 0.3); 0.3 -> (0.0, 0.6); 0.8 -> (0.6, 1.0)
-        inst = digraph.build_instance([0.1, 0.3, 0.8], [0.0, 1.0])
-        assert sorted(digraph.arcs(inst)) == [(1, 0)]
+        assert arc_pairs([0.1, 0.3, 0.8], [0.0, 1.0]) == [(1, 0)]
 
     def test_arcs_are_loopless(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             inst = random_instance(rng)
-            assert all(i != j for i, j in digraph.arcs(inst))
+            assert all(i != j for i, j in arc_pairs(inst.xs, inst.ys))
 
     def test_membership_is_exact_at_rounding_scale(self):
         # the gap 0.5 - 1e-143 rounds to exactly 0.5 in float, but the point
         # is strictly inside the ball of -0.5 and the arc must exist
         inst = digraph.build_instance([-0.5, -1e-143], [0.0])
-        assert (0, 1) in digraph.arcs(inst)
-        assert digraph.domination_number_oracle(inst) == 1
+        assert (0, 1) in arc_pairs(inst.xs, inst.ys)
+        assert oracle_total(inst) == 1
         assert digraph.domination_number_fast(inst).total == 1
 
     def test_boundary_contact_is_not_an_arc(self):
         # ball of 0.5 is (0.25, 0.75); 0.75 sits exactly on its boundary
-        inst = digraph.build_instance([0.5, 0.75], [0.25])
-        assert (0, 1) not in digraph.arcs(inst)
+        pairs = arc_pairs([0.5, 0.75], [0.25])
+        assert (0, 1) not in pairs
         # 0.75 has radius 0.5, so its ball (0.25, 1.25) does catch 0.5
-        assert (1, 0) in digraph.arcs(inst)
+        assert (1, 0) in pairs
 
 
 class TestDominationFast:
@@ -164,33 +164,84 @@ class TestDominationFast:
             assert digraph.domination_number_fast(mirrored).total == base
 
 
+def _by_shape(instances):
+    """Stack (xs, ys) pairs into one sorted (rows, n), (rows, m) batch per (n, m)."""
+    groups = {}
+    for xs, ys in instances:
+        groups.setdefault((len(xs), len(ys)), []).append((np.sort(xs), np.sort(ys)))
+    return [tuple(np.array(part) for part in zip(*group)) for group in groups.values()]
+
+
+def _check_oracle(xs, ys):
+    """The oracle on one row against the exact per-cell path."""
+    if set(xs) & set(ys):
+        return
+    inst = digraph.build_instance(xs, ys)
+    assert oracle_total(inst) == digraph.domination_number_fast(inst).total
+
+
 class TestDominationOracle:
     def test_guard(self):
-        inst = digraph.build_instance(np.linspace(0.01, 0.99, 21), [0.0, 1.0])
         with pytest.raises(ValueError, match="n <= 20"):
-            digraph.domination_number_oracle(inst)
+            digraph.domination_number_oracle(np.linspace(0.01, 0.99, 21)[None, :], [0.0, 1.0])
 
-    def test_matches_fast_on_random_instances(self):
+    @pytest.mark.parametrize("xs, ys", [
+        ([[0.1, 0.4, 0.6], [0.4, 0.4, 0.6]], [0.5]),         # repeated point in row 1
+        ([[0.1, 0.4, 0.6]], [0.5, 0.5]),                     # repeated anchor
+        ([[0.1, 0.5, 0.6]], [[0.5, 0.9]]),                   # point on an anchor
+        ([[0.6, 0.1]], [[0.9, 0.6]]),                        # the same, unsorted
+    ])
+    def test_rejects_ties(self, xs, ys):
+        with pytest.raises(ValueError, match="repeated point, a repeated anchor or a point on an anchor"):
+            digraph.domination_number_oracle(xs, ys)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_matches_kernel_at_n_20(self, grid):
+        rng = np.random.default_rng(20)
+        for m in (1, 3, 6):
+            if grid:
+                # distinct values of a 1/64 grid: edge sums and doublings are
+                # exact, and some points sit on a ball's boundary
+                picks = np.array([rng.permutation(np.arange(-8, 72))[:20 + m] for _ in range(6)]) / 64
+                xs, ys = picks[:, :20], picks[:, 20:]
+            else:
+                xs, ys = rng.uniform(-0.3, 1.3, (6, 20)), rng.random((6, m))
+            xs.sort(axis=1)
+            ys.sort(axis=1)
+            cells, tied = digraph._cell_gammas(xs, ys)
+            assert not tied.any()
+            assert digraph.domination_number_oracle(xs, ys).tolist() == cells.sum(axis=1).tolist()
+
+    def test_matches_kernel_on_random_instances(self):
         rng = np.random.default_rng(17)
+        instances = []
         for _ in range(2000):
             inst = random_instance(rng)
-            fast = digraph.domination_number_fast(inst).total
-            assert digraph.domination_number_oracle(inst) == fast
+            instances.append((inst.xs, inst.ys))
+        for xs, ys in _by_shape(instances):
+            kernel = digraph._cell_gammas(xs, ys)[0].sum(axis=1)
+            assert digraph.domination_number_oracle(xs, ys).tolist() == kernel.tolist()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_matches_fast_property(self, data):
-        xs = data.draw(st.lists(
-            st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=10,
-            unique=True))
-        ys = data.draw(st.lists(
-            st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4,
-            unique=True))
-        if set(xs) & set(ys):
-            return
-        inst = digraph.build_instance(xs, ys)
-        assert (digraph.domination_number_oracle(inst)
-                == digraph.domination_number_fast(inst).total)
+    @given(st.lists(st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=10, unique=True),
+           st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4, unique=True))
+    def test_matches_fast_property(self, xs, ys):
+        _check_oracle(xs, ys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-8, 40), min_size=1, max_size=10, unique=True),
+           st.lists(st.integers(0, 32), min_size=1, max_size=6, unique=True))
+    def test_matches_fast_on_dyadic_data(self, xs, ys):
+        # on a 1/32 grid distances and radii are exact and often equal, so
+        # the suspect band sends many pairs to the Fraction re-check
+        _check_oracle([x / 32 for x in xs], [y / 32 for y in ys])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 150), min_size=1, max_size=10, unique=True),
+           st.lists(st.integers(0, 100), min_size=1, max_size=6, unique=True))
+    def test_matches_fast_on_decimal_data(self, xs, ys):
+        # on a 0.01 grid distances and radii round, and some tie only in reals
+        _check_oracle([x / 100 for x in xs], [y / 100 for y in ys])
 
 
 def _check_cell_kernel(xs, ys):
