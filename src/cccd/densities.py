@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 MASS_TOL = 1e-10
 QUANTILE_BISECT_TOL = 1e-12
 MAX_DERIVATIVE_ORDER = 2
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
 BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
+_GAUSS3, _GL7, _GL15 = (np.polynomial.legendre.leggauss(k) for k in (3, 7, 15))
+# mass check: panels per knot piece at the start, error budget, caps on rounds and live panels
+_MASS_PANELS, _MASS_BUDGET, _MASS_ROUNDS, _MASS_LIVE = 32, 1e-12, 60, 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -186,15 +188,31 @@ class DensityModel:
 
     def _check_mass(self):
         mass = self._mass()
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:  # NaN fails this test too
             raise ValueError(f"{self.family}: density mass {mass!r} deviates from 1 beyond {MASS_TOL}")
 
     def _mass(self):
-        pts = [k for k in self.interior_knots() if self.support.lo < k < self.support.hi]
-        val, _ = integrate.quad(lambda t: float(self.pdf(t)), self.support.lo,
-                                self.support.hi, points=pts or None, limit=200,
-                                epsabs=1e-13, epsrel=1e-13)
-        return val
+        knots = sorted(k for k in self.interior_knots() if self.support.lo < k < self.support.hi)
+        return self._gauss_mass(self.pdf, [self.support.lo, *knots, self.support.hi])
+
+    def _gauss_mass(self, f, breaks):
+        """Integral of the vectorized ``f`` between the sorted ``breaks``.  Each round keeps the panels
+        whose 15- and 7-point Gauss-Legendre sums differ by at most an equal share of the budget left."""
+        a = np.concatenate([np.linspace(lo, hi, _MASS_PANELS + 1)[:-1] for lo, hi in zip(breaks, breaks[1:])])
+        b, total, spent = np.append(a[1:], breaks[-1]), 0.0, 0.0
+        for _ in range(_MASS_ROUNDS):
+            half, mid = 0.5 * (b - a), 0.5 * (b + a)
+            fine, coarse = (half * (w @ f(mid + half * x[:, None])) for x, w in (_GL15, _GL7))
+            err = np.abs(fine - coarse)
+            split = err > (_MASS_BUDGET - spent) / err.size  # NaN splits nothing
+            total, spent = total + fine[~split].sum(), spent + err[~split].sum()
+            if not split.any() or 2 * np.count_nonzero(split) > _MASS_LIVE:
+                break
+            a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        if split.any():
+            raise ValueError(f"{self.family}: density mass did not converge in {_MASS_ROUNDS} rounds "
+                             f"of at most {_MASS_LIVE} panels")
+        return float(total)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -623,10 +641,12 @@ class ArcSine(DensityModel):
         return (-math.inf if which == "lo" else math.inf), True
 
     def _mass(self):
-        # integrate the bounded part against the algebraic endpoint weight
-        val, _ = integrate.quad(lambda t: 1.0 / np.pi, 0.0, 1.0,
-                                weight="alg", wvar=(-0.5, -0.5))
-        return val
+        # t = sin^2(pi u / 2) removes the divergence at both ends; dt/du = pi sqrt(t (1 - t)) is
+        # taken from the rounded t, so that it cancels the rounding of t in pdf(t)
+        def integrand(u):
+            t = np.sin(0.5 * np.pi * u) ** 2
+            return self.pdf(t) * np.pi * np.sqrt(t * (1.0 - t))
+        return self._gauss_mass(integrand, [0.0, 1.0])
 
 
 class Beta(DensityModel):

@@ -227,17 +227,14 @@ def _cell_gammas(xs, ys):
     return cells, tied
 
 
-def upper_bound_counts(instance):
-    """(k1, k2, bound): cell-occupancy counts and the bound 2*k1 + k2."""
-    k1 = k2 = 0
-    for c in range(instance.m + 1):
-        cnt = int(np.count_nonzero(instance.cell_of == c))
-        if c == 0 or c == instance.m:
-            k2 += 1 if cnt > 0 else 0
-        elif cnt == 1:
-            k2 += 1
-        elif cnt > 1:
-            k1 += 1
+def upper_bound_counts(xs, ys):
+    """(k1, k2, bound) per row of points ``xs`` (R, n) and anchors ``ys`` (R, m): k1
+    middle cells with two or more points, k2 occupied end cells and one-point middle cells,
+    and the bound 2*k1 + k2."""
+    cells = (np.asarray(xs)[:, :, None] > np.asarray(ys)[:, None, :]).sum(axis=2)
+    counts = (cells[:, :, None] == np.arange(np.shape(ys)[1] + 1)).sum(axis=1)
+    k1 = (counts[:, 1:-1] > 1).sum(axis=1)
+    k2 = (counts[:, [0, -1]] > 0).sum(axis=1) + (counts[:, 1:-1] == 1).sum(axis=1)
     return k1, k2, 2 * k1 + k2
 
 

@@ -31,14 +31,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
-from .densities import GapUniform, ShrunkUniform, TwoStep, Uniform
+from .densities import _GL7, _GL15, GapUniform, ShrunkUniform, TwoStep, Uniform
 
 # Error floor of the quadrature, and its panel budget.
 _ABS_TOL = 1e-12
 MAX_PANELS = 20_000
-
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL7 = np.polynomial.legendre.leggauss(7)
 
 
 class QuadratureError(RuntimeError):

@@ -10,10 +10,10 @@ Replicate ``r`` consumes the Philox stream keyed by ``(seed, r // BATCH_REPS)``
 at row ``r % BATCH_REPS``, so the counts depend only on ``(seed, r)`` and are
 bit-identical for any worker count and any total replicate budget that
 includes ``r``.  Workers split work at batch boundaries and merge integer
-counts, which commutes.  A batch that would hold more than ``2**24`` uniform
+counts, which commutes.  A batch that would hold more than ``2**18`` uniform
 draws runs in chunks of whole rows, drawn one after another from its stream;
 the stream fills in order, so the chunks bound the working set at large ``n``
-and leave every count unchanged.
+and leave every count unchanged; 2 MiB chunks also keep peak memory steady.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ BATCH_REPS = 2048
 MAX_TIE_REDRAWS = 100
 DEFAULT_THRESHOLD = 4.0
 
-_CHUNK_VALUES = 1 << 24   # most uniform draws a batch holds at once
+_CHUNK_VALUES = 1 << 18   # most uniform draws a batch holds at once; the C allocator
+# may or may not keep a freed chunk of tens of MiB, so larger chunks swing peak RSS
 
 # Second Philox key word for per-replicate redraw streams, disjoint from
 # batch indices (which stay far below 2**63).

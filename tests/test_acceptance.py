@@ -136,22 +136,28 @@ def test_criterion_06_and_07_oracle_equivalence_and_upper_bound():
     rng = np.random.default_rng(6)
     models = [UNIFORM, Linear(1.0), TwoStep(0.5), Beta(2, 2), SquareCdf(),
               GapUniform(0.125), AbsSine()]
-    groups = {}
+    sizes, draws = [], [[] for _ in models]
     for i in range(10_000):
-        model = models[i % len(models)]
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 5))
-        xs = model.quantile(rng.random(n))
-        ys = np.sort(model.quantile(rng.random(m)))
-        if np.unique(ys).size != m or np.intersect1d(xs, ys).size:
-            continue
-        inst = digraph.build_instance(xs, ys)
-        groups.setdefault((n, m), []).append((inst.xs, inst.ys, digraph.upper_bound_counts(inst)[2]))
+        draws[i % len(models)] += [rng.random(n), rng.random(m)]
+        sizes.append((n, m))
+    # one quantile call per model, split back into each instance's points and anchors
+    values = [iter(np.split(model.quantile(np.concatenate(us)), np.cumsum([u.size for u in us[:-1]])))
+              for model, us in zip(models, draws)]
+    groups = {}
+    for i, (n, m) in enumerate(sizes):
+        xs, ys = next(values[i % len(models)]), next(values[i % len(models)])
+        groups.setdefault((n, m), []).append((np.sort(xs), np.sort(ys)))
     mismatches = bound_violations = 0
     for (n, m), group in groups.items():
-        xs, ys, bound = (np.array(part) for part in zip(*group))
+        xs, ys = (np.array(part) for part in zip(*group))
+        # leave out rows with a repeated anchor or a point on an anchor
+        tied = (ys[:, 1:] == ys[:, :-1]).any(axis=1) | (xs[:, :, None] == ys[:, None, :]).any(axis=(1, 2))
+        xs, ys = xs[~tied], ys[~tied]
         kernel = digraph._cell_gammas(xs, ys)[0].sum(axis=1)
         mismatches += int(np.count_nonzero(kernel != digraph.domination_number_oracle(xs, ys)))
+        bound = digraph.upper_bound_counts(xs, ys)[2]
         bound_violations += int(np.count_nonzero((kernel > min(n, 2 * m)) | (kernel > bound)))
     elapsed = time.perf_counter() - start
     print(f"[criterion 6] mismatches={mismatches}/10000 time={elapsed:.1f}s")

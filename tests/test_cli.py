@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,14 @@ class TestArgumentHandling:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_density_with_nan_mass_exits_two(self, capsys):
+        # the normalizer underflows to 0, so the mass is NaN, which once passed the mass check
+        spec = '{"family": "truncated_normal", "params": {"mu": -0.28, "sigma": 0.002}}'
+        rc, out, err = run_cli(capsys, ["exact", "--density", spec, "--n", "5"])
+        assert rc == 2 and out == ""
+        assert "density mass nan" in err
 
     def test_computation_failure_maps_to_one(self, capsys):
         # the cell program is capped at n + m = 400 on every route
@@ -372,3 +384,14 @@ class TestSelftest:
         assert (len(xs), len(ys)) == (5, 2)
         want = int(digraph.domination_number_oracle([xs], ys)[0])
         assert (int(found[4]), int(found[5])) == (want + 1, want)
+
+
+def test_import_leaves_scipy_integrate_and_its_dependencies_unloaded():
+    # every command pays for its imports; the runtime needs only scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    code = f"import sys, cccd.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -70,13 +70,48 @@ def positive_density_points(model, count=41):
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
 def test_mass_is_one(model):
-    # construction already enforces the 1e-10 mass check; recompute to be sure
-    pts = [k for k in model.interior_knots()]
-    val, _ = integrate.quad(lambda t: float(model.pdf(t)), model.support.lo,
-                            model.support.hi, points=pts or None, limit=200)
-    if model.unbounded:
-        val = model.cdf(model.support.hi) - model.cdf(model.support.lo)
+    # construction already enforces the 1e-10 mass check; recompute with scipy's quad
+    lo, hi = model.support.lo, model.support.hi
+    if model.unbounded:  # pdf * sqrt(t (1 - t)) is bounded; quad takes the rest as its weight
+        def bounded(t):  # quad samples the ends, where the pdf diverges: read it one ulp inside
+            t = min(max(t, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+            return float(model.pdf(t)) * math.sqrt((t - lo) * (hi - t))
+        val, _ = integrate.quad(bounded, lo, hi, weight="alg", wvar=(-0.5, -0.5),
+                                epsabs=1e-13, epsrel=1e-13)
+    else:
+        val, _ = integrate.quad(lambda t: float(model.pdf(t)), lo, hi,
+                                points=model.interior_knots() or None, limit=200,
+                                epsabs=1e-13, epsrel=1e-13)
     assert abs(val - 1.0) < 1e-9
+    assert abs(model._mass() - val) <= 1e-12
+
+
+@pytest.mark.parametrize("family, args", [(D.Linear, (1.0,)), (D.PieceQuadratic, (2 / 3,)),
+                                          (D.Beta, (1.22, 21.18)), (D.TruncatedNormal, (0.5, 0.01)),
+                                          (D.ArcSine, ())], ids=lambda v: getattr(v, "__name__", None))
+def test_mass_check_catches_a_pdf_scaled_by_1e_9(family, args):
+    scaled = type("Scaled" + family.__name__, (family,),
+                  {"_pdf": lambda self, x: family._pdf(self, x) * (1.0 + 1e-9)})
+    family(*args)
+    with pytest.raises(ValueError, match="density mass"):
+        scaled(*args)
+
+
+def test_mass_check_that_cannot_converge_raises(monkeypatch):
+    # an oscillation that no panel resolves keeps every panel above its share, up to the panel cap
+    noisy = type("Noisy", (D.Uniform,), {"_pdf": lambda self, x: 1.0 + 1e-9 * np.sin(1e9 * x)})
+    with pytest.raises(ValueError, match="did not converge"):
+        noisy()
+    # the square-root cusp of QPower(0.5) needs more than three rounds of halving
+    monkeypatch.setattr(D, "_MASS_ROUNDS", 3)
+    with pytest.raises(ValueError, match="did not converge in 3 rounds"):
+        D.QPower(0.5)
+
+
+def test_nan_mass_is_rejected():
+    # the normalizer underflows to 0, so the pdf is NaN or infinite everywhere
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="density mass nan"):
+        D.TruncatedNormal(-0.28, 0.002)
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)

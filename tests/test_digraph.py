@@ -345,15 +345,15 @@ class TestCellKernelWideRows:
 class TestUpperBound:
     def test_hand_counts(self):
         inst = digraph.build_instance([-0.5, -0.125, 0.25, 0.625, 1.25], [0.0, 1.0])
-        k1, k2, bound = digraph.upper_bound_counts(inst)
-        assert (k1, k2) == (1, 2)
-        assert bound == 4
+        k1, k2, bound = digraph.upper_bound_counts(inst.xs[None], inst.ys[None])
+        assert (k1.tolist(), k2.tolist()) == ([1], [2])
+        assert bound.tolist() == [4]
 
     def test_bound_holds(self):
         rng = np.random.default_rng(19)
         for _ in range(500):
             inst = random_instance(rng)
             gamma = digraph.domination_number_fast(inst).total
-            _, _, bound = digraph.upper_bound_counts(inst)
+            bound = int(digraph.upper_bound_counts(inst.xs[None], inst.ys[None])[2][0])
             assert 1 <= gamma <= bound <= min(inst.n, 2 * inst.m)
 
