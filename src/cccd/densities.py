@@ -22,7 +22,15 @@ QUANTILE_BISECT_TOL = 1e-12
 MAX_DERIVATIVE_ORDER = 2
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
 BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
-_GAUSS3, _GL7, _GL15 = (np.polynomial.legendre.leggauss(k) for k in (3, 7, 15))
+_GAUSS3 = np.polynomial.legendre.leggauss(3)
+# nested 7/15 Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15): nodes, Kronrod weights, Gauss weights of odd nodes
+_KX = np.array([0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+                0.586087235467691130, 0.405845151377397167, 0.207784955007898468])
+_KW = np.array([0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+                0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828])
+_GW = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945, 0.417959183673469388])
+_KRONROD15 = (np.concatenate([-_KX, [0.0], _KX[::-1]]), np.concatenate([_KW, _KW[-2::-1]]),
+              np.concatenate([_GW, _GW[-2::-1]]))
 # mass check: panels per knot piece at the start, error budget, caps on rounds and live panels
 _MASS_PANELS, _MASS_BUDGET, _MASS_ROUNDS, _MASS_LIVE = 32, 1e-12, 60, 2 ** 14
 
@@ -116,14 +124,23 @@ class DensityModel:
                 break
         return 0.5 * (lo + hi)
 
+    def _in_support(self, a):
+        """True for a nonempty array inside the support: no mask needed.  NaN fails, scalars go masked."""
+        return a.ndim > 0 and a.size > 0 and a.min() >= self.support.lo and a.max() <= self.support.hi
+
     def pdf(self, x):
         a = _as_array(x)
+        if self._in_support(a):
+            return self._pdf(a)
         inside = (a >= self.support.lo) & (a <= self.support.hi)
         out = np.where(inside, self._pdf(np.clip(a, self.support.lo, self.support.hi)), 0.0)
         return _scalar_like(x, out)
 
     def cdf(self, x):
         a = _as_array(x)
+        if self._in_support(a):
+            out = self._cdf(a)
+            return np.clip(out, 0.0, 1.0, out=None if out is a else out)
         clipped = np.clip(a, self.support.lo, self.support.hi)
         out = np.clip(self._cdf(clipped), 0.0, 1.0)
         out = np.where(a < self.support.lo, 0.0, out)
@@ -136,14 +153,14 @@ class DensityModel:
         return _scalar_like(u, out.copy() if out is a else out)
 
     def _unit_quantile(self, a):
-        """Checked quantile, clipped to the support, or ``a`` itself when the
+        """Checked quantile, clipped in place to the support, or ``a`` itself when the
         quantile is the identity: the support is then [0, 1], where the checked
         ``a`` needs no clip, and a caller that owns ``a`` pays no copy."""
         # NaN fails both comparisons, and min and max propagate it
         if a.size and not (a.min() >= 0 and a.max() <= 1):
             raise ValueError(f"quantile: u must lie in [0,1], got {a[(a < 0) | (a > 1) | ~np.isfinite(a)][:1]}")
-        out = self._quantile(a)
-        return out if out is a else np.clip(out, self.support.lo, self.support.hi)
+        out, lo, hi = self._quantile(a), self.support.lo, self.support.hi
+        return out if out is a else np.clip(out, lo, hi, out=out if np.ndim(out) else None)
 
     def pdf_derivative(self, x, order):
         """Derivative of the density at interior points, orders 0 to 2."""
@@ -197,12 +214,13 @@ class DensityModel:
 
     def _gauss_mass(self, f, breaks):
         """Integral of the vectorized ``f`` between the sorted ``breaks``.  Each round keeps the panels
-        whose 15- and 7-point Gauss-Legendre sums differ by at most an equal share of the budget left."""
+        whose nested 7/15 Gauss-Kronrod sums differ by at most an equal share of the budget left."""
         a = np.concatenate([np.linspace(lo, hi, _MASS_PANELS + 1)[:-1] for lo, hi in zip(breaks, breaks[1:])])
         b, total, spent = np.append(a[1:], breaks[-1]), 0.0, 0.0
         for _ in range(_MASS_ROUNDS):
             half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            fine, coarse = (half * (w @ f(mid + half * x[:, None])) for x, w in (_GL15, _GL7))
+            vals = f(mid + half * _KRONROD15[0][:, None])
+            fine, coarse = half * (_KRONROD15[1] @ vals), half * (_KRONROD15[2] @ vals[1::2])
             err = np.abs(fine - coarse)
             split = err > (_MASS_BUDGET - spent) / err.size  # NaN splits nothing
             total, spent = total + fine[~split].sum(), spent + err[~split].sum()
@@ -667,6 +685,8 @@ class Beta(DensityModel):
             self._lognorm = _beta_quantile_table(nu1, nu2)[3]
         else:
             self._lognorm = special.betaln(nu1, nu2)
+        # the density at an end whose shape is 1; exp(-log B) would overflow at large shapes
+        self._unit_end_pdf = float(np.exp(-self._lognorm)) if min(nu1, nu2) == 1.0 else 0.0
         super().__init__(_unit_support(support))
 
     @property
@@ -678,7 +698,7 @@ class Beta(DensityModel):
         out = _beta_pdf(self.nu1, self.nu2, self._lognorm, np.where(inner, x, 0.5))
         # at an end the density is 1/B where that end's shape is 1, else 0
         unit_end = np.where(x <= 0.0, self.nu1, self.nu2) == 1.0
-        return np.where(inner, out, np.where(unit_end, np.exp(-self._lognorm), 0.0))
+        return np.where(inner, out, np.where(unit_end, self._unit_end_pdf, 0.0))
 
     def _cdf(self, x):
         return special.betainc(self.nu1, self.nu2, x)

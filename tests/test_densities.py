@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ def test_mass_is_one(model):
                                 epsabs=1e-13, epsrel=1e-13)
     assert abs(val - 1.0) < 1e-9
     assert abs(model._mass() - val) <= 1e-12
+
+
+def test_kronrod_rule_nests_the_seven_point_gauss_rule():
+    nodes, kronrod, gauss = D._KRONROD15
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(nodes[1::2] - x7)) <= 1e-15
+    assert np.max(np.abs(gauss - w7)) <= 1e-15
+    assert abs(kronrod.sum() - 2.0) <= 1e-15 and abs(gauss.sum() - 2.0) <= 1e-15
+    for k in range(23):  # K15 is exact through degree 3 * 7 + 1
+        assert abs(kronrod @ nodes ** k - (1 - k % 2) * 2.0 / (k + 1)) <= 1e-15, k
 
 
 @pytest.mark.parametrize("family, args", [(D.Linear, (1.0,)), (D.PieceQuadratic, (2 / 3,)),
@@ -384,6 +395,43 @@ def test_beta_pdf_at_the_ends():
     for (nu1, nu2), ends in {(1, 3): [3.0, 0.0], (2, 1): [0.0, 2.0], (1, 1): [1.0, 1.0],
                              (2, 2): [0.0, 0.0]}.items():
         assert D.Beta(nu1, nu2).pdf(np.array([0.0, 1.0])) == pytest.approx(ends, rel=1e-15)
+
+
+def test_beta_with_large_shapes_builds_without_overflow():
+    # 1/B(1000, 1000) overflows a double; only an end whose shape is 1 needs it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = D.Beta(1000, 1000)
+        assert model.pdf(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+        assert model.pdf(0.5) == pytest.approx(35.678, rel=1e-4)
+        # exp(-log B) as before, to the bit
+        for shape, ends in {(1, 3): [3.0000000000000004, 0.0], (4, 1): [0.0, 4.0]}.items():
+            beta = D.Beta(*shape)
+            assert beta.pdf(np.array([0.0, 1.0])).tolist() == ends
+            assert [beta.pdf(0.0), beta.pdf(1.0)] == ends
+            assert max(ends) == np.exp(-beta._lognorm)
+
+
+@pytest.mark.parametrize("model", model_zoo(), ids=repr)
+def test_pdf_and_cdf_skip_the_mask_inside_the_support(model, monkeypatch):
+    lo, hi = model.support.lo, model.support.hi
+    inside = lo + (hi - lo) * np.array([[0.0, 1e-300, 0.125, 0.25, 0.5],
+                                        [0.6, 0.75, 0.9, 1.0 - 2.0 ** -53, 1.0]])
+    mixed = np.array([lo - 1.0, np.nextafter(lo, -np.inf), lo, 0.5 * (lo + hi), hi,
+                      np.nextafter(hi, np.inf), hi + 1.0, np.nan, -np.inf, np.inf])
+    with np.errstate(divide="ignore"):
+        fast = [model.pdf(inside), model.cdf(inside)]
+        rest = [model.pdf(mixed), model.cdf(mixed)]
+        assert not any(np.shares_memory(out, inside) for out in fast)
+        monkeypatch.setattr(D.DensityModel, "_in_support", lambda self, a: False)
+        masked = [model.pdf(inside), model.cdf(inside)]
+        old_rest = [model.pdf(mixed), model.cdf(mixed)]
+    for got, want in zip(fast + rest, masked + old_rest):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    pdf, cdf = rest
+    assert pdf[[0, 1, 5, 6, 7, 8, 9]].tolist() == [0.0] * 7
+    assert cdf[[0, 1, 8]].tolist() == [0.0] * 3 and cdf[[5, 6, 9]].tolist() == [1.0] * 3
+    assert np.isnan(cdf[7])
 
 
 @pytest.mark.parametrize("shape", [(2, 200), (100, 100), (2, 2)], ids=str)
