@@ -13,7 +13,6 @@ from cccd.asymptotics import (
     empirical_rate_exponent,
     limit_family_formula,
     limit_unbounded,
-    rate_constant,
 )
 from cccd.densities import (
     AbsSine,
@@ -43,11 +42,6 @@ def main():
     print(f"  limit = {limit_unbounded(ArcSine()):.12f} (closed answer: 1)")
     row = describe_limit(ArcSine())
     print(f"  describe_limit: method={row['method']} k={row['k']} ell={row['ell']}")
-    print()
-
-    print("First-order rate constants (zero means the n^-1/(k+1) term dies):")
-    for model in (Linear(1.0), Uniform(), Beta(2, 2)):
-        print(f"  {model.family:12s} c = {rate_constant(model):+.6f}")
     print()
 
     print("Fitted log-log slopes of |p_n - limit|:")

@@ -21,7 +21,6 @@ from cccd.multianchor import (
     conditional_on_anchors,
     expected_gamma,
     expected_gamma_hu,
-    gamma_growth_check,
     pmf_conditional_table,
     pmf_random_anchors_table,
 )
@@ -71,12 +70,13 @@ def main():
         print(f"  P(gamma -> {k}) = {prob:.6f}")
     print()
 
-    print("Equal counts n = m growing together (Monte Carlo means):")
-    report = gamma_growth_check((5, 10, 20, 40), reps=4000, seed=0)
-    for n, mean in zip(report.n_grid, report.means):
-        print(f"  n=m={n:<3d} E[gamma] ~ {mean:.2f}")
-    print(f"  strictly increasing: {report.strictly_increasing}; "
-          f"linear lower bound met: {report.linear_bound_met}")
+    print("Equal counts n = m growing together (exact rational means):")
+    means = []
+    for n in (5, 10, 20, 40):
+        means.append(expected_gamma_hu(n, n, [p_uniform_fraction(i) for i in range(1, n + 1)]))
+        print(f"  n=m={n:<3d} E[gamma] = {float(means[-1]):.6f}")
+    print(f"  strictly increasing: {all(b > a for a, b in zip(means, means[1:]))}; "
+          f"E[gamma] / n at n = 40: {float(means[-1]) / 40:.4f}")
 
 
 if __name__ == "__main__":

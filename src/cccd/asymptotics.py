@@ -19,8 +19,7 @@ This module evaluates that limit from analytic one-sided derivatives
 (``asymptotic_profile``), from per-family closed formulas
 (``limit_family_formula``), and through a vanishing-margin ratio that also
 covers densities diverging at the support edge (``limit_unbounded``).  The
-leading finite-n correction coefficient is exposed as ``rate_constant``;
-its decay exponent is only ever measured empirically, see
+decay toward the limit is measured, not derived: see
 ``empirical_rate_exponent``.
 """
 
@@ -230,54 +229,6 @@ def limit_matched_derivatives(k, ell):
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"{name}: expected a nonnegative integer order, got {value!r}")
     return 1.0 / ((1.0 + 2.0 ** -(k + 1)) * (1.0 + 2.0 ** -(ell + 1)))
-
-
-def _real_power(base, exponent):
-    if base < 0.0 and exponent != int(exponent):
-        raise ValueError(
-            f"rate constant: fractional power {exponent:g} of the negative combination "
-            f"{base:g} leaves the real line; the correction coefficient is undefined for "
-            "this derivative sign pattern")
-    if base < 0.0:
-        return (-1.0) ** int(exponent) * (-base) ** exponent
-    return base ** exponent
-
-
-def rate_constant(model):
-    """Leading correction coefficient c(f) with the sample-size powers struck.
-
-    The finite-n expansion reads p_n = p_limit + c(f) / n**m with an exponent
-    m that this module never asserts; the coefficient is informational and
-    ``empirical_rate_exponent`` measures the decay instead.  Needs one
-    derivative order beyond the profile orders k and ell at the respective
-    endpoints, so profiles with k or ell at 2 are out of range.
-    """
-    prof = asymptotic_profile(model)
-    k, ell = prof.k, prof.ell
-    if k + 1 > MAX_ORDER or ell + 1 > MAX_ORDER:
-        raise ValueError(
-            f"{model.family}: the correction needs order {max(k, ell) + 1} endpoint "
-            f"derivatives and only orders through {MAX_ORDER} are available")
-    d_lo_next = model.one_sided_derivative("lo", "+", k + 1)
-    d_hi_next = model.one_sided_derivative("hi", "-", ell + 1)
-    if d_lo_next.is_infinite or d_hi_next.is_infinite:
-        raise ValueError(
-            f"{model.family}: the order-{max(k, ell) + 1} endpoint derivative diverges; "
-            "the correction coefficient is undefined")
-    s1 = ((-1.0) ** (ell + 1) / (math.factorial(k) * math.factorial(ell + 1))
-          * prof.d_lo * d_hi_next.value)
-    s2 = ((-1.0) ** ell / (math.factorial(ell) * math.factorial(k + 1))
-          * d_lo_next.value * prof.d_hi)
-    s3 = prof.alpha_k / math.factorial(k + 1)
-    s4 = (-1.0) ** (ell + 1) / math.factorial(ell + 1) * prof.beta_ell
-    if s1 == 0.0 and s2 == 0.0:
-        return 0.0
-    numerator = (s1 * _real_power(s3, 1.0 / (k + 1)) * math.gamma((ell + 2) / (ell + 1))
-                 + s2 * _real_power(s4, 1.0 / (ell + 1)) * math.gamma((k + 2) / (k + 1)))
-    denominator = ((k + 1) * (ell + 1)
-                   * _real_power(s3, (k + 2) / (k + 1))
-                   * _real_power(s4, (ell + 2) / (ell + 1)))
-    return numerator / denominator
 
 
 def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):

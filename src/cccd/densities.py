@@ -722,26 +722,24 @@ class Beta(DensityModel):
         return x
 
     def _pdf_derivative(self, x, order):
+        # f' = f g and f'' = f (g^2 + g') with g = (log f)', so 1/B stays in log space
         a, b = self.nu1 - 1.0, self.nu2 - 1.0
-        c = math.exp(-self._lognorm)
+        f = _beta_pdf(self.nu1, self.nu2, self._lognorm, x)
+        g = a / x - b / (1.0 - x)
         if order == 1:
-            return c * (a * x ** (a - 1.0) * (1.0 - x) ** b
-                        - b * x ** a * (1.0 - x) ** (b - 1.0))
-        return c * (a * (a - 1.0) * x ** (a - 2.0) * (1.0 - x) ** b
-                    - 2.0 * a * b * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
-                    + b * (b - 1.0) * x ** a * (1.0 - x) ** (b - 2.0))
+            return f * g
+        return f * (g * g - a / x ** 2 - b / (1.0 - x) ** 2)
 
     def _one_sided(self, which, side, order):
-        c = math.exp(-self._lognorm)
         if which == "mid":
             return float(self.pdf_derivative(0.5, order)), False
         # at 1- the density mirrors Beta(nu2, nu1) at 0+ with sign (-1)^order
         a, b = (self.nu1 - 1.0, self.nu2 - 1.0) if which == "lo" else (self.nu2 - 1.0, self.nu1 - 1.0)
         sign = 1.0 if which == "lo" else (-1.0) ** order
+        # only the branches with a <= 2 read 1/B, which overflows at large shapes
+        c = math.exp(-self._lognorm) if a <= 2.0 else math.nan
         val, inf = self._power_limit(a, b, c, order)
-        if inf:
-            return sign * val, True
-        return sign * val, False
+        return sign * val, inf
 
     @staticmethod
     def _power_limit(a, b, c, order):

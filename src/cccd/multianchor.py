@@ -36,7 +36,6 @@ import numpy as np
 from scipy import special
 
 from . import simulate
-from .densities import Uniform
 from .exact import _to_unit, probability
 
 # Caps n + m on every route that runs the cell program or reads p_0..p_n, by
@@ -228,6 +227,15 @@ def _cell_masses(fx, anchors_sorted, hu_family):
     return np.diff(np.atleast_2d(anchors_sorted), prepend=lo, append=hi, axis=1) / (hi - lo)
 
 
+@functools.cache
+def _unit_gauss_rule(nodes):
+    """Gauss-Legendre nodes and weights on [0, 1], built once per process and read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
     """Nested Gauss-Legendre points (N, m) and weights (N,) over lo < y_1 < ... < y_m < hi.
 
@@ -235,8 +243,7 @@ def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
     split at the ``knots`` inside it, so an integrand that is polynomial
     between knots is integrated exactly up to the degree of the rule.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x, w = _unit_gauss_rule(nodes)
     breaks = np.array([lo, *sorted(float(k) for k in knots if lo < k < hi), hi])
     points, weights, start = np.empty((1, 0)), np.ones(1), np.full(1, lo)
     for _ in range(m):
@@ -405,37 +412,3 @@ def asymptotic_law_fixed_m(p_cell_limits, m):
     for p in limits:
         law = np.convolve(law, [1.0 - p, p])
     return {m + 1 + i: float(q) for i, q in enumerate(law)}
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Monte Carlo summary of how the expected domination number scales."""
-
-    n_grid: tuple
-    means: tuple
-    reps: int
-    seed: int
-    strictly_increasing: bool
-    linear_bound_met: bool
-
-
-def gamma_growth_check(n_grid, reps=10_000, seed=0):
-    """Estimate E[gamma] for equal point and anchor counts over a grid of sizes.
-
-    Uniform points against uniform anchors.  Reports whether the means grow
-    strictly and whether the largest size reaches half its point count.
-    """
-    n_grid = tuple(int(v) for v in n_grid)
-    if not n_grid or any(v < 1 for v in n_grid):
-        raise ValueError(f"n_grid: need sizes of at least 1, got {n_grid!r}")
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError(f"reps: need at least one replicate, got {reps}")
-    means = []
-    for n in n_grid:
-        plan = simulate.SimulationPlan(fx=Uniform(), fy=Uniform(), n=n, m=n, reps=reps, seed=seed)
-        means.append(sum(k * c for k, c in simulate.run(plan).items()) / reps)
-    increasing = all(b > a for a, b in zip(means, means[1:]))
-    bound = means[-1] >= 0.5 * n_grid[-1]
-    return GrowthReport(n_grid=n_grid, means=tuple(means), reps=reps, seed=seed,
-                        strictly_increasing=increasing, linear_bound_met=bound)

@@ -14,7 +14,6 @@ from cccd.asymptotics import (
     limit_family_formula,
     limit_matched_derivatives,
     limit_unbounded,
-    rate_constant,
 )
 from cccd.densities import (
     AbsSine,
@@ -217,24 +216,6 @@ class TestMatchedDerivatives:
             limit_matched_derivatives(-1, 0)
         with pytest.raises(ValueError, match="ell"):
             limit_matched_derivatives(0, 1.5)
-
-
-class TestRateConstant:
-    def test_linear_value(self):
-        # s1 = -1/2, s2 = 3/2, s3 = 1, s4 = -2 for the unit slope
-        assert rate_constant(Linear(1.0)) == pytest.approx(-0.875, abs=1e-14)
-
-    def test_uniform_has_no_polynomial_term(self):
-        assert rate_constant(Uniform()) == 0.0
-
-    def test_degenerate_endpoint_coefficients(self):
-        # vanishing endpoint densities (or second derivatives) zero out s1, s2
-        assert rate_constant(Beta(2.0, 2.0)) == 0.0
-        assert rate_constant(AbsSine()) == 0.0
-
-    def test_needs_one_extra_order(self):
-        with pytest.raises(ValueError, match="order 3"):
-            rate_constant(PieceQuadratic(0.0))
 
 
 class TestEmpiricalRate:

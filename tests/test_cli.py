@@ -223,6 +223,13 @@ class TestAsymptotic:
         assert rows[0]["p_limit"] == pytest.approx(1.0, abs=1e-6)
 
 
+    def test_beta_with_large_shapes_exits_zero(self, capsys):
+        density = '{"family": "beta", "params": {"nu1": 1000, "nu2": 1000}}'
+        rc, out, _ = run_cli(capsys, ["asymptotic", "--density", density])
+        assert rc == 0
+        _, rows, _ = parse_json_lines(out)
+        assert (rows[0]["method"], rows[0]["p_limit"]) == ("derivative-profile", 0.0)
+
 class TestMulti:
     def test_pmf_rows_normalize_and_match_expected_value(self, capsys):
         rc, out, _ = run_cli(capsys, ["multi", "--n", "4", "--m", "2"])

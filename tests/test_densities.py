@@ -412,6 +412,42 @@ def test_beta_with_large_shapes_builds_without_overflow():
             assert max(ends) == np.exp(-beta._lognorm)
 
 
+def test_beta_derivatives_with_large_shapes_stay_finite():
+    # the derivatives scale the pdf, so 1/B(1000, 1000) is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = D.Beta(1000, 1000)
+        assert model.pdf_derivative(0.5, 1) == 0.0
+        # g = 0 at the mode, so f'' = -f (999 / 0.25 + 999 / 0.25)
+        assert model.pdf_derivative(0.5, 2) == pytest.approx(-7992.0 * model.pdf(0.5), rel=1e-14)
+        lo = model.one_sided_derivative("lo", "+", 1)
+        assert (lo.value, lo.is_infinite) == (0.0, False)
+        assert model.one_sided_derivative("mid", "+", 1).value == 0.0
+
+
+@pytest.mark.parametrize("which, side", [("lo", "+"), ("hi", "-")])
+def test_beta_endpoint_derivatives_with_large_shapes_vanish(which, side):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = D.Beta(1000, 1000)
+        for order in (0, 1, 2):
+            d = model.one_sided_derivative(which, side, order)
+            assert (d.value, d.is_infinite) == (0.0, False)
+
+
+def test_beta_derivatives_match_the_expanded_power_form():
+    model = D.Beta(30.0, 30.0)
+    a = b = 29.0
+    c = math.exp(-model._lognorm)
+    x = np.linspace(0.05, 0.95, 19)
+    first = c * (a * x ** (a - 1) * (1 - x) ** b - b * x ** a * (1 - x) ** (b - 1))
+    second = c * (a * (a - 1) * x ** (a - 2) * (1 - x) ** b
+                  - 2 * a * b * x ** (a - 1) * (1 - x) ** (b - 1)
+                  + b * (b - 1) * x ** a * (1 - x) ** (b - 2))
+    np.testing.assert_allclose(model.pdf_derivative(x, 1), first, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.pdf_derivative(x, 2), second, rtol=1e-12, atol=1e-9)
+
+
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
 def test_pdf_and_cdf_skip_the_mask_inside_the_support(model, monkeypatch):
     lo, hi = model.support.lo, model.support.hi

@@ -17,7 +17,6 @@ from cccd.multianchor import (
     conditional_on_anchors,
     expected_gamma,
     expected_gamma_hu,
-    gamma_growth_check,
     pmf_conditional_table,
     pmf_random_anchors_table,
     _pair_probs,
@@ -435,6 +434,43 @@ class TestPairProbabilityMemo:
         assert calls == []
 
 
+class TestAnchorRuleCache:
+    @staticmethod
+    def anchor_quadrature_results():
+        """Anchor-rule users: the expected_gamma grid and a Beta-anchor table (24 and 48 nodes)."""
+        means = [expected_gamma(Uniform(), Uniform(), n, m) for n in range(1, 9) for m in range(1, 5)]
+        return means, pmf_random_anchors_table(Uniform(), Beta(2, 2), 5, 3)
+
+    def test_each_rule_is_built_once(self, monkeypatch):
+        multianchor._unit_gauss_rule.cache_clear()
+        calls = []
+        build = np.polynomial.legendre.leggauss
+
+        def counting(nodes):
+            calls.append(nodes)
+            return build(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        self.anchor_quadrature_results()
+        self.anchor_quadrature_results()
+        assert sorted(calls) == [24, 48]
+
+    def test_cached_rule_is_read_only(self):
+        x, w = multianchor._unit_gauss_rule(24)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_results_match_a_rule_rebuilt_on_every_call(self, monkeypatch):
+        means, table = self.anchor_quadrature_results()
+        monkeypatch.setattr(multianchor, "_unit_gauss_rule", multianchor._unit_gauss_rule.__wrapped__)
+        fresh_means, fresh_table = self.anchor_quadrature_results()
+        assert means == fresh_means
+        assert np.array_equal(table, fresh_table)
+
+
 class TestExpectedGammaHu:
     def test_exact_values(self):
         assert expected_gamma_hu(2, 1, [Fraction(0), Fraction(1, 3)]) == Fraction(4, 3)
@@ -442,6 +478,17 @@ class TestExpectedGammaHu:
         table3 = [p_uniform_fraction(i) for i in range(1, 4)]
         assert expected_gamma_hu(3, 2, table3) == Fraction(229, 120)
         assert expected_gamma_hu(3, 3, table3) == Fraction(257, 120)
+
+    def test_single_point_and_anchor_mean_is_one(self):
+        assert expected_gamma_hu(1, 1, [p_uniform_fraction(1)]) == 1
+
+    def test_equal_counts_grow_linearly(self):
+        means = [expected_gamma_hu(n, n, [p_uniform_fraction(i) for i in range(1, n + 1)])
+                 for n in (5, 10, 20, 40)]
+        assert all(b > a for a, b in zip(means, means[1:]))
+        assert all(n / 2 <= mean <= n for n, mean in zip((5, 10, 20, 40), means))
+        table = pmf_random_anchors_table(Uniform(), Uniform(), 10, 10)
+        assert float(np.arange(len(table)) @ table) == pytest.approx(float(means[1]), rel=1e-13)
 
     def test_large_counts_switch_to_log_gamma(self):
         def reference(n, m, p_table):
@@ -524,26 +571,3 @@ class TestGammaRows:
             got = digraph._cell_gammas(xs[None, :], ys[None, :])[0].sum()
             want = digraph.domination_number_fast(digraph.CccdInstance(xs, ys)).total
             assert got == want
-
-
-class TestGammaGrowth:
-    def test_means_grow_and_stay_linear(self):
-        report = gamma_growth_check((5, 10, 20, 40), reps=4000, seed=1)
-        assert report.strictly_increasing
-        assert report.linear_bound_met
-        assert report.means[-1] >= 20.0
-
-    def test_single_point_mean_is_exact(self):
-        report = gamma_growth_check((1,), reps=500, seed=2)
-        assert report.means == (1.0,)
-
-    def test_deterministic(self):
-        a = gamma_growth_check((3, 6), reps=300, seed=9)
-        b = gamma_growth_check((3, 6), reps=300, seed=9)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_grid"):
-            gamma_growth_check(())
-        with pytest.raises(ValueError, match="reps"):
-            gamma_growth_check((2,), reps=0)
