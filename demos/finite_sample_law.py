@@ -10,7 +10,7 @@ quadrature of the two-dimensional integral that works for everything.
 
 from fractions import Fraction
 
-from cccd.densities import GapUniform, ShrunkUniform, SquareCdf, TwoStep, Uniform
+from cccd.densities import GapUniform, ShrunkUniform, SquareCdf, TwoStep
 from cccd.exact import p_uniform_fraction, probability
 
 

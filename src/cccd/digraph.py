@@ -4,13 +4,11 @@ Vertices are the points ``xs``; each vertex carries an open ball whose radius
 is its distance to the nearest anchor in ``ys``. An arc runs from i to j when
 x_j lies inside the ball of x_i. The anchors cut the line into cells, arcs
 never cross a cell boundary, and the minimum dominating set size decomposes
-into independent per-cell contributions, which is what the fast path exploits.
+into independent per-cell contributions, which ``_cell_gammas`` computes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,65 +33,6 @@ def _suspect_band(a, b):
     return np.abs(a - b) <= 8.0 * np.spacing(scale)
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    j: int              # 1-based cell index; 1 and m+1 are the end cells
-    lo: float           # -inf for the left end cell
-    hi: float           # +inf for the right end cell
-    count: int
-    gamma: int
-    witness: tuple
-
-
-@dataclass(frozen=True)
-class DominationResult:
-    total: int
-    per_interval: tuple
-    dominating_set: tuple
-
-
-class CccdInstance:
-    """Sorted points and anchors; rejects exact ties at construction."""
-
-    def __init__(self, xs, ys):
-        xs = np.sort(np.asarray(xs, dtype=float))
-        ys = np.sort(np.asarray(ys, dtype=float))
-        if xs.size == 0:
-            raise ValueError("xs: need at least one point")
-        if ys.size == 0:
-            raise ValueError("ys: need at least one anchor")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("xs/ys: all coordinates must be finite")
-        dup_x = xs[:-1][np.diff(xs) == 0.0]
-        if dup_x.size:
-            raise ValueError(f"xs: duplicate point value {dup_x[0]!r}")
-        dup_y = ys[:-1][np.diff(ys) == 0.0]
-        if dup_y.size:
-            raise ValueError(f"ys: duplicate anchor value {dup_y[0]!r}")
-        collisions = np.intersect1d(xs, ys)
-        if collisions.size:
-            raise ValueError(f"xs/ys: point collides with anchor at {collisions[0]!r}")
-        self.xs = xs
-        self.ys = ys
-        self.n = int(xs.size)
-        self.m = int(ys.size)
-        # cell index per point: 0..m, cell c spans (ys[c-1], ys[c])
-        self.cell_of = np.searchsorted(ys, xs)
-
-    def cell_bounds(self, c):
-        """Bounds of 0-based cell c as floats, infinite at the ends."""
-        lo = -math.inf if c == 0 else float(self.ys[c - 1])
-        hi = math.inf if c == self.m else float(self.ys[c])
-        return lo, hi
-
-    def cell_points(self, c):
-        return self.xs[self.cell_of == c]
-
-
-def build_instance(xs, ys):
-    return CccdInstance(xs, ys)
-
-
 def arcs(xs, ys):
     """Strict ball membership for rows of points, exact at the boundary.
 
@@ -116,49 +55,6 @@ def arcs(xs, ys):
     diagonal = np.arange(xs.shape[1])
     inside[:, diagonal, diagonal] = False
     return inside
-
-
-def _end_cell_report(instance, c, j):
-    pts = instance.cell_points(c)
-    lo, hi = instance.cell_bounds(c)
-    if pts.size == 0:
-        return IntervalReport(j, lo, hi, 0, 0, ())
-    witness = float(pts.min()) if c == 0 else float(pts.max())
-    return IntervalReport(j, lo, hi, int(pts.size), 1, (witness,))
-
-
-def _middle_cell_report(instance, c, j):
-    pts = instance.cell_points(c)
-    lo, hi = instance.cell_bounds(c)
-    if pts.size == 0:
-        return IntervalReport(j, lo, hi, 0, 0, ())
-    # all comparisons in exact arithmetic: points a rounding error away from
-    # a region boundary must land on the mathematically correct side
-    fpts = [Fraction(float(p)) for p in pts]
-    lo_edge = max(fpts) + Fraction(lo)   # doubled-region bounds: compare to 2p
-    hi_edge = min(fpts) + Fraction(hi)
-    inside = [p for p in fpts if lo_edge < 2 * p < hi_edge]
-    if inside:
-        return IntervalReport(j, lo, hi, int(pts.size), 1, (float(min(inside)),))
-    # gamma = 2: the rightmost point still covering min X, paired with the
-    # leftmost point still covering max X
-    left = max(p for p in fpts if 2 * p < hi_edge)
-    right = min(p for p in fpts if 2 * p > lo_edge)
-    return IntervalReport(j, lo, hi, int(pts.size), 2, (float(left), float(right)))
-
-
-def domination_number_fast(instance):
-    """Minimum dominating set size via the per-cell decomposition."""
-    reports = []
-    for c in range(instance.m + 1):
-        j = c + 1
-        if c == 0 or c == instance.m:
-            reports.append(_end_cell_report(instance, c, j))
-        else:
-            reports.append(_middle_cell_report(instance, c, j))
-    witness = sorted(w for r in reports for w in r.witness)
-    total = sum(r.gamma for r in reports)
-    return DominationResult(total, tuple(reports), tuple(witness))
 
 
 def _two_sum(a, b):
@@ -194,10 +90,12 @@ def _cell_gammas(xs, ys):
     or a point on an anchor, whose cells mean nothing.  Cells are found by
     rank, with one binary search for all anchors and one for all witnesses,
     so only the tie check reads every point and the rest costs
-    O(reps * m * log n).  The cells equal those of ``domination_number_fast``:
-    a doubled point is exact in floats, so a float comparison with a rounded
-    edge sum can only be wrong when the two are equal, and there the sum's
-    rounding error, from ``_two_sum``, decides.
+    O(reps * m * log n).  An occupied end cell gives 1; an occupied middle
+    cell (lo, hi) gives 1 when some point p in it has max + lo < 2p < min + hi
+    in real arithmetic (max and min over the cell), and 2 otherwise.  A doubled
+    point is exact in floats, so a float comparison with a rounded edge sum
+    can only be wrong when the two are equal, and there the sum's rounding
+    error, from ``_two_sum``, decides.
     """
     reps, n = xs.shape
     ys = np.broadcast_to(ys, (reps, np.shape(ys)[-1]))
@@ -247,7 +145,7 @@ def domination_number_oracle(xs, ys):
     union for all 2^n subsets, and the answer is the smallest size of a subset
     whose union covers every point.  Rows go in chunks of at most 2^22
     subsets.  Guarded to small n; rows with a repeated point, a repeated
-    anchor or a point on an anchor raise, as ``CccdInstance`` does.
+    anchor or a point on an anchor, where the digraph is undefined, raise.
     """
     xs = np.sort(np.asarray(xs, dtype=float), axis=1)
     reps, n = xs.shape

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import os
 import subprocess
 import sys

@@ -6,6 +6,10 @@ than inside its own definition or assignment: as a name, an attribute, an
 import or a string (the benchmark's tracer looks some functions up by name).
 Code that only tests reach should be deleted with its tests, or wired into a
 command, a demo or the benchmark.
+
+Every name a module in ``src/cccd``, ``tests/`` or ``demos/`` imports is also
+read in that module, bar ``from __future__`` imports and the package's
+``__init__`` re-exports.
 """
 
 import ast
@@ -71,3 +75,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     mentions = _mentions()
     assert sorted(name for name in defined
                   if not mentions[name] and name not in ALLOWED) == []
+
+
+def _imports(tree):
+    """Each import alias in a module with the name it binds, bar ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias, alias.asname or alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias, alias.asname or alias.name) for alias in node.names)
+
+
+def test_every_import_is_read():
+    unread = []
+    for directory in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(directory.rglob("*.py")):
+            if path == PACKAGE / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imports = list(_imports(tree))
+            # _named counts each alias once as a mention; take those back out
+            seen = Counter(_named(tree))
+            seen.subtract(name for alias, _ in imports for name in _named(alias))
+            unread += [f"{path.relative_to(ROOT)}: {bound}" for _, bound in imports if seen[bound] <= 0]
+    assert unread == []

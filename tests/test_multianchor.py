@@ -559,15 +559,3 @@ class TestAsymptoticLawFixedM:
         ys = np.sort(rng.random((2000, 500)), axis=1)
         assert (digraph._cell_gammas(xs, ys)[0].sum(axis=1) == 5).mean() >= 0.95
 
-
-class TestGammaRows:
-    def test_matches_the_digraph_core(self):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            n = int(rng.integers(1, 9))
-            m = int(rng.integers(1, 6))
-            xs = np.sort(rng.random(n))
-            ys = np.sort(rng.random(m))
-            got = digraph._cell_gammas(xs[None, :], ys[None, :])[0].sum()
-            want = digraph.domination_number_fast(digraph.CccdInstance(xs, ys)).total
-            assert got == want

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cccd.densities import Beta, DensityModel, GeneralLinear, Uniform
+from cccd.densities import Beta, GeneralLinear, Uniform
 from cccd.digraph import _cell_gammas
 from cccd.exact import p_uniform_fraction
 from cccd.simulate import (
