@@ -81,6 +81,7 @@ class TestHandCells:
         ([0.01], [0.0, 1.0], [0, 1, 0]),                  # one point in a middle cell
         ([0.5], [0.0, 1.0], [0, 1, 0]),
         ([0.99], [0.0, 1.0], [0, 1, 0]),
+        ([-0.5, 0.1, 0.4, 0.8, 1.2], [0.0, 0.5, 1.0], [1, 2, 1, 1]),   # a point in every cell
     ])
     def test_reference_and_kernel(self, xs, ys, want):
         assert exact_cells(xs, ys) == want
@@ -133,6 +134,15 @@ class TestDominationOracle:
         with pytest.raises(ValueError, match=f"row {tied.index(True)} has a repeated point, "
                                              "a repeated anchor or a point on an anchor"):
             digraph.domination_number_oracle(xs, ys)
+
+    def test_sorts_its_rows(self):
+        xs = np.array([[0.9, 0.1, 0.5], [0.55, 0.3, 0.45]])
+        ys = np.array([[0.7, 0.2], [1.0, 0.0]])
+        cells, tied = digraph._cell_gammas(np.sort(xs, axis=1), np.sort(ys, axis=1))
+        assert not tied.any()
+        assert digraph.domination_number_oracle(xs, ys).tolist() == cells.sum(axis=1).tolist()
+        assert digraph.domination_number_oracle(xs, ys[0]).tolist() == [
+            sum(exact_cells(row, ys[0])) for row in xs]
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_matches_kernel_at_n_20(self, grid):
