@@ -822,21 +822,43 @@ class TruncatedNormal(DensityModel):
         self.mu, self.sigma = mu, sigma
         self._flo = special.ndtr(-mu / sigma)
         self._z = special.ndtr((1.0 - mu) / sigma) - self._flo
+        # a mode outside [0, 1] leaves the interval in one tail, where that difference can
+        # cancel to 0; masses then come from log tails, counted from the end nearer mu
+        self._near = None if 0.0 <= mu <= 1.0 else float(mu > 1.0)
+        if self._near is not None:
+            self._lnear, far = self._log_tail(self._near), self._log_tail(1.0 - self._near)
+            self._lz = self._lnear + math.log1p(-math.exp(far - self._lnear))
         super().__init__(_unit_support(support))
 
     @property
     def params(self):
         return {"mu": self.mu, "sigma": self.sigma}
 
+    def _log_tail(self, x):
+        """Log Normal mass beyond ``x`` on the side away from mu, for mu outside [0, 1]."""
+        return special.log_ndtr((2.0 * self._near - 1.0) * (x - self.mu) / self.sigma)
+
     def _pdf(self, x):
         z = (x - self.mu) / self.sigma
+        if self._near is not None:
+            return np.exp(-0.5 * z * z - self._lz) / (self.sigma * math.sqrt(2.0 * math.pi))
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi) * self._z)
 
     def _cdf(self, x):
-        return (special.ndtr((x - self.mu) / self.sigma) - self._flo) / self._z
+        if self._near is None:
+            return (special.ndtr((x - self.mu) / self.sigma) - self._flo) / self._z
+        near = np.exp(self._lnear - self._lz) * -np.expm1(self._log_tail(x) - self._lnear)
+        return near if self._near == 0.0 else 1.0 - near
 
     def _quantile(self, u):
-        return self.mu + self.sigma * special.ndtri(self._flo + u * self._z)
+        if self._near is None:
+            return self.mu + self.sigma * special.ndtri(self._flo + u * self._z)
+        # |near - u| of the mass lies between the near end and x; all of it gives log1p(-1) = -inf,
+        # which the clip turns into the far end; x measured from the near end cancels ndtri_exp's bias
+        with np.errstate(divide="ignore"):
+            tail = self._lnear + np.log1p(-abs(self._near - u) * np.exp(self._lz - self._lnear))
+        t = special.ndtri_exp(tail) - special.ndtri_exp(self._lnear)
+        return self._near + (2.0 * self._near - 1.0) * self.sigma * t
 
     def _pdf_derivative(self, x, order):
         f = self._pdf(x)

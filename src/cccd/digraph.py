@@ -65,20 +65,21 @@ def _two_sum(a, b):
 
 
 def _lower_bound(xs, queries, scale=1.0):
-    """Per row of the sorted (reps, n) ``xs``, the count of ``scale * xs``
-    strictly below each of the (reps, q) ``queries``, for ``scale`` 1 or 2.
+    """Per row r of the sorted (reps, n) ``xs``, the count of ``scale * xs[r]``
+    strictly below each query in column r of the (q, reps) ``queries``, or in
+    one (q, 1) column shared by all rows, for ``scale`` 1 or 2.
 
     A branchless binary search over the flat array: each step gathers one
-    value per (row, query), so a call costs O(reps * q * log n).
+    value per (query, row), so a call costs O(q * reps * log n).
     """
-    flat, start = xs.ravel(), np.arange(xs.shape[0])[:, None] * xs.shape[1]
-    at = np.repeat(start, queries.shape[1], axis=1)
+    flat, start = xs.ravel(), np.arange(xs.shape[0]) * xs.shape[1]
+    at = np.zeros(queries.shape, dtype=np.intp) + start
     size = xs.shape[1]   # the count lies in [at - start, at - start + size]
     while size > 1:
         half = size // 2
-        at += half * (scale * flat[at + half] < queries)
+        at += half * (scale * flat[half:].take(at) < queries)
         size -= half
-    return at - start + (scale * flat[at] < queries)
+    return at - start + (scale * flat.take(at) < queries)
 
 
 def _cell_gammas(xs, ys):
@@ -86,43 +87,46 @@ def _cell_gammas(xs, ys):
 
     ``xs`` is (reps, n) and ``ys`` is (reps, m) or (m,), every row sorted.
     Returns ``(cells, tied)``: ``cells`` is the (reps, m + 1) contribution of
-    each cell and ``tied`` flags rows with a repeated point, a repeated anchor
-    or a point on an anchor, whose cells mean nothing.  Cells are found by
+    each cell, a transposed view, and ``tied`` flags rows with a repeated
+    point, a repeated anchor or a point on an anchor, whose cells mean nothing.
+    Work arrays are (cells, reps), so every pass runs along the long reps axis.
+    The tie check reads the flat sorted array once, and cells are found by
     rank, with one binary search for all anchors and one for all witnesses,
-    so only the tie check reads every point and the rest costs
-    O(reps * m * log n).  An occupied end cell gives 1; an occupied middle
-    cell (lo, hi) gives 1 when some point p in it has max + lo < 2p < min + hi
-    in real arithmetic (max and min over the cell), and 2 otherwise.  A doubled
-    point is exact in floats, so a float comparison with a rounded edge sum
-    can only be wrong when the two are equal, and there the sum's rounding
-    error, from ``_two_sum``, decides.
+    so the rest costs O(reps * m * log n).  An occupied end cell gives 1; an
+    occupied middle cell (lo, hi) gives 1 when some point p in it has
+    max + lo < 2p < min + hi in real arithmetic (max and min over the cell),
+    and 2 otherwise.  A doubled point is exact in floats, so a float comparison
+    with a rounded edge sum can only be wrong when the two are equal, and
+    there the sum's rounding error, from ``_two_sum``, decides.
     """
     reps, n = xs.shape
-    ys = np.broadcast_to(ys, (reps, np.shape(ys)[-1]))
-    m = ys.shape[1]
-    flat, start = xs.ravel(), np.arange(reps)[:, None] * n
-    tied = (xs[:, 1:] == xs[:, :-1]).any(axis=1) | (ys[:, 1:] == ys[:, :-1]).any(axis=1)
-    # cell c holds the points of rank ranks[:, c] up to ranks[:, c + 1]
-    ranks = np.zeros((reps, m + 2), dtype=np.intp)
-    ranks[:, -1] = n
-    ranks[:, 1:-1] = _lower_bound(xs, ys)
-    tied |= (flat[start + np.minimum(ranks[:, 1:-1], n - 1)] == ys).any(axis=1)
-    occupied = np.diff(ranks, axis=1) > 0
+    flat, start = xs.ravel(), np.arange(reps) * n
+    ys = np.atleast_2d(ys).T   # (m, reps), or (m, 1) when the anchors are shared
+    m = len(ys)
+    # cell c holds the points of rank ranks[c] up to ranks[c + 1]
+    ranks = np.empty((m + 2, reps), dtype=np.intp)
+    ranks[0], ranks[-1] = 0, n
+    ranks[1:-1] = _lower_bound(xs, ys)
+    tied = ((ys[1:] == ys[:-1]).any(axis=0)
+            | (flat.take(start + np.minimum(ranks[1:-1], n - 1)) == ys).any(axis=0))
+    hits = np.flatnonzero(flat[1:] == flat[:-1])
+    tied[hits[hits % n != n - 1] // n] = True   # equal neighbours within a row
+    occupied = ranks[1:] > ranks[:-1]
     cells = occupied.astype(np.int64)
-    # one column per middle cell 1..m-1
-    first, last = ranks[:, 1:m], ranks[:, 2:m + 1] - 1
-    lo_edge, lo_err = _two_sum(flat[start + np.maximum(last, 0)], ys[:, :-1])
-    hi_edge, hi_err = _two_sum(flat[start + np.minimum(first, n - 1)], ys[:, 1:])
+    # one row per middle cell 1..m-1
+    first, last = ranks[1:m], ranks[2:m + 1] - 1
+    lo_edge, lo_err = _two_sum(flat.take(start + np.maximum(last, 0)), ys[:-1])
+    hi_edge, hi_err = _two_sum(flat.take(start + np.minimum(first, n - 1)), ys[1:])
     # 2x rises with rank and every point left of the cell has 2x <= lo_edge,
     # so a witness exists iff the first point past lo_edge is in the cell
     # and short of hi_edge; at most one 2x equals a rounded edge
     k = _lower_bound(xs, lo_edge, scale=2.0)
-    at = 2.0 * flat[start + np.minimum(k, n - 1)]
+    at = 2.0 * flat.take(start + np.minimum(k, n - 1))
     k += (k < n) & (at == lo_edge) & (lo_err >= 0.0)
-    at = 2.0 * flat[start + np.minimum(k, n - 1)]
+    at = 2.0 * flat.take(start + np.minimum(k, n - 1))
     witness = (k <= last) & ((at < hi_edge) | ((at == hi_edge) & (hi_err > 0.0)))
-    cells[:, 1:m] += occupied[:, 1:m] & ~witness
-    return cells, tied
+    cells[1:m] += occupied[1:m] & ~witness
+    return cells.T, tied
 
 
 def upper_bound_counts(xs, ys):

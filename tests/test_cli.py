@@ -70,10 +70,9 @@ class TestArgumentHandling:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_density_with_nan_mass_exits_two(self, capsys):
-        # the normalizer underflows to 0, so the mass is NaN, which once passed the mass check
-        spec = '{"family": "truncated_normal", "params": {"mu": -0.28, "sigma": 0.002}}'
+        # a NaN scale makes the mass NaN, which once passed the mass check
+        spec = '{"family": "truncated_normal", "params": {"mu": 0.3, "sigma": NaN}}'
         rc, out, err = run_cli(capsys, ["exact", "--density", spec, "--n", "5"])
         assert rc == 2 and out == ""
         assert "density mass nan" in err

@@ -120,9 +120,35 @@ def test_mass_check_that_cannot_converge_raises(monkeypatch):
 
 
 def test_nan_mass_is_rejected():
-    # the normalizer underflows to 0, so the pdf is NaN or infinite everywhere
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="density mass nan"):
-        D.TruncatedNormal(-0.28, 0.002)
+    # NaN fails every comparison, so a NaN mass must be refused by name
+    nan_pdf = type("NanPdf", (D.Uniform,), {"_pdf": lambda self, x: np.full(np.shape(x), np.nan)})
+    with pytest.raises(ValueError, match="density mass nan"):
+        nan_pdf()
+
+
+@pytest.mark.parametrize("mu", [-0.28, 1.28])
+def test_truncated_normal_with_its_mode_outside_the_interval(mu):
+    # ndtr(b) - ndtr(a) cancels to 0 on these laws; their masses come from log tails
+    mp = pytest.importorskip("mpmath")
+    sigma = 0.002
+    model = D.TruncatedNormal(mu, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = np.concatenate([[0.0, 1.0], np.linspace(1e-3, 1 - 1e-3, 211)])
+        x = model.quantile(u)
+        assert x[0] == 0.0 and x[1] == 1.0
+        assert np.max(np.abs(model.cdf(x) - u)) < 1e-10
+        assert np.all(np.diff(x[2:]) > 0.0)
+        pts = np.concatenate([x, np.linspace(0.0, 1.0, 41)])
+        got = model.cdf(pts)
+
+    def tail(t):   # Normal mass beyond t on the side away from mu, by the tail's own erfc
+        z = (mp.mpf(t) - mp.mpf(mu)) / mp.mpf(sigma)
+        return mp.erfc((z if mu < 0 else -z) / mp.sqrt(2)) / 2
+
+    with mp.workdps(50):
+        want = [float(abs(tail(p) - tail(0.0)) / abs(tail(1.0) - tail(0.0))) for p in pts]
+    assert np.max(np.abs(got - want)) < 1e-11
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)

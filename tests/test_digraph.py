@@ -108,6 +108,17 @@ TIED_ROWS = [
     ([[0.6, 0.1]], [[0.9, 0.6]], [True]),                         # the same, unsorted
 ]
 
+# the kernel reads all rows as one flat array; equal values that meet across a
+# row end are not a tie, and some of these inputs have no tied row at all
+ROW_END_PAIRS = [
+    ([[0.1, 0.5], [0.5, 0.9]], [0.0, 1.0], [False, False]),        # the pair spans a row end
+    ([[0.3], [0.3]], [0.0, 1.0], [False, False]),                  # one-point rows never tie
+    ([[0.1, 0.2, 0.7, 0.7], [0.7, 0.8, 0.85, 0.9]], [0.0, 1.0], [True, False]),   # last pair
+    ([[0.1, 0.4, 0.5], [0.5, 0.8, 0.8], [0.8, 0.85, 0.9]], [[0.0, 1.0]] * 3,
+     [False, True, False]),                                        # ties at both row ends
+    ([[0.1, 0.2, 0.6, 0.7], [0.1, 0.2, 0.7, 0.7]], [0.0, 1.0], [False, True]),   # last value
+]
+
 
 def _by_shape(instances):
     """Stack (xs, ys) pairs into one sorted (rows, n), (rows, m) batch per (n, m)."""
@@ -241,7 +252,7 @@ class TestCellKernel:
         for row, got in zip(xs, cells):
             assert got.tolist() == exact_cells(row, ys)
 
-    @pytest.mark.parametrize("xs, ys, tied", TIED_ROWS)
+    @pytest.mark.parametrize("xs, ys, tied", TIED_ROWS + ROW_END_PAIRS)
     def test_flags_tied_rows(self, xs, ys, tied):
         xs, ys = np.sort(xs, axis=1), np.sort(ys, axis=-1)
         assert digraph._cell_gammas(xs, ys)[1].tolist() == tied
@@ -257,9 +268,21 @@ class TestLowerBound:
         # each scaled point, the grid gaps just below and above it, and both extremes
         queries = np.concatenate([pts, pts - 1 / 32, pts + 1 / 32,
                                   np.full((5, 1), -1.0), np.full((5, 1), 1e9)], axis=1)
-        got = digraph._lower_bound(xs, queries, scale=scale)
+        got = digraph._lower_bound(xs, queries.T, scale=scale)
         want = [np.searchsorted(row, q, side="left") for row, q in zip(pts, queries)]
-        assert got.tolist() == np.array(want).tolist()
+        assert got.T.tolist() == np.array(want).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_shared_query_column_reaches_every_row(self, n, scale):
+        rng = np.random.default_rng(100 + n)
+        xs = np.sort(rng.integers(0, 16, size=(6, n)), axis=1) / 8
+        # grid values, the gaps between them and both extremes, one (q, 1) column
+        queries = np.array([-1.0, 0.0, 0.5, 0.5625, 1.0, 1.9375, 4.0, 1e9])[:, None]
+        got = digraph._lower_bound(xs, queries, scale=scale)
+        assert got.shape == (queries.size, xs.shape[0])
+        want = [np.searchsorted(scale * row, queries[:, 0], side="left") for row in xs]
+        assert got.T.tolist() == np.array(want).tolist()
 
 
 class TestCellKernelWideRows:

@@ -28,6 +28,13 @@ def two_anchor_prediction(n):
     return {1: 1.0 - p, 2: p}
 
 
+class _GridUniform(Uniform):
+    """Uniform draws rounded down to a 1/64 grid, so rows often repeat a point."""
+
+    def _quantile(self, u):
+        return np.floor(64.0 * u) / 64.0
+
+
 # recorded from the per-cell mask kernel that preceded the rank-based one; a
 # change means the stream layout or a float decision moved
 PINNED_COUNTS = [
@@ -40,14 +47,11 @@ PINNED_COUNTS = [
     # the benchmark's Beta shape, counted while Beta quantiles came from betaincinv
     (dict(fx=Beta(2, 2), fy=Beta(2, 2), n=200, m=5, reps=4096, seed=2028),
      {4: 7, 5: 124, 6: 636, 7: 1378, 8: 1254, 9: 592, 10: 105}),
+    # about a third of these rows repeat a point and take their cells from a redraw
+    # written into the kernel's output; counted before its work arrays became (cells, reps)
+    (dict(fx=_GridUniform(), fy=(0.1, 0.35, 0.6), n=8, reps=1200, seed=5),
+     {2: 35, 3: 335, 4: 524, 5: 277, 6: 29}),
 ]
-
-
-class _GridUniform(Uniform):
-    """Uniform draws rounded down to a 1/64 grid, so rows often repeat a point."""
-
-    def _quantile(self, u):
-        return np.floor(64.0 * u) / 64.0
 
 
 class TestPlanValidation:
