@@ -826,17 +826,20 @@ class TruncatedNormal(DensityModel):
         # cancel to 0; masses then come from log tails, counted from the end nearer mu
         self._near = None if 0.0 <= mu <= 1.0 else float(mu > 1.0)
         if self._near is not None:
-            self._lnear, far = self._log_tail(self._near), self._log_tail(1.0 - self._near)
-            self._lz = self._lnear + math.log1p(-math.exp(far - self._lnear))
+            self._lnear = special.log_ndtr(-abs(self._near - mu) / sigma)
+            self._lz = self._lnear + math.log1p(-math.exp(self._log_drop(1.0 - self._near)))
         super().__init__(_unit_support(support))
 
     @property
     def params(self):
         return {"mu": self.mu, "sigma": self.sigma}
 
-    def _log_tail(self, x):
-        """Log Normal mass beyond ``x`` on the side away from mu, for mu outside [0, 1]."""
-        return special.log_ndtr((2.0 * self._near - 1.0) * (x - self.mu) / self.sigma)
+    def _log_drop(self, x):
+        """Log of the Normal mass beyond ``x`` over that beyond the near end, for mu outside [0, 1],
+        through erfcx: the two log masses are each about -z^2/2, and their difference would lose z^2 ulps."""
+        z0, dz = abs(self._near - self.mu) / self.sigma, abs(x - self._near) / self.sigma
+        ratio = special.erfcx((z0 + dz) / math.sqrt(2.0)) / special.erfcx(z0 / math.sqrt(2.0))
+        return np.log(ratio) - dz * (z0 + 0.5 * dz)
 
     def _pdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -847,7 +850,7 @@ class TruncatedNormal(DensityModel):
     def _cdf(self, x):
         if self._near is None:
             return (special.ndtr((x - self.mu) / self.sigma) - self._flo) / self._z
-        near = np.exp(self._lnear - self._lz) * -np.expm1(self._log_tail(x) - self._lnear)
+        near = np.exp(self._lnear - self._lz) * -np.expm1(self._log_drop(x))
         return near if self._near == 0.0 else 1.0 - near
 
     def _quantile(self, u):
@@ -859,6 +862,14 @@ class TruncatedNormal(DensityModel):
             tail = self._lnear + np.log1p(-abs(self._near - u) * np.exp(self._lz - self._lnear))
         t = special.ndtri_exp(tail) - special.ndtri_exp(self._lnear)
         return self._near + (2.0 * self._near - 1.0) * self.sigma * t
+
+    def _mass(self):
+        if self._near is None:
+            return super()._mass()
+        # the near-end spike decays over sigma^2 / d: breaks at doubling distances from the near end find it
+        w = self.sigma ** 2 / abs(self.mu - self._near)
+        cuts = {w * 2.0 ** k for k in range(1 - math.frexp(w)[1])} if w < 1.0 else set()
+        return self._gauss_mass(self.pdf, sorted({abs(self._near - c) for c in cuts} | {0.0, 1.0}))
 
     def _pdf_derivative(self, x, order):
         f = self._pdf(x)

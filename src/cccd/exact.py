@@ -338,60 +338,96 @@ def _initial_cuts(model, n, transformed):
         s_cuts.add(0.5 * cut)                 # toward s = 0
         v_cuts.add(1.0 - cut / bands)         # toward t = 1, inside top band
     if transformed:
+        # each u = F(s) cut goes to the z with u = top z (2 - z)
         top = float(model.cdf(0.5))
-        s_cuts = {float(model.cdf(c)) for c in s_cuts}
-        s_cuts |= {0.0, top}
-        s_cuts = {c for c in s_cuts if 0.0 <= c <= top}
+        u_cuts = {float(model.cdf(c)) for c in s_cuts}
+        s_cuts = {1.0 - math.sqrt(1.0 - u / top) for u in u_cuts if u < top} | {0.0, 1.0}
     return sorted(s_cuts), sorted(v_cuts)
 
 
 def _make_integrand(model, n):
-    """Returns fun(s, v) on the unit square of (outer, sliver) coordinates.
+    """Returns fun(s, v) on the unit square of (outer, sliver) coordinates,
+    and ceiling(rect), an upper bound of G on each panel (a, b, c, d).
 
     The outer nodes come in as (P, k, 1) and the sliver nodes as (P, 1, k),
     so the factors that depend on s alone are evaluated once per outer node.
     For a bounded density the outer variable is s itself. For a density
-    unbounded at the support edge the outer variable is u = F(s) and the
-    sliver is placed in w = F(t); both density factors then cancel and the
-    integrand stays finite.
+    unbounded at the support edge the sliver is placed in w = F(t) and the
+    outer variable is z, with u = F(s) = top z (2 - z) and top = F(1/2):
+    both density factors cancel, and top - u = top (1 - z)^2 makes the
+    square-root edge of w_lo = F(2s) at s = 1/2 smooth. G rises with t and
+    falls with s, and t rises with both coordinates, so the ceiling takes t
+    at the corner (b, d) and s at a.
     """
     power = n - 2
 
     def weight(G):
-        G = np.maximum(G, 0.0)
+        """G^(n-2) for G clipped at 0, formed in the array G."""
         if power == 0:
             return np.ones_like(G)
-        with np.errstate(divide="ignore"):
-            return np.exp(power * np.log(np.maximum(G, 1e-300)))
+        np.log(np.maximum(G, 1e-300, out=G), out=G)
+        G *= power
+        return np.exp(G, out=G)
 
     if model.unbounded:
-        def fun(u, w_slot):
+        top = float(model.cdf(0.5))
+
+        def parts(z, w_slot):
+            u = top * z * (2.0 - z)
             s = model.quantile(u)
             w_lo = model.cdf(_lower_edge(s))
             w = w_lo + w_slot * (1.0 - w_lo)
-            t = model.quantile(w)
-            G = (w + model.cdf(0.5 * t)) - (u + model.cdf(0.5 * (1.0 + s)))
-            return n * (n - 1) * weight(G) * (1.0 - w_lo)
-        return fun
+            return w_lo, w + model.cdf(0.5 * model.quantile(w)), u + model.cdf(0.5 * (1.0 + s))
+
+        def fun(z, w_slot):
+            w_lo, A, B = parts(z, w_slot)
+            return n * (n - 1) * weight(A - B) * (1.0 - w_lo) * (2.0 * top * (1.0 - z))
+
+        def ceiling(rect):
+            return parts(rect[:, 1], rect[:, 3])[1] - parts(rect[:, 0], rect[:, 2])[2]
+        return fun, ceiling
 
     # ladder of t-ordinates: each density break is pinned to a fixed fraction
     # of the v axis, so panels never straddle a jump of f(t)
     rungs = np.array([0.0] + _t_kinks(model) + [1.0])
     bands = rungs.size - 1
 
-    def fun(s, v):
+    def sliver(s, v):
         L = _lower_edge(s)
-        cdf_s, cdf_half_s = model.cdf(s), model.cdf(0.5 * (1.0 + s))
-        pdf_s = model.pdf(s)
         b = np.clip((v * bands).astype(int), 0, bands - 1)
         lo = np.maximum(rungs[b], L)
-        hi = np.maximum(rungs[b + 1], L)
-        t = lo + (v * bands - b) * (hi - lo)
-        G = model.cdf(t) + model.cdf(0.5 * t) - cdf_s - cdf_half_s
-        jac = bands * (hi - lo)
-        return n * (n - 1) * pdf_s * model.pdf(t) * weight(G) * jac
+        width = np.maximum(rungs[b + 1], L) - lo
+        return lo + (v * bands - b) * width, width
 
-    return fun
+    def fun(s, v):
+        t, width = sliver(s, v)
+        G = model.cdf(t)
+        G += model.cdf(0.5 * t)
+        G -= model.cdf(s)
+        G -= model.cdf(0.5 * (1.0 + s))
+        out = n * (n - 1) * model.pdf(s) * model.pdf(t)
+        out *= weight(G)
+        out *= bands * width
+        return out
+
+    def ceiling(rect):
+        t, s = sliver(rect[:, 1], rect[:, 3])[0], rect[:, 0]
+        return model.cdf(t) + model.cdf(0.5 * t) - model.cdf(s) - model.cdf(0.5 * (1.0 + s))
+
+    return fun, ceiling
+
+
+def _seed_panels(model, n):
+    """The integrand, the seed panels (a, b, c, d), and a mask of the panels
+    on which G^(n-2) underflows to 0 at every node: 1e-12 covers round-off
+    in G, and -760 lies well past the -745 at which exp underflows."""
+    fun, ceiling = _make_integrand(model, n)
+    s_cuts, v_cuts = _initial_cuts(model, n, model.unbounded)
+    rects = np.array([(a, b, c, d)
+                      for a, b in zip(s_cuts[:-1], s_cuts[1:])
+                      for c, d in zip(v_cuts[:-1], v_cuts[1:])])
+    dead = (n - 2) * np.log(np.maximum(ceiling(rects) + 1e-12, 1e-300)) < -760.0
+    return fun, rects, dead
 
 
 def _evaluate_panels(fun, rect):
@@ -430,12 +466,10 @@ def p_quadrature(model, n, config=None):
     if n == 1:
         return ProbabilityReport(0.0, "quadrature", n, error_estimate=0.0,
                                  panels=0)
-    fun = _make_integrand(model, n)
-    s_cuts, v_cuts = _initial_cuts(model, n, model.unbounded)
-    rects = np.array([(a, b, c, d)
-                      for a, b in zip(s_cuts[:-1], s_cuts[1:])
-                      for c, d in zip(v_cuts[:-1], v_cuts[1:])])
-    vals, rough = _evaluate_panels(fun, rects)
+    fun, rects, dead = _seed_panels(model, n)
+    # dead seed panels keep their place at value and error 0: sums and order hold
+    vals, rough = np.zeros(len(rects)), np.zeros(len(rects))
+    vals[~dead], rough[~dead] = _evaluate_panels(fun, rects[~dead])
     errs = np.abs(vals - rough)
     # live panels stay in creation order, which fixes the order of the sums
     # (left to right: cumsum, not pairwise np.sum or compensated sum()) and

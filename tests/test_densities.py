@@ -129,8 +129,18 @@ def test_nan_mass_is_rejected():
 @pytest.mark.parametrize("mu", [-0.28, 1.28])
 def test_truncated_normal_with_its_mode_outside_the_interval(mu):
     # ndtr(b) - ndtr(a) cancels to 0 on these laws; their masses come from log tails
+    check_log_tail_law(mu, 0.002)
+
+
+@pytest.mark.parametrize("mu", [-0.5, -0.4, -0.3, 1.3, 1.4, 1.5])
+def test_truncated_normal_with_a_narrow_near_end_spike(mu):
+    # the near-end spike is sigma^2 / d wide, 2e-6 to 3.3e-6 here, so narrow that
+    # the mass check finds it only through breaks at doubling distances from the end
+    check_log_tail_law(mu, 0.001)
+
+
+def check_log_tail_law(mu, sigma):
     mp = pytest.importorskip("mpmath")
-    sigma = 0.002
     model = D.TruncatedNormal(mu, sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
