@@ -30,11 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densities import MAX_DERIVATIVE_ORDER
 from .exact import probability
-
-# Analytic one-sided derivatives are available through order 2, which caps
-# the expansion order this module can certify.
-MAX_ORDER = 2
 
 # Derivative values at or below this magnitude are treated as exact zeros.
 ZERO_TOL = 1e-12
@@ -76,7 +73,8 @@ def _order_scan(model, end, tolerate_divergence=False):
     """
     side = "+" if end == "lo" else "-"
     where = "left" if end == "lo" else "right"
-    for order in range(MAX_ORDER + 1):
+    # one-sided derivatives stop at MAX_DERIVATIVE_ORDER, which caps the order this can certify
+    for order in range(MAX_DERIVATIVE_ORDER + 1):
         d_end = model.one_sided_derivative(end, side, order)
         d_mid = model.one_sided_derivative("mid", side, order)
         if d_end.is_infinite or d_mid.is_infinite:
@@ -98,7 +96,7 @@ def _order_scan(model, end, tolerate_divergence=False):
         # Both the endpoint and (hence) the midpoint derivative vanish at
         # this order; move up one order.
     raise ValueError(
-        f"{model.family}: one-sided derivatives through order {MAX_ORDER} all vanish at the "
+        f"{model.family}: one-sided derivatives through order {MAX_DERIVATIVE_ORDER} all vanish at the "
         f"{where} endpoint; the expansion order is out of the supported range")
 
 

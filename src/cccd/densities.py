@@ -83,6 +83,7 @@ class DensityModel:
 
     family = "base"
     unbounded = False
+    _param_names = ()  # the constructor's arguments other than support, each kept as an attribute
 
     def __init__(self, support=(0.0, 1.0)):
         if isinstance(support, SupportInterval):
@@ -94,7 +95,7 @@ class DensityModel:
     # parameters as a plain dict, used by the JSON spec round trip
     @property
     def params(self):
-        return {}
+        return {name: getattr(self, name) for name in self._param_names}
 
     def interior_knots(self):
         """Points inside the support where pdf or its derivatives jump."""
@@ -350,6 +351,7 @@ class ShrunkUniform(_StepDensity):
     """Uniform mass pulled onto [delta, 1-delta] inside the unit interval."""
 
     family = "shrunk_uniform"
+    _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
         d = float(delta)
@@ -364,10 +366,6 @@ class ShrunkUniform(_StepDensity):
             breaks, heights = [0, fd, 1 - fd, 1], [0, h, 0]
         super().__init__(breaks, heights, _unit_support(support))
 
-    @property
-    def params(self):
-        return {"delta": self.delta}
-
 
 class GapUniform(_StepDensity):
     """Uniform with a symmetric central gap of half-width delta.
@@ -377,6 +375,7 @@ class GapUniform(_StepDensity):
     """
 
     family = "gap_uniform"
+    _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
         d = float(delta)
@@ -395,15 +394,12 @@ class GapUniform(_StepDensity):
             heights = [h, 0, h]
         super().__init__(breaks, heights, _unit_support(support))
 
-    @property
-    def params(self):
-        return {"delta": self.delta}
-
 
 class TwoStep(_StepDensity):
     """Heights 1+delta and 1-delta on the two halves of the unit interval."""
 
     family = "two_step"
+    _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
         d = float(delta)
@@ -413,15 +409,12 @@ class TwoStep(_StepDensity):
         fd = Fraction(d)
         super().__init__([0, Fraction(1, 2), 1], [1 + fd, 1 - fd], _unit_support(support))
 
-    @property
-    def params(self):
-        return {"delta": self.delta}
-
 
 class ThreeStep(_StepDensity):
     """Heights 1+delta, 1-delta, 1+delta on quarters (0,1/4,3/4,1)."""
 
     family = "three_step"
+    _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
         d = float(delta)
@@ -432,12 +425,55 @@ class ThreeStep(_StepDensity):
         super().__init__([0, Fraction(1, 4), Fraction(3, 4), 1],
                          [1 + fd, 1 - fd, 1 + fd], _unit_support(support))
 
-    @property
-    def params(self):
-        return {"delta": self.delta}
+
+class GeneralLinear(DensityModel):
+    """Linear density a x + b on an arbitrary interval, normalized to mass 1."""
+
+    family = "general_linear"
+    _param_names = ("a",)
+
+    def __init__(self, a, support):
+        a = float(a)
+        s = support if isinstance(support, SupportInterval) else SupportInterval(*map(float, support))
+        bound = 2.0 / s.width ** 2
+        if abs(a) > bound * (1.0 + 1e-12):
+            raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
+        self.a = a
+        self.b = 1.0 / s.width - a * s.mid
+        super().__init__(s)
+
+    def _pdf(self, x):
+        return self.a * x + self.b
+
+    def _cdf(self, x):
+        lo = self.support.lo
+        return (0.5 * self.a * (x + lo) + self.b) * (x - lo)
+
+    def _quantile(self, u):
+        lo = self.support.lo
+        if self.a == 0.0:
+            return lo + u * self.support.width
+        g = self.a * lo + self.b
+        disc = np.sqrt(np.maximum(g * g + 2.0 * self.a * u, 0.0))
+        # g + disc is 0 only at u = 0 with a zero density at lo, where the floor turns 0/0 into 0
+        return lo + 2.0 * u / np.maximum(g + disc, np.finfo(float).tiny)
+
+    def _pdf_derivative(self, x, order):
+        return np.full_like(x, self.a) if order == 1 else np.zeros_like(x)
+
+    def _one_sided(self, which, side, order):
+        if order > 0:
+            return (self.a if order == 1 else 0.0), False
+        if which == "mid":  # mass 1 puts the height 1/width there, whatever the slope
+            return 1.0 / self.support.width, False
+        return self.a * getattr(self.support, which) + self.b, False
+
+    def to_unit(self):
+        """The same shape rescaled onto [0,1]: Linear(a * width^2)."""
+        return Linear(self.a * self.support.width ** 2)
 
 
-class Linear(DensityModel):
+class Linear(GeneralLinear):
     """f(x) = a x + (1 - a/2) on the unit interval, |a| <= 2."""
 
     family = "linear"
@@ -446,39 +482,27 @@ class Linear(DensityModel):
         a = float(a)
         if not -2.0 <= a <= 2.0:
             raise ValueError(f"a: linear slope must satisfy |a| <= 2, got {a}")
-        self.a = a
-        self.b = 1.0 - 0.5 * a
-        super().__init__(_unit_support(support))
+        super().__init__(a, _unit_support(support))
 
-    @property
-    def params(self):
-        return {"a": self.a}
 
-    def _pdf(self, x):
-        return self.a * x + self.b
+class SquareCdf(Linear):
+    """Linear(2): f(x) = 2x, so the cdf is x^2 and the quantile sqrt(u)."""
 
-    def _cdf(self, x):
-        return (0.5 * self.a * x + self.b) * x
+    family = "square_cdf"
+    _param_names = ()
+
+    def __init__(self, support=(0.0, 1.0)):
+        super().__init__(2.0, support)
 
     def _quantile(self, u):
-        if self.a == 0.0:
-            return u
-        disc = np.sqrt(self.b * self.b + 2.0 * self.a * u)
-        return 2.0 * u / (self.b + disc)
-
-    def _pdf_derivative(self, x, order):
-        return np.full_like(x, self.a) if order == 1 else np.zeros_like(x)
-
-    def _one_sided(self, which, side, order):
-        if order == 0:
-            return {"lo": self.b, "mid": 1.0, "hi": self.a + self.b}[which], False
-        return (self.a, False) if order == 1 else (0.0, False)
+        return np.sqrt(u)
 
 
 class QPower(DensityModel):
     """Density (q+1) 2^q t^q with t the distance past 0 or past 1/2."""
 
     family = "q_power"
+    _param_names = ("q",)
 
     def __init__(self, q, support=(0.0, 1.0)):
         q = float(q)
@@ -487,10 +511,6 @@ class QPower(DensityModel):
         self.q = q
         self._c = (q + 1.0) * 2.0 ** q
         super().__init__(_unit_support(support))
-
-    @property
-    def params(self):
-        return {"q": self.q}
 
     def interior_knots(self):
         return [0.5]
@@ -539,6 +559,7 @@ class PieceQuadratic(DensityModel):
     """delta + 12(1-delta) t^2 with t the distance past 0 or past 1/2."""
 
     family = "piece_quadratic"
+    _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
         d = float(delta)
@@ -546,10 +567,6 @@ class PieceQuadratic(DensityModel):
             raise ValueError(f"delta: piece_quadratic needs 0 <= delta <= 1, got {d}")
         self.delta = d
         super().__init__(_unit_support(support))
-
-    @property
-    def params(self):
-        return {"delta": self.delta}
 
     def interior_knots(self):
         return [0.5]
@@ -591,10 +608,6 @@ class AbsSine(DensityModel):
     def interior_knots(self):
         return [0.5]
 
-    @property
-    def params(self):
-        return {}
-
     def _pdf(self, x):
         return 0.5 * np.pi * np.abs(np.sin(2.0 * np.pi * x))
 
@@ -626,10 +639,6 @@ class ArcSine(DensityModel):
 
     family = "arc_sine"
     unbounded = True
-
-    @property
-    def params(self):
-        return {}
 
     def _pdf(self, x):
         with np.errstate(divide="ignore"):
@@ -671,6 +680,7 @@ class Beta(DensityModel):
     """Beta(nu1, nu2) on the unit interval, both shapes >= 1."""
 
     family = "beta"
+    _param_names = ("nu1", "nu2")
 
     def __init__(self, nu1, nu2, support=(0.0, 1.0)):
         nu1, nu2 = float(nu1), float(nu2)
@@ -688,10 +698,6 @@ class Beta(DensityModel):
         # the density at an end whose shape is 1; exp(-log B) would overflow at large shapes
         self._unit_end_pdf = float(np.exp(-self._lognorm)) if min(nu1, nu2) == 1.0 else 0.0
         super().__init__(_unit_support(support))
-
-    @property
-    def params(self):
-        return {"nu1": self.nu1, "nu2": self.nu2}
 
     def _pdf(self, x):
         inner = (x > 0.0) & (x < 1.0)
@@ -814,6 +820,7 @@ class TruncatedNormal(DensityModel):
     """Normal(mu, sigma^2) conditioned on the unit interval."""
 
     family = "truncated_normal"
+    _param_names = ("mu", "sigma")
 
     def __init__(self, mu, sigma, support=(0.0, 1.0)):
         mu, sigma = float(mu), float(sigma)
@@ -830,21 +837,25 @@ class TruncatedNormal(DensityModel):
             self._lz = self._lnear + math.log1p(-math.exp(self._log_drop(1.0 - self._near)))
         super().__init__(_unit_support(support))
 
-    @property
-    def params(self):
-        return {"mu": self.mu, "sigma": self.sigma}
+    def _near_split(self, x):
+        """For mu outside [0, 1]: (z0, dz) = (|near - mu|, |x - near|) / sigma, whose sum is |x - mu| / sigma."""
+        return abs(self._near - self.mu) / self.sigma, abs(x - self._near) / self.sigma
 
     def _log_drop(self, x):
         """Log of the Normal mass beyond ``x`` over that beyond the near end, for mu outside [0, 1],
         through erfcx: the two log masses are each about -z^2/2, and their difference would lose z^2 ulps."""
-        z0, dz = abs(self._near - self.mu) / self.sigma, abs(x - self._near) / self.sigma
+        z0, dz = self._near_split(x)
         ratio = special.erfcx((z0 + dz) / math.sqrt(2.0)) / special.erfcx(z0 / math.sqrt(2.0))
         return np.log(ratio) - dz * (z0 + 0.5 * dz)
 
     def _pdf(self, x):
-        z = (x - self.mu) / self.sigma
         if self._near is not None:
-            return np.exp(-0.5 * z * z - self._lz) / (self.sigma * math.sqrt(2.0 * math.pi))
+            # exp(-z0^2/2) = 2 exp(lnear) / erfcx(z0/sqrt 2) takes the -z^2/2 out of the exponent,
+            # which then holds no two terms of that size to cancel
+            z0, dz = self._near_split(x)
+            return 2.0 * np.exp(self._lnear - self._lz - dz * (z0 + 0.5 * dz)) / (
+                self.sigma * math.sqrt(2.0 * math.pi) * special.erfcx(z0 / math.sqrt(2.0)))
+        z = (x - self.mu) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi) * self._z)
 
     def _cdf(self, x):
@@ -883,81 +894,6 @@ class TruncatedNormal(DensityModel):
         if order == 0:
             return float(self._pdf(np.asarray(pt))), False
         return float(self.pdf_derivative(pt, order)), False
-
-
-class SquareCdf(DensityModel):
-    """f(x) = 2x, so the cdf is x^2 and the quantile sqrt(u)."""
-
-    family = "square_cdf"
-
-    @property
-    def params(self):
-        return {}
-
-    def _pdf(self, x):
-        return 2.0 * x
-
-    def _cdf(self, x):
-        return x * x
-
-    def _quantile(self, u):
-        return np.sqrt(u)
-
-    def _pdf_derivative(self, x, order):
-        return np.full_like(x, 2.0) if order == 1 else np.zeros_like(x)
-
-    def _one_sided(self, which, side, order):
-        if order == 0:
-            return {"lo": 0.0, "mid": 1.0, "hi": 2.0}[which], False
-        return (2.0, False) if order == 1 else (0.0, False)
-
-
-class GeneralLinear(DensityModel):
-    """Linear density a x + b on an arbitrary interval, normalized to mass 1."""
-
-    family = "general_linear"
-
-    def __init__(self, a, support):
-        a = float(a)
-        s = support if isinstance(support, SupportInterval) else SupportInterval(*map(float, support))
-        bound = 2.0 / s.width ** 2
-        if abs(a) > bound * (1.0 + 1e-12):
-            raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
-        self.a = a
-        self.b = 1.0 / s.width - a * s.mid
-        super().__init__(s)
-
-    @property
-    def params(self):
-        return {"a": self.a}
-
-    def _pdf(self, x):
-        return self.a * x + self.b
-
-    def _cdf(self, x):
-        lo = self.support.lo
-        return (0.5 * self.a * (x + lo) + self.b) * (x - lo)
-
-    def _quantile(self, u):
-        lo = self.support.lo
-        if self.a == 0.0:
-            return lo + u * self.support.width
-        g = self.a * lo + self.b
-        disc = np.sqrt(np.maximum(g * g + 2.0 * self.a * u, 0.0))
-        return lo + 2.0 * u / (g + disc)
-
-    def _pdf_derivative(self, x, order):
-        return np.full_like(x, self.a) if order == 1 else np.zeros_like(x)
-
-    def _one_sided(self, which, side, order):
-        pt = {"lo": self.support.lo, "mid": self.support.mid, "hi": self.support.hi}[which]
-        if order == 0:
-            return self.a * pt + self.b, False
-        return (self.a, False) if order == 1 else (0.0, False)
-
-    def to_unit(self):
-        """The same shape rescaled onto [0,1]: Linear(a * width^2)."""
-        return Linear(self.a * self.support.width ** 2)
 
 
 FAMILIES = {

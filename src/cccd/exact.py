@@ -321,7 +321,7 @@ def _t_kinks(model):
     return sorted(kinks)
 
 
-def _initial_cuts(model, n, transformed):
+def _initial_cuts(model, n):
     knots = [float(k) for k in model.interior_knots()]
     s_cuts = {0.0, 1.0 / 3.0, 0.5}
     for k in knots:
@@ -337,7 +337,7 @@ def _initial_cuts(model, n, transformed):
     for cut in _geometric_cuts(n):
         s_cuts.add(0.5 * cut)                 # toward s = 0
         v_cuts.add(1.0 - cut / bands)         # toward t = 1, inside top band
-    if transformed:
+    if model.unbounded:
         # each u = F(s) cut goes to the z with u = top z (2 - z)
         top = float(model.cdf(0.5))
         u_cuts = {float(model.cdf(c)) for c in s_cuts}
@@ -422,7 +422,7 @@ def _seed_panels(model, n):
     on which G^(n-2) underflows to 0 at every node: 1e-12 covers round-off
     in G, and -760 lies well past the -745 at which exp underflows."""
     fun, ceiling = _make_integrand(model, n)
-    s_cuts, v_cuts = _initial_cuts(model, n, model.unbounded)
+    s_cuts, v_cuts = _initial_cuts(model, n)
     rects = np.array([(a, b, c, d)
                       for a, b in zip(s_cuts[:-1], s_cuts[1:])
                       for c, d in zip(v_cuts[:-1], v_cuts[1:])])

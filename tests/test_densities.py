@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import warnings
@@ -137,6 +138,30 @@ def test_truncated_normal_with_a_narrow_near_end_spike(mu):
     # the near-end spike is sigma^2 / d wide, 2e-6 to 3.3e-6 here, so narrow that
     # the mass check finds it only through breaks at doubling distances from the end
     check_log_tail_law(mu, 0.001)
+
+
+# pdf at 0, 1, 2, 5 and 10 spike widths sigma^2 / d from the near end, from mpmath at 60 digits
+TAIL_SPIKE_PDF = {
+    (-1.0, 0.001): [1000000.999998, 367879.6251102892, 135335.1479010588, 6737.869513123682, 45.397705220314776],
+    (2.0, 0.001): [1000000.999998, 367879.62509971054, 135335.1479083007, 6737.869512902972, 45.39770522238082],
+    (5.0, 0.001): [4000000.249999969, 1471517.810465, 541341.0992016944, 26951.768629852613, 181.59916288975276],
+    (5.0, 0.002): [1000000.249999875, 367879.48714573926, 135335.2494100169, 6737.927627293931, 45.39937361881073],
+}
+
+
+@pytest.mark.parametrize("law", sorted(TAIL_SPIKE_PDF))
+def test_truncated_normal_far_from_the_interval_builds_with_a_clean_pdf(law):
+    # the pdf takes exp(-z0^2/2) from the near end's log tail, so no node carries z^2 ulps of
+    # noise, and the mass check converges on laws that were refused for it
+    mu, sigma = law
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = D.TruncatedNormal(mu, sigma)
+        near = 0.0 if mu < 0.0 else 1.0
+        width = sigma ** 2 / abs(mu - near)
+        got = model.pdf(np.array([near + (1.0 - 2.0 * near) * k * width for k in (0, 1, 2, 5, 10)]))
+    want = np.array(TAIL_SPIKE_PDF[law])
+    assert np.max(np.abs(got - want) / want) < 2e-15
 
 
 def check_log_tail_law(mu, sigma):
@@ -326,6 +351,13 @@ def test_spec_parse_errors_name_fields():
         D.model_from_spec({"family": "uniform", "extra": 1})
 
 
+@pytest.mark.parametrize("family", sorted(D.FAMILIES))
+def test_params_are_the_constructor_arguments(family):
+    # the spec round trip passes params back to the constructor, so they must name its arguments
+    cls = D.FAMILIES[family]
+    assert cls._param_names == tuple(p for p in inspect.signature(cls).parameters if p != "support")
+
+
 def test_sampling_is_sorted_deterministic_and_unbiased():
     # simulate draws points by the quantile transform, which keeps order
     u = np.sort(np.random.default_rng(7).random(100_000))
@@ -391,6 +423,16 @@ def test_step_quantile_property(delta, u):
 def test_linear_quantile_property(a, u):
     model = D.Linear(a)
     assert model.cdf(model.quantile(u)) == pytest.approx(u, abs=1e-10)
+
+
+def test_linear_quantile_at_a_zero_density_end():
+    # the root 2u / (g + sqrt(g^2 + 2au)) is 0/0 at u = 0 where the density g at lo is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert D.Linear(2.0).quantile(0.0) == 0.0
+        assert D.SquareCdf().quantile(0.0) == 0.0
+        assert D.GeneralLinear(0.5, (0.0, 2.0)).quantile([0.0]).tolist() == [0.0]
+        assert D.Linear(-2.0).quantile(1.0) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
