@@ -84,6 +84,9 @@ class DensityModel:
     family = "base"
     unbounded = False
     _param_names = ()  # the constructor's arguments other than support, each kept as an attribute
+    # degree d of the pdf where it is one polynomial between interior knots, else None; anchor
+    # rules take their node counts from it, so it must never be below the true degree
+    polynomial_degree = None
 
     def __init__(self, support=(0.0, 1.0)):
         if isinstance(support, SupportInterval):
@@ -262,6 +265,7 @@ def _unit_support(support):
 
 class Uniform(DensityModel):
     family = "uniform"
+    polynomial_degree = 0
 
     def __init__(self, support=(0.0, 1.0)):
         super().__init__(_unit_support(support))
@@ -287,6 +291,8 @@ class Uniform(DensityModel):
 
 class _StepDensity(DensityModel):
     """Piecewise-constant density given by breakpoints and heights."""
+
+    polynomial_degree = 0
 
     def __init__(self, breaks, heights, support=(0.0, 1.0)):
         # breaks: increasing Fractions including both endpoints
@@ -442,6 +448,10 @@ class GeneralLinear(DensityModel):
         self.b = 1.0 / s.width - a * s.mid
         super().__init__(s)
 
+    @property
+    def polynomial_degree(self):
+        return int(self.a != 0.0)
+
     def _pdf(self, x):
         return self.a * x + self.b
 
@@ -512,6 +522,10 @@ class QPower(DensityModel):
         self._c = (q + 1.0) * 2.0 ** q
         super().__init__(_unit_support(support))
 
+    @property
+    def polynomial_degree(self):
+        return int(self.q) if self.q.is_integer() else None
+
     def interior_knots(self):
         return [0.5]
 
@@ -567,6 +581,10 @@ class PieceQuadratic(DensityModel):
             raise ValueError(f"delta: piece_quadratic needs 0 <= delta <= 1, got {d}")
         self.delta = d
         super().__init__(_unit_support(support))
+
+    @property
+    def polynomial_degree(self):
+        return 0 if self.delta == 1.0 else 2
 
     def interior_knots(self):
         return [0.5]
@@ -698,6 +716,12 @@ class Beta(DensityModel):
         # the density at an end whose shape is 1; exp(-log B) would overflow at large shapes
         self._unit_end_pdf = float(np.exp(-self._lognorm)) if min(nu1, nu2) == 1.0 else 0.0
         super().__init__(_unit_support(support))
+
+    @property
+    def polynomial_degree(self):
+        if self.nu1.is_integer() and self.nu2.is_integer():
+            return int(self.nu1 + self.nu2) - 2
+        return None
 
     def _pdf(self, x):
         inner = (x > 0.0) & (x < 1.0)

@@ -129,17 +129,6 @@ def _cell_gammas(xs, ys):
     return cells.T, tied
 
 
-def upper_bound_counts(xs, ys):
-    """(k1, k2, bound) per row of points ``xs`` (R, n) and anchors ``ys`` (R, m): k1
-    middle cells with two or more points, k2 occupied end cells and one-point middle cells,
-    and the bound 2*k1 + k2."""
-    cells = (np.asarray(xs)[:, :, None] > np.asarray(ys)[:, None, :]).sum(axis=2)
-    counts = (cells[:, :, None] == np.arange(np.shape(ys)[1] + 1)).sum(axis=1)
-    k1 = (counts[:, 1:-1] > 1).sum(axis=1)
-    k2 = (counts[:, [0, -1]] > 0).sum(axis=1) + (counts[:, 1:-1] == 1).sum(axis=1)
-    return k1, k2, 2 * k1 + k2
-
-
 def domination_number_oracle(xs, ys):
     """Exact domination number of each row by exhaustive subset search.
 

@@ -16,6 +16,12 @@ exactly, with no anchor integral.  Other anchor densities integrate the
 conditional law against the order-statistic density m! * prod f_Y(y_j),
 through nested Gauss-Legendre rules for m <= 3 (split at the knots of f_Y),
 or sample the anchors (``mc_reps``), once per batch of anchor configurations.
+Cell masses are linear in the anchors, so where f_Y is a polynomial of degree
+d between its knots the integrand is one too, and ceil((n + m(d + 1)) / 2)
+nodes per knot interval integrate it exactly.  The rules take that many,
+capped at 24 nodes for the pmf table and 48 for ``expected_gamma``; other
+anchor densities, and sizes past the caps, take the capped rules, which are
+not exact.
 
 Middle-cell densities follow the support-rescaled construction: each cell
 hosts an affine copy of the point density, which makes the per-cell p
@@ -45,8 +51,9 @@ MAX_CELL_TOTAL = 400
 # Most non-uniform anchors the nested Gauss rule integrates.
 MAX_QUADRATURE_M = 3
 
-# Gauss-Legendre nodes per knot interval of the anchor rules: the pmf table
-# nests m of them, the expectation at most two.
+# Most Gauss-Legendre nodes per knot interval of the anchor rules: the pmf
+# table nests m of them, the expectation at most two.  Polynomial anchor
+# densities take fewer where fewer are exact (``_anchor_nodes``).
 _TABLE_NODES = 24
 _MEAN_NODES = 48
 
@@ -257,6 +264,18 @@ def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
     return points, weights
 
 
+def _anchor_nodes(fy, n, m, cap):
+    """Gauss-Legendre nodes per knot interval for the anchor rules of (n, m): at most ``cap``.
+
+    Cell masses are linear in the anchors, so the conditional pmf has degree n
+    in them.  Where ``fy`` has degree d between its knots, the nested integrand,
+    after the inner coordinates are integrated out, has degree at most
+    n + m(d + 1) - 1 in each coordinate, and so do the order-statistic terms of
+    ``expected_gamma``: half that many nodes, rounded up, are exact."""
+    d = fy.polynomial_degree
+    return cap if d is None else min(cap, (n + m * (d + 1) + 1) // 2)
+
+
 def _require_anchor_mass(mass, nodes, fy, hint=""):
     """Raise when an anchor rule misses mass 1, as it does where ``fy`` diverges."""
     lost = 1.0 - mass
@@ -290,7 +309,8 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
             raise ValueError(
                 f"m: deterministic anchor quadrature is limited to m <= {MAX_QUADRATURE_M}, "
                 f"got {m}; pass mc_reps (cccd multi --reps) to sample anchors instead")
-        ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, _TABLE_NODES,
+        nodes = _anchor_nodes(fy, n, m, _TABLE_NODES)
+        ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, nodes,
                                              fy.interior_knots())
         weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
     probs = _cell_masses(fx, ys, hu_family)
@@ -300,7 +320,7 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
         rows = slice(start, start + batch)
         table += weights[rows] @ _pmf_vector(probs[rows], p_pair, n)
     if mc_reps is None:
-        _require_anchor_mass(float(np.sum(table)), _TABLE_NODES, fy,
+        _require_anchor_mass(float(np.sum(table)), nodes, fy,
                              "; pass mc_reps (cccd multi --reps) to sample anchors instead")
     return table
 
@@ -320,8 +340,8 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
     lo, hi = fx.support.lo, fx.support.hi
     width = hi - lo
 
-    knots = fy.interior_knots()
-    ys, wy = _ordered_simplex_nodes(lo, hi, 1, _MEAN_NODES, knots)
+    knots, nodes = fy.interior_knots(), _anchor_nodes(fy, n, m, _MEAN_NODES)
+    ys, wy = _ordered_simplex_nodes(lo, hi, 1, nodes, knots)
     y = ys[:, 0]
     fy_pdf = fy.pdf(y)
     Fy = fy.cdf(y)
@@ -339,7 +359,7 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
         counts = np.arange(1, n + 1)
         log_binom = _log_binomials(n)[0][1:, n]  # log C(n, t)
         # (a, b) runs over the lower and upper anchor of one middle cell
-        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, _MEAN_NODES, knots)
+        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, nodes, knots)
         a, b = pairs.T
         delta = ((b - a) / width)[:, None]
         occupancy = np.exp(log_binom + counts * np.log(delta) + (n - counts) * np.log1p(-delta))
@@ -351,7 +371,7 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
             masses.append(pair_norm * float(np.sum(pair * Fa ** (j - 2) * (1.0 - Fb) ** (m - j))))
             middle += pair_norm * float(np.sum(inner * Fa ** (j - 2) * (1.0 - Fb) ** (m - j)))
     for mass in masses:
-        _require_anchor_mass(mass, _MEAN_NODES, fy)
+        _require_anchor_mass(mass, nodes, fy)
     return left + right + middle
 
 

@@ -44,6 +44,7 @@ from cccd.densities import (
     Uniform,
 )
 from cccd.exact import p_closed_form, p_uniform_fraction, probability
+from test_digraph import upper_bound_counts
 
 UNIFORM = Uniform()
 
@@ -157,7 +158,7 @@ def test_criterion_06_and_07_oracle_equivalence_and_upper_bound():
         xs, ys = xs[~tied], ys[~tied]
         kernel = digraph._cell_gammas(xs, ys)[0].sum(axis=1)
         mismatches += int(np.count_nonzero(kernel != digraph.domination_number_oracle(xs, ys)))
-        bound = digraph.upper_bound_counts(xs, ys)[2]
+        bound = upper_bound_counts(xs, ys)[2]
         bound_violations += int(np.count_nonzero((kernel > min(n, 2 * m)) | (kernel > bound)))
     elapsed = time.perf_counter() - start
     print(f"[criterion 6] mismatches={mismatches}/10000 time={elapsed:.1f}s")

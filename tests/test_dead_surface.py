@@ -21,9 +21,7 @@ PACKAGE = ROOT / "src" / "cccd"
 CALLER_DIRS = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 
 # public names that stay without a caller, and why
-ALLOWED = {
-    "upper_bound_counts": "acceptance criteria 06/07 check the occupancy bound 2 k1 + k2 with it",
-}
+ALLOWED = {}
 
 
 def _named(node):

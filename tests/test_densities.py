@@ -389,6 +389,34 @@ def test_general_linear_matches_unit_rescale():
     assert np.max(np.abs(2.0 * g.pdf(1.0 + 2.0 * t) - unit.pdf(t))) < 1e-12
 
 
+def test_declared_polynomial_degree_is_the_degree_between_knots():
+    """A degree set too low would make the anchor rules inexact, which no mass check sees."""
+    zoo = model_zoo()
+    declaring = {model.family for model in zoo if model.polynomial_degree is not None}
+    assert declaring == set(D.FAMILIES) - {"abs_sine", "arc_sine", "truncated_normal"}
+    assert [model for model in zoo if model.family in ("q_power", "beta")
+            and model.polynomial_degree is None] == [D.QPower(0.5), D.QPower(3.5), D.Beta(1.5, 3.25)]
+    for model in zoo:
+        d = model.polynomial_degree
+        if d is None:
+            continue
+        breaks = [model.support.lo, *sorted(model.interior_knots()), model.support.hi]
+        degrees = (d, d - 1) if d else (d,)
+        misses = dict.fromkeys(degrees, 0.0)
+        for a, b in zip(breaks, breaks[1:]):
+            held_out = a + (b - a) * np.linspace(0.02, 0.98, 8)
+            want = model.pdf(held_out)
+            scale = np.max(np.abs(want)) or 1.0  # a gap of a step density is 0
+            for degree in degrees:
+                # degree + 1 Chebyshev points inside the piece, none of them held out
+                x = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)))
+                fit = np.polynomial.Polynomial.fit(x, model.pdf(x), degree)
+                misses[degree] = max(misses[degree], np.max(np.abs(fit(held_out) - want)) / scale)
+        assert misses[d] <= 1e-12, model
+        if d:
+            assert misses[d - 1] > 1e-6, model
+
+
 def test_interior_pdf_derivative_matches_finite_differences():
     probes = {
         D.Linear(1.5): [0.2, 0.7],

@@ -9,7 +9,19 @@ import pytest
 from scipy import integrate
 
 from cccd import digraph, multianchor
-from cccd.densities import ArcSine, Beta, GeneralLinear, Linear, TwoStep, Uniform
+from cccd.densities import (
+    AbsSine,
+    ArcSine,
+    Beta,
+    GapUniform,
+    GeneralLinear,
+    Linear,
+    PieceQuadratic,
+    QPower,
+    TruncatedNormal,
+    TwoStep,
+    Uniform,
+)
 from cccd.exact import p_uniform_fraction, probability
 from cccd.multianchor import (
     AnchorConditional,
@@ -437,7 +449,7 @@ class TestPairProbabilityMemo:
 class TestAnchorRuleCache:
     @staticmethod
     def anchor_quadrature_results():
-        """Anchor-rule users: the expected_gamma grid and a Beta-anchor table (24 and 48 nodes)."""
+        """Anchor-rule users: the expected_gamma grid and a Beta-anchor table."""
         means = [expected_gamma(Uniform(), Uniform(), n, m) for n in range(1, 9) for m in range(1, 5)]
         return means, pmf_random_anchors_table(Uniform(), Beta(2, 2), 5, 3)
 
@@ -453,7 +465,7 @@ class TestAnchorRuleCache:
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         self.anchor_quadrature_results()
         self.anchor_quadrature_results()
-        assert sorted(calls) == [24, 48]
+        assert calls and len(calls) == len(set(calls))
 
     def test_cached_rule_is_read_only(self):
         x, w = multianchor._unit_gauss_rule(24)
@@ -469,6 +481,83 @@ class TestAnchorRuleCache:
         fresh_means, fresh_table = self.anchor_quadrature_results()
         assert means == fresh_means
         assert np.array_equal(table, fresh_table)
+
+
+# (point density, anchor density, its degree between knots, n, m, hu_family)
+DEGREE_CASES = [
+    (Uniform(), Beta(2, 2), 2, 5, 3, False),
+    (Uniform(), Beta(3, 1), 2, 4, 2, False),
+    (Uniform(), Beta(1, 1), 0, 4, 2, False),
+    (Uniform(), TwoStep(0.5), 0, 5, 3, False),
+    (Uniform(), GapUniform(0.1), 0, 4, 2, False),
+    (Uniform(), PieceQuadratic(2 / 3), 2, 5, 3, False),
+    (Uniform(), QPower(2), 2, 4, 2, False),
+    (Uniform(), Linear(-1.0), 1, 6, 2, False),
+    (Linear(1.0), Linear(1.0), 1, 6, 2, True),
+    (TwoStep(0.5), TwoStep(0.5), 0, 4, 2, True),
+]
+
+
+class TestDegreeExactAnchorRules:
+    """Polynomial anchor densities take ceil((n + m(d + 1)) / 2) nodes per knot interval."""
+
+    @staticmethod
+    def with_nodes(monkeypatch, nodes, compute, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(multianchor, "_anchor_nodes", lambda fy, n, m, cap: nodes)
+            return compute(*args, **kwargs)
+
+    @pytest.mark.parametrize("fx, fy, d, n, m, hu", DEGREE_CASES, ids=repr)
+    def test_the_fewest_exact_nodes(self, monkeypatch, fx, fy, d, n, m, hu):
+        nodes = math.ceil((n + m * (d + 1)) / 2)
+        assert multianchor._anchor_nodes(fy, n, m, 10 ** 6) == nodes
+        table = pmf_random_anchors_table(fx, fy, n, m, hu_family=hu)
+        reference = self.with_nodes(monkeypatch, 40, pmf_random_anchors_table, fx, fy, n, m,
+                                    hu_family=hu)
+        fewer = self.with_nodes(monkeypatch, nodes - 1, pmf_random_anchors_table, fx, fy, n, m,
+                                hu_family=hu)
+        assert np.max(np.abs(table - reference)) <= 1e-14
+        assert np.max(np.abs(fewer - reference)) > 1e-10
+        # a mean sums thousands of node terms, with about 2e-14 of rounding at 48 nodes
+        mean = expected_gamma(fx, fy, n, m, hu_family=hu)
+        reference = self.with_nodes(monkeypatch, 60, expected_gamma, fx, fy, n, m, hu_family=hu)
+        fewer = self.with_nodes(monkeypatch, nodes - 1, expected_gamma, fx, fy, n, m, hu_family=hu)
+        assert abs(mean - reference) <= 1e-13
+        assert abs(fewer - reference) > 1e-10
+
+    def test_rules_past_the_caps_and_non_polynomial_anchors_are_unchanged(self):
+        # float.hex of the fixed 24- and 48-node results
+        tables = {
+            (TruncatedNormal(0.3, 0.5), 5, 3): [
+                "0x0.0p+0", "0x1.a06b3d66e0cd5p-5", "0x1.4a68e0da25b5ep-2", "0x1.c0ebc1ad819e5p-2",
+                "0x1.6135537095209p-3", "0x1.0034c133202e5p-6", "0x0.0p+0"],
+            (AbsSine(), 4, 2): [
+                "0x0.0p+0", "0x1.4bad9e7540d16p-3", "0x1.09337e67ea4a9p-1", "0x1.2c3fd34ca5c4ap-2",
+                "0x1.b8260a8e53bfep-6"],
+            (Beta(2, 2), 43, 2): [  # 25 nodes would be exact
+                "0x0.0p+0", "0x1.92e115bbe83bcp-14", "0x1.f094a3b6bb275p-5", "0x1.1c86c75c19293p-1",
+                "0x1.88c6aebf9a8d3p-2"],
+        }
+        for (fy, n, m), want in tables.items():
+            got = pmf_random_anchors_table(Uniform(), fy, n, m)
+            assert [float(v).hex() for v in got] == want, fy
+        means = {(TruncatedNormal(0.3, 0.5), 5, 3): "0x1.63c3b2355a146p+1",
+                 (AbsSine(), 4, 2): "0x1.17adb8ac79f8ep+1",
+                 (Beta(2, 2), 90, 3): "0x1.2e86d4d5f4912p+2"}  # 50 nodes would be exact
+        for (fy, n, m), want in means.items():
+            assert expected_gamma(Uniform(), fy, n, m).hex() == want, fy
+        with pytest.raises(ValueError, match=r"nodes=24\) lost mass 1.64e-07"):
+            pmf_random_anchors_table(Uniform(), Beta(2.5, 2), 4, 2)
+        with pytest.raises(ValueError, match=r"nodes=48\) lost mass 5.38e-09"):
+            expected_gamma(Uniform(), Beta(2.5, 2), 4, 2)
+
+    def test_lost_mass_names_the_nodes_used(self, monkeypatch):
+        # declared as a constant, the arc-sine density takes ceil((4 + 2) / 2) = 3 nodes
+        monkeypatch.setattr(ArcSine, "polynomial_degree", 0)
+        with pytest.raises(ValueError, match=r"nodes=3\) lost mass"):
+            pmf_random_anchors_table(Uniform(), ArcSine(), 4, 2)
+        with pytest.raises(ValueError, match=r"nodes=3\) lost mass"):
+            expected_gamma(Uniform(), ArcSine(), 4, 2)
 
 
 class TestExpectedGammaHu:
