@@ -4,11 +4,17 @@ Every family exposes a vectorized pdf/cdf/quantile triple and one-sided
 derivatives of the density at the support endpoints and midpoint (orders
 0 through 2). Models are immutable value objects; constructors validate
 parameters and check that the density integrates to 1.
+
+The uniform, step, linear and piece-quadratic families are piecewise polynomials
+with exact rational coefficients. One class holds their pieces and derives every
+evaluator from them; its quantile inverts a piece linearly where the cdf has
+degree 1, by the stable quadratic root at degree 2, and by Newton above that.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +24,6 @@ import numpy as np
 from scipy import special
 
 MASS_TOL = 1e-10
-QUANTILE_BISECT_TOL = 1e-12
 MAX_DERIVATIVE_ORDER = 2
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
 BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
@@ -79,7 +84,8 @@ def _scalar_like(x, out):
 
 
 class DensityModel:
-    """Base class: a named density on a SupportInterval."""
+    """Base class: a named density on a SupportInterval.  A family supplies ``_pdf``, ``_cdf``,
+    ``_quantile``, ``_pdf_derivative`` and ``_one_sided`` on points of the support."""
 
     family = "base"
     unbounded = False
@@ -104,29 +110,9 @@ class DensityModel:
         """Points inside the support where pdf or its derivatives jump."""
         return []
 
-    def piecewise_constant_parts(self):
-        """For step densities: list of (lo, hi, height) Fractions, else None."""
+    def piecewise_polynomial_parts(self):
+        """Per piece (lo, hi, pdf coefficients in t = x - lo) as Fractions; None if not piecewise polynomial."""
         return None
-
-    def _pdf(self, x):
-        raise NotImplementedError
-
-    def _cdf(self, x):
-        raise NotImplementedError
-
-    def _quantile(self, u):
-        # generic bisection; families with analytic inverses override
-        u = _as_array(u)
-        lo = np.full(u.shape, self.support.lo)
-        hi = np.full(u.shape, self.support.hi)
-        for _ in range(80):
-            midp = 0.5 * (lo + hi)
-            below = self._cdf(midp) < u
-            lo = np.where(below, midp, lo)
-            hi = np.where(below, hi, midp)
-            if np.max(hi - lo) < QUANTILE_BISECT_TOL:
-                break
-        return 0.5 * (lo + hi)
 
     def _in_support(self, a):
         """True for a nonempty array inside the support: no mask needed.  NaN fails, scalars go masked."""
@@ -175,9 +161,6 @@ class DensityModel:
         out = self._pdf_derivative(a, order)
         return _scalar_like(x, out)
 
-    def _pdf_derivative(self, x, order):
-        raise NotImplementedError(f"{self.family}: pdf_derivative not implemented")
-
     def one_sided_derivative(self, point, side, order):
         which = self._landmark(point)
         if side not in ("+", "-"):
@@ -203,9 +186,6 @@ class DensityModel:
         raise ValueError(
             f"point: {p} is not a support landmark "
             f"(lo={self.support.lo}, mid={self.support.mid}, hi={self.support.hi})")
-
-    def _one_sided(self, which, side, order):
-        raise NotImplementedError
 
     def _check_mass(self):
         mass = self._mass()
@@ -263,117 +243,155 @@ def _unit_support(support):
     return s
 
 
-class Uniform(DensityModel):
-    family = "uniform"
-    polynomial_degree = 0
+def _float_rows(polys, order=0):
+    """Row k holds every piece's coefficient of t^k in the order-th derivative, rounded once."""
+    polys = [[math.perm(k, order) * c for k, c in enumerate(p)][order:] or [0] for p in polys]
+    return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=float)
 
-    def __init__(self, support=(0.0, 1.0)):
-        super().__init__(_unit_support(support))
+
+class _PiecewisePolynomial(DensityModel):
+    """A density that is one polynomial with exact rational coefficients on each piece.
+
+    A family passes its knots, Fractions from lo to hi, and per piece the pdf's coefficients in
+    t = x - piece start; the exact cdf, float rows for Horner's rule on the pdf, cdf and pdf
+    derivatives, the one-sided values (exact, rounded once) and the degree derive from them.
+    """
+
+    def __init__(self, knots, pieces, support):
+        knots, self._parts, cdfs, mass = [Fraction(k) for k in knots], [], [], Fraction(0)
+        for lo, hi, coefs in zip(knots, knots[1:], pieces):
+            self._parts.append((lo, hi, tuple(Fraction(c) for c in coefs)))
+            cdfs.append([mass, *(c / (k + 1) for k, c in enumerate(self._parts[-1][2]))])
+            mass = sum(c * (hi - lo) ** k for k, c in enumerate(cdfs[-1]))
+        pdfs = [coefs for _, _, coefs in self._parts]
+        self.polynomial_degree = max((k for p in pdfs for k, c in enumerate(p) if c), default=0)
+        self._rows = [_float_rows(pdfs, order) for order in range(MAX_DERIVATIVE_ORDER + 1)]
+        self._cdf_rows = _float_rows(cdfs)
+        self._starts = np.array([float(lo) for lo in knots[:-1]])
+        self._widths = np.array([float(hi - lo) for lo, hi in zip(knots, knots[1:])])
+        # the cdf's degree picks the inverse; on a piece without mass the linear
+        # inverse v / height divides by inf, which puts u at the piece start
+        self._inverse = min(self.polynomial_degree + 1, 3)
+        self._heights = np.where(self._rows[0][0] > 0, self._rows[0][0], np.inf)
+        super().__init__(support)
+
+    def _keep_delta(self, delta, inside, needs):
+        """Keep a family's delta as a float once ``inside`` accepts it, and return it as a Fraction."""
+        d = float(delta)
+        if not inside(d):
+            raise ValueError(f"delta: {self.family} needs {needs}, got {d}")
+        self.delta = d
+        return Fraction(d)
+
+    def interior_knots(self):
+        return [float(lo) for lo, _, _ in self._parts[1:]]
+
+    def piecewise_polynomial_parts(self):
+        return list(self._parts)
+
+    def _at(self, rows, x):
+        """The polynomial of the float rows at points x of the support.  One piece skips the search,
+        and the subtraction t = x - 0; a constant on each piece is gathered."""
+        one = self._starts.size == 1
+        i = 0 if one else np.searchsorted(self._starts[1:], x, side="right")
+        if len(rows) == 1:
+            return np.full_like(x, rows[0][0]) if one else rows[0][i]
+        return self._horner(rows, i, x if one and self._starts[0] == 0.0 else x - self._starts[i])
+
+    @staticmethod
+    def _horner(rows, i, t):
+        """Horner's rule, in place, on rows of degree 1 and up at pieces i and offsets t."""
+        out = rows[-1][i] * t
+        for row in rows[-2:0:-1]:
+            out += row[i]
+            out *= t
+        if rows[0].any():
+            out += rows[0][i]
+        return out
 
     def _pdf(self, x):
-        return np.ones_like(x)
+        return self._at(self._rows[0], x)
 
+    def _cdf(self, x):
+        return self._at(self._cdf_rows, x)
+
+    def _pdf_derivative(self, x, order):
+        return self._at(self._rows[order], x)
+
+    def _quantile(self, u):
+        if self._starts.size == 1:
+            i, v = 0, u
+        else:
+            i = np.searchsorted(self._cdf_rows[0][1:], u, side="right")
+            v = u - self._cdf_rows[0][i]
+        if self._inverse == 1:
+            t = v / self._heights[i]
+        elif self._inverse == 2:
+            g, a = self._rows[0][0][i], self._rows[0][1][i]
+            disc = np.sqrt(np.maximum(g * g + 2.0 * a * v, 0.0))
+            # g + disc is 0 only at v = 0 with a zero density at the piece start; the floor makes 0/0 a 0
+            t = 2.0 * v / np.maximum(g + disc, np.finfo(float).tiny)
+        else:
+            t = self._newton(i, v)
+        return self._starts[i] + t
+
+    def _newton(self, i, v):
+        """t in [0, width] where the cdf has risen by v from the piece start.  Each term c t^k of
+        the rise alone reaches v at (v / c)^(1/k); the least of these starts Newton.  A step that
+        would leave the bracket bisects it instead, and a value stops once its step is within an
+        ulp of x or its bracket within four."""
+        lo, hi = np.zeros_like(v), np.zeros_like(v) + self._widths[i]
+        rise, t = np.vstack([0.0 * self._cdf_rows[0], self._cdf_rows[1:]]), hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, row in enumerate(rise[1:], 1):
+                t = np.fmin(t, v ** (1.0 / k) / (row ** (1.0 / k))[i])
+            for _ in range(100):  # a safety cap: from its start, Newton needs a few steps
+                excess = self._horner(rise, i, t) - v
+                lo, hi = np.where(excess <= 0.0, t, lo), np.where(excess >= 0.0, t, hi)
+                step = t - excess / self._horner(self._rows[0], i, t)
+                ulp = np.spacing(self._starts[i] + t)
+                done = (np.abs(step - t) <= ulp) | (hi - lo <= 4.0 * ulp)
+                if done.all():
+                    break
+                t = np.where(done, t, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+        return t
+
+    def _one_sided(self, which, side, order):
+        lo, hi = self._parts[0][0], self._parts[-1][1]
+        x = {"lo": lo, "hi": hi, "mid": (lo + hi) / 2}[which]
+        start, _, coefs = next(p for p in self._parts if (p[0] <= x < p[1] if side == "+" else p[0] < x <= p[1]))
+        terms = (math.perm(k, order) * c * (x - start) ** (k - order) for k, c in enumerate(coefs[order:], order))
+        return float(sum(terms)), False
+
+
+class Uniform(_PiecewisePolynomial):
+    family = "uniform"
+
+    def __init__(self, support=(0.0, 1.0)):
+        super().__init__([0, 1], [[1]], _unit_support(support))
+
+    # the identity, with no copy: simulate sends every uniform draw through it
     def _cdf(self, x):
         return x
 
     def _quantile(self, u):
         return u
 
-    def _pdf_derivative(self, x, order):
-        return np.zeros_like(x)
 
-    def _one_sided(self, which, side, order):
-        return (1.0, False) if order == 0 else (0.0, False)
-
-    def piecewise_constant_parts(self):
-        return [(Fraction(0), Fraction(1), Fraction(1))]
-
-
-class _StepDensity(DensityModel):
-    """Piecewise-constant density given by breakpoints and heights."""
-
-    polynomial_degree = 0
-
-    def __init__(self, breaks, heights, support=(0.0, 1.0)):
-        # breaks: increasing Fractions including both endpoints
-        self._breaks = [Fraction(b) for b in breaks]
-        self._heights = [Fraction(h) for h in heights]
-        self._bx = np.array([float(b) for b in self._breaks])
-        self._hx = np.array([float(h) for h in self._heights])
-        cum = [Fraction(0)]
-        for (a, b), h in zip(zip(self._breaks, self._breaks[1:]), self._heights):
-            cum.append(cum[-1] + (b - a) * h)
-        self._cum = np.array([float(v) for v in cum])
-        super().__init__(support)
-
-    def interior_knots(self):
-        return [float(b) for b in self._breaks[1:-1]]
-
-    def piecewise_constant_parts(self):
-        return [(a, b, h) for (a, b), h in zip(zip(self._breaks, self._breaks[1:]), self._heights)
-                if h != 0]
-
-    def _piece_index(self, x):
-        idx = np.searchsorted(self._bx, x, side="right") - 1
-        return np.clip(idx, 0, len(self._hx) - 1)
-
-    def _pdf(self, x):
-        return self._hx[self._piece_index(x)]
-
-    def _cdf(self, x):
-        i = self._piece_index(x)
-        return self._cum[i] + self._hx[i] * (x - self._bx[i])
-
-    def _quantile(self, u):
-        i = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self._hx) - 1)
-        # skip zero-height pieces so u strictly inside a piece inverts exactly
-        h = self._hx[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            off = np.where(h > 0, (u - self._cum[i]) / np.where(h > 0, h, 1.0), 0.0)
-        return self._bx[i] + off
-
-    def _pdf_derivative(self, x, order):
-        return np.zeros_like(x)
-
-    def _mass(self):
-        return float(sum((b - a) * h for (a, b), h in
-                         zip(zip(self._breaks, self._breaks[1:]), self._heights)))
-
-    def _one_sided(self, which, side, order):
-        if order > 0:
-            return 0.0, False
-        if which == "lo":
-            return float(self._heights[0]), False
-        if which == "hi":
-            return float(self._heights[-1]), False
-        mid = Fraction(1, 2) * (self._breaks[0] + self._breaks[-1])
-        for (a, b), h in zip(zip(self._breaks, self._breaks[1:]), self._heights):
-            if (side == "+" and a <= mid < b) or (side == "-" and a < mid <= b):
-                return float(h), False
-        raise AssertionError("midpoint not inside any piece")
-
-
-class ShrunkUniform(_StepDensity):
+class ShrunkUniform(_PiecewisePolynomial):
     """Uniform mass pulled onto [delta, 1-delta] inside the unit interval."""
 
     family = "shrunk_uniform"
     _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
-        d = float(delta)
-        if not 0.0 <= d < 0.5:
-            raise ValueError(f"delta: shrunk_uniform needs 0 <= delta < 1/2, got {d}")
-        self.delta = d
-        fd = Fraction(d)
+        fd = self._keep_delta(delta, lambda d: 0.0 <= d < 0.5, "0 <= delta < 1/2")
         h = 1 / (1 - 2 * fd)
-        if d == 0.0:
-            breaks, heights = [0, 1], [1]
-        else:
-            breaks, heights = [0, fd, 1 - fd, 1], [0, h, 0]
-        super().__init__(breaks, heights, _unit_support(support))
+        knots, heights = ([0, 1], [1]) if fd == 0 else ([0, fd, 1 - fd, 1], [0, h, 0])
+        super().__init__(knots, [[height] for height in heights], _unit_support(support))
 
 
-class GapUniform(_StepDensity):
+class GapUniform(_PiecewisePolynomial):
     """Uniform with a symmetric central gap of half-width delta.
 
     Only the bands delta in [0, 1/6] and [1/3, 1/2) are supported; the
@@ -384,55 +402,42 @@ class GapUniform(_StepDensity):
     _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
-        d = float(delta)
-        if not 0.0 <= d < 0.5:
-            raise ValueError(f"delta: gap_uniform needs 0 <= delta < 1/2, got {d}")
-        if 1.0 / 6.0 < d < 1.0 / 3.0:
+        fd = self._keep_delta(delta, lambda d: 0.0 <= d < 0.5, "0 <= delta < 1/2")
+        if 1.0 / 6.0 < self.delta < 1.0 / 3.0:
             raise ValueError(
-                f"delta: gap_uniform is implemented for [0,1/6] and [1/3,1/2) only, got {d}")
-        self.delta = d
-        fd = Fraction(d)
+                f"delta: gap_uniform is implemented for [0,1/6] and [1/3,1/2) only, got {self.delta}")
         h = 1 / (1 - 2 * fd)
-        if d == 0.0:
-            breaks, heights = [0, 1], [1]
+        if fd == 0:
+            knots, heights = [0, 1], [1]
         else:
-            breaks = [0, Fraction(1, 2) - fd, Fraction(1, 2) + fd, 1]
-            heights = [h, 0, h]
-        super().__init__(breaks, heights, _unit_support(support))
+            knots, heights = [0, Fraction(1, 2) - fd, Fraction(1, 2) + fd, 1], [h, 0, h]
+        super().__init__(knots, [[height] for height in heights], _unit_support(support))
 
 
-class TwoStep(_StepDensity):
+class TwoStep(_PiecewisePolynomial):
     """Heights 1+delta and 1-delta on the two halves of the unit interval."""
 
     family = "two_step"
     _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
-        d = float(delta)
-        if not -1.0 <= d <= 1.0:
-            raise ValueError(f"delta: two_step needs -1 <= delta <= 1, got {d}")
-        self.delta = d
-        fd = Fraction(d)
-        super().__init__([0, Fraction(1, 2), 1], [1 + fd, 1 - fd], _unit_support(support))
+        fd = self._keep_delta(delta, lambda d: -1.0 <= d <= 1.0, "-1 <= delta <= 1")
+        super().__init__([0, Fraction(1, 2), 1], [[1 + fd], [1 - fd]], _unit_support(support))
 
 
-class ThreeStep(_StepDensity):
+class ThreeStep(_PiecewisePolynomial):
     """Heights 1+delta, 1-delta, 1+delta on quarters (0,1/4,3/4,1)."""
 
     family = "three_step"
     _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
-        d = float(delta)
-        if not -1.0 <= d <= 1.0:
-            raise ValueError(f"delta: three_step needs -1 <= delta <= 1, got {d}")
-        self.delta = d
-        fd = Fraction(d)
+        fd = self._keep_delta(delta, lambda d: -1.0 <= d <= 1.0, "-1 <= delta <= 1")
         super().__init__([0, Fraction(1, 4), Fraction(3, 4), 1],
-                         [1 + fd, 1 - fd, 1 + fd], _unit_support(support))
+                         [[1 + fd], [1 - fd], [1 + fd]], _unit_support(support))
 
 
-class GeneralLinear(DensityModel):
+class GeneralLinear(_PiecewisePolynomial):
     """Linear density a x + b on an arbitrary interval, normalized to mass 1."""
 
     family = "general_linear"
@@ -445,38 +450,9 @@ class GeneralLinear(DensityModel):
         if abs(a) > bound * (1.0 + 1e-12):
             raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
         self.a = a
-        self.b = 1.0 / s.width - a * s.mid
-        super().__init__(s)
-
-    @property
-    def polynomial_degree(self):
-        return int(self.a != 0.0)
-
-    def _pdf(self, x):
-        return self.a * x + self.b
-
-    def _cdf(self, x):
-        lo = self.support.lo
-        return (0.5 * self.a * (x + lo) + self.b) * (x - lo)
-
-    def _quantile(self, u):
-        lo = self.support.lo
-        if self.a == 0.0:
-            return lo + u * self.support.width
-        g = self.a * lo + self.b
-        disc = np.sqrt(np.maximum(g * g + 2.0 * self.a * u, 0.0))
-        # g + disc is 0 only at u = 0 with a zero density at lo, where the floor turns 0/0 into 0
-        return lo + 2.0 * u / np.maximum(g + disc, np.finfo(float).tiny)
-
-    def _pdf_derivative(self, x, order):
-        return np.full_like(x, self.a) if order == 1 else np.zeros_like(x)
-
-    def _one_sided(self, which, side, order):
-        if order > 0:
-            return (self.a if order == 1 else 0.0), False
-        if which == "mid":  # mass 1 puts the height 1/width there, whatever the slope
-            return 1.0 / self.support.width, False
-        return self.a * getattr(self.support, which) + self.b, False
+        # mass 1 puts the height 1/width at the midpoint, whatever the slope
+        width = Fraction(s.hi) - Fraction(s.lo)
+        super().__init__([s.lo, s.hi], [[1 / width - Fraction(a) * width / 2, a]], s)
 
     def to_unit(self):
         """The same shape rescaled onto [0,1]: Linear(a * width^2)."""
@@ -569,53 +545,15 @@ class QPower(DensityModel):
         return math.copysign(math.inf, coef), True
 
 
-class PieceQuadratic(DensityModel):
+class PieceQuadratic(_PiecewisePolynomial):
     """delta + 12(1-delta) t^2 with t the distance past 0 or past 1/2."""
 
     family = "piece_quadratic"
     _param_names = ("delta",)
 
     def __init__(self, delta, support=(0.0, 1.0)):
-        d = float(delta)
-        if not 0.0 <= d <= 1.0:
-            raise ValueError(f"delta: piece_quadratic needs 0 <= delta <= 1, got {d}")
-        self.delta = d
-        super().__init__(_unit_support(support))
-
-    @property
-    def polynomial_degree(self):
-        return 0 if self.delta == 1.0 else 2
-
-    def interior_knots(self):
-        return [0.5]
-
-    def _t(self, x):
-        return np.where(x <= 0.5, x, x - 0.5)
-
-    def _pdf(self, x):
-        t = self._t(x)
-        return self.delta + 12.0 * (1.0 - self.delta) * t * t
-
-    def _cdf(self, x):
-        t = self._t(x)
-        half = self.delta * t + 4.0 * (1.0 - self.delta) * t ** 3
-        return np.where(x <= 0.5, half, 0.5 + half)
-
-    def _pdf_derivative(self, x, order):
-        t = self._t(x)
-        if order == 1:
-            return 24.0 * (1.0 - self.delta) * t
-        return np.full_like(x, 24.0 * (1.0 - self.delta))
-
-    def _one_sided(self, which, side, order):
-        d = self.delta
-        rising = which == "hi" or (which == "mid" and side == "-")
-        t = 0.5 if rising else 0.0
-        if order == 0:
-            return d + 12.0 * (1.0 - d) * t * t, False
-        if order == 1:
-            return 24.0 * (1.0 - d) * t, False
-        return 24.0 * (1.0 - d), False
+        fd = self._keep_delta(delta, lambda d: 0.0 <= d <= 1.0, "0 <= delta <= 1")
+        super().__init__([0, Fraction(1, 2), 1], [[fd, 0, 12 * (1 - fd)]] * 2, _unit_support(support))
 
 
 class AbsSine(DensityModel):
@@ -891,12 +829,18 @@ class TruncatedNormal(DensityModel):
     def _quantile(self, u):
         if self._near is None:
             return self.mu + self.sigma * special.ndtri(self._flo + u * self._z)
-        # |near - u| of the mass lies between the near end and x; all of it gives log1p(-1) = -inf,
-        # which the clip turns into the far end; x measured from the near end cancels ndtri_exp's bias
-        with np.errstate(divide="ignore"):
-            tail = self._lnear + np.log1p(-abs(self._near - u) * np.exp(self._lz - self._lnear))
-        t = special.ndtri_exp(tail) - special.ndtri_exp(self._lnear)
-        return self._near + (2.0 * self._near - 1.0) * self.sigma * t
+        # |near - u| of the mass lies between the near end and x, past which the log drop is `drop`: -inf
+        # for all of it, which the clip makes the far end; x counted from the near end cancels ndtri_exp's bias
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = np.log1p(-abs(self._near - u) * np.exp(self._lz - self._lnear))
+            t = special.ndtri_exp(self._lnear + drop) - special.ndtri_exp(self._lnear)
+            x = self._near + (2.0 * self._near - 1.0) * self.sigma * t
+            # lnear + drop is rounded at the scale of |lnear|: one Newton step on the log drop, whose
+            # slope in |x - near| is -sqrt(2/pi) / (sigma erfcx(z / sqrt 2)), takes that error out
+            z = sum(self._near_split(x))
+            slope = -math.sqrt(2.0 / math.pi) / (self.sigma * special.erfcx(z / math.sqrt(2.0)))
+            step = np.where(np.isfinite(drop), (self._log_drop(x) - drop) / slope, 0.0)
+        return x - (1.0 - 2.0 * self._near) * step
 
     def _mass(self):
         if self._near is None:
@@ -915,8 +859,6 @@ class TruncatedNormal(DensityModel):
 
     def _one_sided(self, which, side, order):
         pt = {"lo": 0.0, "mid": 0.5, "hi": 1.0}[which]
-        if order == 0:
-            return float(self._pdf(np.asarray(pt))), False
         return float(self.pdf_derivative(pt, order)), False
 
 

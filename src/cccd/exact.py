@@ -24,6 +24,8 @@ Evaluation routes, from most to least exact:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,29 +148,6 @@ def p_closed_form(model, n):
 
 # exact rational route for piecewise-constant densities
 
-class _StepCdf:
-    """Exact piecewise-linear cdf built from (lo, hi, height) Fractions."""
-
-    def __init__(self, parts):
-        self.parts = [(Fraction(lo), Fraction(hi), Fraction(h))
-                      for lo, hi, h in parts]
-        self.breaks = sorted({e for lo, hi, _ in self.parts for e in (lo, hi)})
-
-    def height(self, x):
-        for lo, hi, h in self.parts:
-            if lo <= x < hi:
-                return h
-        return Fraction(0)
-
-    def cdf(self, x):
-        total = Fraction(0)
-        for lo, hi, h in self.parts:
-            if x <= lo:
-                break
-            total += h * (min(x, hi) - lo)
-        return total
-
-
 def p_exact_rational(model, n):
     """p_n for a piecewise-constant density, in exact rational arithmetic.
 
@@ -178,27 +157,37 @@ def p_exact_rational(model, n):
     forms are tested against, and it also covers step families without one.
     """
     n = _require_sample_size(n)
-    parts = model.piecewise_constant_parts()
-    if parts is None:
+    parts = model.piecewise_polynomial_parts()
+    if parts is None or model.polynomial_degree != 0:
         raise ValueError(f"family {model.family!r} is not piecewise constant")
     if (model.support.lo, model.support.hi) != (0.0, 1.0):
         raise ValueError("support: exact integration expects the unit interval")
     if n == 1:
         return Fraction(0)
 
-    F = _StepCdf(parts)
+    starts, heights = [lo for lo, _, _ in parts], [coefs[0] for _, _, coefs in parts]
+    cum = list(itertools.accumulate(((hi - lo) * h for (lo, hi, _), h in zip(parts, heights)),
+                                    initial=Fraction(0)))
+
+    def height(x):
+        return heights[bisect.bisect_right(starts, x) - 1]
+
+    def cdf(x):
+        i = bisect.bisect_right(starts, x) - 1
+        return cum[i] + heights[i] * (x - starts[i])
+
     half, third, one = Fraction(1, 2), Fraction(1, 3), Fraction(1)
 
     def A(t):
-        return F.cdf(t) + F.cdf(t / 2)
+        return cdf(t) + cdf(t / 2)
 
     def B(s):
-        return F.cdf(s) + F.cdf((1 + s) / 2)
+        return cdf(s) + cdf((1 + s) / 2)
 
-    t_kinks = sorted({b for b in F.breaks if half < b < one}
-                     | {2 * b for b in F.breaks if half < 2 * b < one})
-    s_kinks = ({b for b in F.breaks if 0 < b < half}
-               | {2 * b - 1 for b in F.breaks if 0 < 2 * b - 1 < half})
+    t_kinks = sorted({b for b in starts if half < b < one}
+                     | {2 * b for b in starts if half < 2 * b < one})
+    s_kinks = ({b for b in starts if 0 < b < half}
+               | {2 * b - 1 for b in starts if 0 < 2 * b - 1 < half})
     crossings = {2 * tau - 1 if tau <= Fraction(2, 3) else tau / 2
                  for tau in t_kinks}
     s_cuts = sorted({Fraction(0), half, third} | s_kinks | crossings)
@@ -206,7 +195,7 @@ def p_exact_rational(model, n):
     total = Fraction(0)
     for s_lo, s_hi in zip(s_cuts[:-1], s_cuts[1:]):
         s_mid = (s_lo + s_hi) / 2
-        f_s = F.height(s_mid)
+        f_s = height(s_mid)
         if f_s == 0:
             continue
         if s_mid <= third:
@@ -220,7 +209,7 @@ def p_exact_rational(model, n):
         edges = [None] + taus + [one]        # None marks the moving edge L(s)
         for t_a, t_b in zip(edges[:-1], edges[1:]):
             probe = (L_mid + t_b) / 2 if t_a is None else (t_a + t_b) / 2
-            f_t = F.height(probe)
+            f_t = height(probe)
             if f_t == 0:
                 continue
             lo_ref = L_mid if t_a is None else t_a
@@ -314,7 +303,7 @@ def _geometric_cuts(n):
 def _t_kinks(model):
     """Ordinates in (1/2, 1) where A or the t-density changes analytic form."""
     kinks = set()
-    for k in (float(v) for v in model.interior_knots()):
+    for k in model.interior_knots():
         for tau in (k, 2.0 * k):
             if 0.5 < tau < 1.0:
                 kinks.add(tau)
@@ -322,9 +311,8 @@ def _t_kinks(model):
 
 
 def _initial_cuts(model, n):
-    knots = [float(k) for k in model.interior_knots()]
     s_cuts = {0.0, 1.0 / 3.0, 0.5}
-    for k in knots:
+    for k in model.interior_knots():
         if 0.0 < k < 0.5:
             s_cuts.add(k)
         if 0.0 < 2.0 * k - 1.0 < 0.5:
@@ -518,7 +506,7 @@ def probability(model, n, method="auto", config=None, reps=100000, seed=0):
     n = _require_sample_size(n)
     model = _to_unit(model)
     if method == "auto":
-        if model.piecewise_constant_parts() is not None:
+        if model.polynomial_degree == 0 and model.piecewise_polynomial_parts() is not None:
             method = "exact-rational"
         elif model.family == "square_cdf" and n <= MULTINOMIAL_MAX_N:
             method = "multinomial"

@@ -1,11 +1,12 @@
-"""Every public function, class and constant of cccd is reached from outside the tests.
+"""Every function, class and constant of cccd is reached from outside the tests.
 
-A public module-level function, class or UPPERCASE constant in ``src/cccd``
-must be named in ``src/cccd``, ``demos/`` or ``perfbench/`` somewhere other
-than inside its own definition or assignment: as a name, an attribute, an
-import or a string (the benchmark's tracer looks some functions up by name).
-Code that only tests reach should be deleted with its tests, or wired into a
-command, a demo or the benchmark.
+A module-level function, class or UPPERCASE constant in ``src/cccd``, and any
+private (leading underscore) module-level name there, must be named in
+``src/cccd``, ``demos/`` or ``perfbench/`` somewhere other than inside its own
+definition or assignment: as a name, an attribute, an import or a string (the
+benchmark's tracer looks some functions up by name). Code that only tests
+reach should be deleted with its tests, or wired into a command, a demo or the
+benchmark.
 
 Every name a module in ``src/cccd``, ``tests/`` or ``demos/`` imports is also
 read in that module, bar ``from __future__`` imports and the package's
@@ -64,6 +65,19 @@ def _public(stmt):
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         names = {name for name in names if name.isupper()}
     return sorted(name for name in names if not name.startswith("_"))
+
+
+def _private(stmt):
+    """Private functions, classes and assigned names, bar dunders."""
+    return sorted(name for name in _own(stmt) if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    defined = [name for path in sorted(PACKAGE.glob("*.py"))
+               for stmt in ast.parse(path.read_text()).body for name in _private(stmt)]
+    assert defined
+    mentions = _mentions()
+    assert sorted(name for name in defined if not mentions[name]) == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

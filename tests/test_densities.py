@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ def test_truncated_normal_far_from_the_interval_builds_with_a_clean_pdf(law):
     assert np.max(np.abs(got - want) / want) < 2e-15
 
 
+@pytest.mark.parametrize("law", [(-1.0, 0.001), (2.0, 0.001), (5.0, 0.001), (5.0, 0.002), (-0.5, 0.001),
+                                 (1.5, 0.001), (-0.28, 0.002)])
+def test_truncated_normal_quantile_round_trip_with_the_mode_outside(law):
+    # the quantile's log tail lnear + drop is rounded at the scale of |lnear|; a Newton step on the
+    # log drop leaves only what the cdf's slope makes of an ulp of x, and the cdf's own rounding
+    model = D.TruncatedNormal(*law)
+    u = np.concatenate([[0.0, 1.0], np.linspace(1e-3, 1 - 1e-3, 205)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = model.quantile(u)
+    bound = 2.0 * model.pdf(x) * np.spacing(x) + 4.0 * np.finfo(float).eps
+    assert np.all(np.abs(model.cdf(x) - u) <= bound)
+
+
 def check_log_tail_law(mu, sigma):
     mp = pytest.importorskip("mpmath")
     model = D.TruncatedNormal(mu, sigma)
@@ -213,6 +228,50 @@ def test_beta_symmetry_identity():
         left = D.Beta(nu1, nu2).cdf(grid)
         right = 1.0 - D.Beta(nu2, nu1).cdf(1.0 - grid)
         assert np.max(np.abs(left - right)) < 1e-12
+
+
+def _exact_poly(coefs, t, order=0):
+    """The order-th derivative of sum coefs[k] t^k at t, in Fractions."""
+    return sum(math.perm(k, order) * c * t ** (k - order) for k, c in enumerate(coefs) if k >= order)
+
+
+def _exact_from_parts(parts, x):
+    """pdf, its first two derivatives and the cdf at the Fraction x, from the piece that
+    holds x on its left end (the last piece also holds the top end)."""
+    below = Fraction(0)
+    for lo, hi, coefs in parts:
+        if lo <= x < hi or x == hi == parts[-1][1]:
+            rise = sum(c * (x - lo) ** (k + 1) / (k + 1) for k, c in enumerate(coefs))
+            return [_exact_poly(coefs, x - lo, order) for order in range(3)] + [below + rise]
+        below += sum(c * (hi - lo) ** (k + 1) / (k + 1) for k, c in enumerate(coefs))
+    raise AssertionError(f"{x} lies outside the parts")
+
+
+@pytest.mark.parametrize("model", [model for model in model_zoo() if model.piecewise_polynomial_parts()]
+                         + [D.PieceQuadratic(2 / 3), D.Linear(-0.3), D.GeneralLinear(0.1, (-1.0, 3.0))],
+                         ids=repr)
+def test_piecewise_polynomial_parts_agree_with_the_float_evaluators(model):
+    parts = model.piecewise_polynomial_parts()
+    lo, hi = parts[0][0], parts[-1][1]
+    assert (lo, hi) == (Fraction(model.support.lo), Fraction(model.support.hi))
+    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+    # floats are exact Fractions, so the points themselves carry no rounding
+    x = np.concatenate([np.linspace(model.support.lo, model.support.hi, 257),
+                        model.support.lo + model.support.width * np.random.default_rng(1).random(300)])
+    want = np.array([[float(v) for v in _exact_from_parts(parts, Fraction(p))] for p in x]).T
+    got = [model.pdf(x), model.pdf_derivative(x, 1), model.pdf_derivative(x, 2), model.cdf(x)]
+    for name, g, w in zip(["pdf", "first derivative", "second derivative", "cdf"], got, want):
+        # a knot such as 1/2 + delta is rounded to a float, which moves t by up to an ulp
+        assert np.all(np.abs(g - w) <= 8.0 * np.spacing(np.abs(w))), name
+    mid = (lo + hi) / 2
+    for which, side, point in [("lo", "+", lo), ("mid", "-", mid), ("mid", "+", mid), ("hi", "-", hi)]:
+        start, _, coefs = next(p for p in parts if (p[0] <= point < p[1] if side == "+" else p[0] < point <= p[1]))
+        for order in range(3):
+            d = model.one_sided_derivative(which, side, order)
+            assert (d.value, d.is_infinite) == (float(_exact_poly(coefs, point - start, order)), False)
+    u = np.concatenate([[0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53], np.random.default_rng(0).random(2000)])
+    q = model.quantile(u)
+    assert np.all(np.abs(model.cdf(q) - u) <= 2.0 * model.pdf(q) * np.spacing(q) + 4.0 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)

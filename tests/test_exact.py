@@ -231,7 +231,7 @@ class TestQuadrature:
         (Linear(1.0), 10, 1e-10, "0x1.93a422031b822p-2", "0x1.d220580000000p-47", 36),
         (AbsSine(), 1000, 1e-8, "0x1.479336c035bf5p-1", "0x1.6a4136b470b9fp-29", 153),
         (PieceQuadratic(2.0 / 3.0), 1_000_000, 1e-8,
-         "0x1.c71c6d016a9e9p-2", "0x1.14ad3478a0b69p-30", 226),
+         "0x1.c71c6d016c6efp-2", "0x1.144b3ee2959d1p-30", 226),
         (Beta(4, 1), 50, 1e-8, "0x1.3dfd5132933efp-7", "0x1.2a4b2721031e4p-34", 58),
         (TruncatedNormal(0.3, 0.5), 1000, 1e-10,
          "0x1.2844a6627d070p-2", "0x1.07ad44ea006e9p-36", 186),
@@ -325,6 +325,11 @@ class TestProbabilityRouting:
         assert exact.probability(SquareCdf(), 5).method == "multinomial"
         assert exact.probability(SquareCdf(), 61).method == "quadrature"
         assert exact.probability(Beta(2, 2), 5).method == "quadrature"
+        # every piece of these has degree 0: they are uniform, and their law is exact
+        for model in (Linear(0.0), PieceQuadratic(1.0), GeneralLinear(0.0, (0.0, 2.0))):
+            for n in (2, 5, 30):
+                rep = exact.probability(model, n)
+                assert (rep.method, rep.exact) == ("exact-rational", exact.p_uniform_fraction(n))
 
     def test_exact_field_carries_fraction(self):
         rep = exact.probability(Uniform(), 2)
