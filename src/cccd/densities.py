@@ -339,9 +339,14 @@ class _PiecewisePolynomial(DensityModel):
         """t in [0, width] where the cdf has risen by v from the piece start.  Each term c t^k of
         the rise alone reaches v at (v / c)^(1/k); the least of these starts Newton.  A step that
         would leave the bracket bisects it instead, and a value stops once its step is within an
-        ulp of x or its bracket within four."""
+        ulp of x or its bracket within four.  A stopped value keeps its t; once the stopped values
+        are at least half of a pass, they are dropped from the passes that follow (dropping fewer
+        costs more in copies than it saves)."""
+        shape, v = np.shape(v), np.ravel(v)
+        i = np.broadcast_to(i, shape).ravel()
         lo, hi = np.zeros_like(v), np.zeros_like(v) + self._widths[i]
         rise, t = np.vstack([0.0 * self._cdf_rows[0], self._cdf_rows[1:]]), hi
+        out, live = np.empty_like(v), np.arange(v.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             for k, row in enumerate(rise[1:], 1):
                 t = np.fmin(t, v ** (1.0 / k) / (row ** (1.0 / k))[i])
@@ -351,10 +356,18 @@ class _PiecewisePolynomial(DensityModel):
                 step = t - excess / self._horner(self._rows[0], i, t)
                 ulp = np.spacing(self._starts[i] + t)
                 done = (np.abs(step - t) <= ulp) | (hi - lo <= 4.0 * ulp)
-                if done.all():
+                stopped = np.count_nonzero(done)
+                if stopped == done.size:
                     break
-                t = np.where(done, t, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
-        return t
+                nxt = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+                if 2 * stopped < done.size:
+                    t = np.where(done, t, nxt)
+                    continue
+                out[live[done]] = t[done]
+                go = np.flatnonzero(~done)
+                live, i, v, lo, hi, t = live[go], i[go], v[go], lo[go], hi[go], nxt[go]
+        out[live] = t
+        return out.reshape(shape)
 
     def _one_sided(self, which, side, order):
         lo, hi = self._parts[0][0], self._parts[-1][1]

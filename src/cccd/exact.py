@@ -18,7 +18,11 @@ Evaluation routes, from most to least exact:
   * an exact rational integrator for any piecewise-constant density
     (Fraction arithmetic end to end);
   * a one-dimensional polynomial reduction for the density 2x on (0, 1);
-  * adaptive two-dimensional quadrature for everything else;
+  * adaptive two-dimensional quadrature for everything else: rect panels on
+    the rectangle [0, 1/3] x [2/3, 1] above the lower edge, where G, f(s) and
+    f(t) are evaluated once per coordinate node, and edge panels on the two
+    triangles along t = L(s), all refined in one pool with one cdf and one
+    pdf call per round;
   * Monte Carlo through ``simulate.run`` as an independent check.
 """
 
@@ -286,6 +290,9 @@ def p_multinomial_squarecdf(n):
 
 # adaptive two-dimensional quadrature
 
+_THIRD, _TWO_THIRDS = 1.0 / 3.0, 2.0 / 3.0
+
+
 def _lower_edge(s):
     return np.maximum(2.0 * s, 0.5 * (1.0 + s))
 
@@ -310,44 +317,93 @@ def _t_kinks(model):
     return sorted(kinks)
 
 
+def _ladders(model):
+    """Per edge, the t-ordinates that split its strip into bands: below Q the strip
+    runs from L(s) up to 2/3, right of Q from L(s) up to 1."""
+    kinks = _t_kinks(model)
+    return [[0.0, *(k for k in kinks if k < _TWO_THIRDS), _TWO_THIRDS],
+            [0.0, *(k for k in kinks if k > _TWO_THIRDS), 1.0]]
+
+
 def _initial_cuts(model, n):
-    s_cuts = {0.0, 1.0 / 3.0, 0.5}
+    """Seed cuts in integration coordinates: the outer cuts left and right of s = 1/3, the
+    inner cuts of the rect panels, and the v cuts of the edge below Q and of the edge right
+    of it."""
+    kinks = _t_kinks(model)
+    s_cuts = {0.0, _THIRD, 0.5}
     for k in model.interior_knots():
         if 0.0 < k < 0.5:
             s_cuts.add(k)
         if 0.0 < 2.0 * k - 1.0 < 0.5:
             s_cuts.add(2.0 * k - 1.0)
-    for tau in _t_kinks(model):
-        s_cuts.add(2.0 * tau - 1.0 if tau <= 2.0 / 3.0 else tau / 2.0)
-    bands = len(_t_kinks(model)) + 1
-    v_cuts = {k / bands for k in range(bands + 1)}
-    v_cuts.add(1.0 - 0.5 / bands)
+    for tau in kinks:
+        s_cuts.add(2.0 * tau - 1.0 if tau <= _TWO_THIRDS else tau / 2.0)
+    t_cuts = {_TWO_THIRDS, 1.0} | {tau for tau in kinks if tau > _TWO_THIRDS}
+    below, right = (len(ladder) - 1 for ladder in _ladders(model))
+    v_below = {k / below for k in range(below + 1)}
+    v_right = {k / right for k in range(right + 1)} | {1.0 - 0.5 / right}
     for cut in _geometric_cuts(n):
         s_cuts.add(0.5 * cut)                 # toward s = 0
-        v_cuts.add(1.0 - cut / bands)         # toward t = 1, inside top band
+        t_cuts.add(1.0 - 0.5 * cut)           # toward t = 1
+        v_right.add(1.0 - cut / right)        # toward t = 1, inside the top band
+    left_cuts = sorted(c for c in s_cuts if c <= _THIRD)
+    right_cuts = sorted(c for c in s_cuts if c >= _THIRD)
+    t_cuts = sorted(t_cuts)
     if model.unbounded:
-        # each u = F(s) cut goes to the z with u = top z (2 - z)
+        # each u = F(s) cut goes to the z with u = top z (2 - z), each t cut to w = F(t)
         top = float(model.cdf(0.5))
-        u_cuts = {float(model.cdf(c)) for c in s_cuts}
-        s_cuts = {1.0 - math.sqrt(1.0 - u / top) for u in u_cuts if u < top} | {0.0, 1.0}
-    return sorted(s_cuts), sorted(v_cuts)
+
+        def to_z(cuts):
+            return sorted({1.0 - math.sqrt(1.0 - float(model.cdf(c)) / top) for c in cuts})
+        left_cuts, right_cuts = to_z(left_cuts), to_z(right_cuts)
+        t_cuts = sorted({float(w) for w in model.cdf(np.array(t_cuts))})
+    return left_cuts, right_cuts, t_cuts, sorted(v_below), sorted(v_right)
+
+
+def _fused(evaluate, *arrays):
+    """One call of ``evaluate`` on the arrays laid end to end, split back into their shapes."""
+    flat = evaluate(np.concatenate([a.ravel() for a in arrays]))
+    out, at = [], 0
+    for a in arrays:
+        out.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return out
+
+
+def _nodes(lo, hi):
+    """The 15 Kronrod nodes of each interval [lo, hi], one row per interval."""
+    return 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * _KRONROD15[0]
 
 
 def _make_integrand(model, n):
-    """Returns fun(s, v) on the unit square of (outer, sliver) coordinates,
-    and ceiling(rect), an upper bound of G on each panel (a, b, c, d).
+    """Returns fun(rects, kind) and ceiling(rects, kind) on panels (a, b, c, d) of three kinds.
 
-    The outer nodes come in as (P, k, 1) and the sliver nodes as (P, 1, k),
-    so the factors that depend on s alone are evaluated once per outer node.
-    For a bounded density the outer variable is s itself. For a density
-    unbounded at the support edge the sliver is placed in w = F(t) and the
-    outer variable is z, with u = F(s) = top z (2 - z) and top = F(1/2):
-    both density factors cancel, and top - u = top (1 - z)^2 makes the
-    square-root edge of w_lo = F(2s) at s = 1/2 smooth. G rises with t and
-    falls with s, and t rises with both coordinates, so the ceiling takes t
-    at the corner (b, d) and s at a.
+    Kind 0 is a rect panel inside Q = [0, 1/3] x [2/3, 1], which lies wholly above t = L(s):
+    its outer coordinate is s and its inner one t, so on its 15 x 15 grid A(t), B(s), f(s) and
+    f(t) are needed at 15 + 15 nodes and only G = A - B is formed per node. Kinds 1 and 2 are
+    edge panels in the triangles below Q (s <= 1/3) and right of it (s >= 1/3), where t is
+    placed a share v up the sliver from L(s) to the triangle's top, 2/3 or 1; each t-kink
+    inside the sliver is pinned to a fixed fraction of the v axis, so panels never straddle a
+    jump of f(t). fun gives the node values of n (n-1) f(s) f(t) G^(n-2) dt/dv as vals (P, 15,
+    15) times row (P, 15) times col (P, 15), row and col depending on the outer and inner node
+    alone; it makes one ``model.cdf`` and one ``model.pdf`` call on the abscissae of every panel.
+
+    For a density unbounded at the support edge the inner variable is w = F(t) and the outer
+    one z, with u = F(s) = top z (2 - z) and top = F(1/2): both density factors cancel, and
+    top - u = top (1 - z)^2 makes the square-root edge of w_lo = F(2s) at s = 1/2 smooth. Row is
+    then 2 top (1 - z) and col 1. The edge slivers start at w_lo = F(L(s)), so their w nodes
+    need a second quantile and cdf call.
+
+    G rises with t and falls with s, and t rises with both coordinates, so the ceiling, an
+    upper bound of G on a panel, takes s at a and t at d, on the sliver over b for an edge.
     """
     power = n - 2
+    ladders = _ladders(model)
+    bands = np.array([len(ladder) - 1 for ladder in ladders])
+    rungs = np.array([ladder + ladder[-1:] * (bands.max() + 1 - len(ladder)) for ladder in ladders])
+    if model.unbounded:
+        top = float(model.cdf(0.5))
+        rungs = model.cdf(rungs)
 
     def weight(G):
         """G^(n-2) for G clipped at 0, formed in the array G."""
@@ -357,90 +413,107 @@ def _make_integrand(model, n):
         G *= power
         return np.exp(G, out=G)
 
-    if model.unbounded:
-        top = float(model.cdf(0.5))
+    def sliver(lower, v, side):
+        """The inner coordinate a share v up the sliver of edge side above lower, and its
+        derivative in v."""
+        count = bands[side]
+        band = np.minimum((v * count).astype(int), count - 1)
+        lo = np.maximum(rungs[side, band], lower)
+        width = np.maximum(rungs[side, band + 1], lower) - lo
+        return lo + (v * count - band) * width, count * width
 
-        def parts(z, w_slot):
-            u = top * z * (2.0 - z)
-            s = model.quantile(u)
-            w_lo = model.cdf(_lower_edge(s))
-            w = w_lo + w_slot * (1.0 - w_lo)
-            return w_lo, w + model.cdf(0.5 * model.quantile(w)), u + model.cdf(0.5 * (1.0 + s))
+    def parts(xb, xl, y, kind):
+        """G at every outer node xb (P, k) and inner node: y (P, m) on rect panels, the sliver
+        point at share y over xl (P, k) on edge panels. Returns G (P, k, m), the outer factor
+        (P, k), the inner factor (P, m), 1 on edges, and the edge panels' per-node factor."""
+        rect, edge = kind == 0, kind > 0
+        side = kind[edge, None, None] - 1
+        y_rect, v = y[rect], y[edge][:, None, :]
+        if model.unbounded:
+            u = top * xb * (2.0 - xb)
+            u_edge = top * xl[edge] * (2.0 - xl[edge])
+            s, s_edge, q = _fused(model.quantile, u, u_edge, y_rect)
+            B, A_rect, w_lo = _fused(model.cdf, 0.5 * (1.0 + s), 0.5 * q, _lower_edge(s_edge))
+            B += u
+            A_rect += y_rect
+            A_edge, edge_factor = sliver(w_lo[:, :, None], v, side)
+            A_edge += model.cdf(0.5 * model.quantile(A_edge))
+            row, col = 2.0 * top * (1.0 - xb), np.ones_like(y)
+        else:
+            t_edge, edge_factor = sliver(_lower_edge(xl[edge])[:, :, None], v, side)
+            Fs, Fm, Ft, Fh, Fte, Fhe = _fused(model.cdf, xb, 0.5 * (1.0 + xb), y_rect,
+                                              0.5 * y_rect, t_edge, 0.5 * t_edge)
+            row, f_rect, f_edge = _fused(model.pdf, xb, y_rect, t_edge)
+            B, A_rect, A_edge = Fs + Fm, Ft + Fh, Fte + Fhe
+            edge_factor *= f_edge
+            col = np.ones_like(y)
+            col[rect] = f_rect
+        G = np.empty(xb.shape + y.shape[1:])
+        G[rect] = A_rect[:, None, :] - B[rect][:, :, None]
+        G[edge] = A_edge - B[edge][:, :, None]
+        return G, row, col, edge_factor
 
-        def fun(z, w_slot):
-            w_lo, A, B = parts(z, w_slot)
-            return n * (n - 1) * weight(A - B) * (1.0 - w_lo) * (2.0 * top * (1.0 - z))
+    def fun(rects, kind):
+        x, y = _nodes(rects[:, 0], rects[:, 1]), _nodes(rects[:, 2], rects[:, 3])
+        G, row, col, edge_factor = parts(x, x, y, kind)
+        vals = weight(G)
+        vals[kind > 0] *= edge_factor
+        return vals, n * (n - 1) * row, col
 
-        def ceiling(rect):
-            return parts(rect[:, 1], rect[:, 3])[1] - parts(rect[:, 0], rect[:, 2])[2]
-        return fun, ceiling
-
-    # ladder of t-ordinates: each density break is pinned to a fixed fraction
-    # of the v axis, so panels never straddle a jump of f(t)
-    rungs = np.array([0.0] + _t_kinks(model) + [1.0])
-    bands = rungs.size - 1
-
-    def sliver(s, v):
-        L = _lower_edge(s)
-        b = np.clip((v * bands).astype(int), 0, bands - 1)
-        lo = np.maximum(rungs[b], L)
-        width = np.maximum(rungs[b + 1], L) - lo
-        return lo + (v * bands - b) * width, width
-
-    def fun(s, v):
-        t, width = sliver(s, v)
-        G = model.cdf(t)
-        G += model.cdf(0.5 * t)
-        G -= model.cdf(s)
-        G -= model.cdf(0.5 * (1.0 + s))
-        out = n * (n - 1) * model.pdf(s) * model.pdf(t)
-        out *= weight(G)
-        out *= bands * width
-        return out
-
-    def ceiling(rect):
-        t, s = sliver(rect[:, 1], rect[:, 3])[0], rect[:, 0]
-        return model.cdf(t) + model.cdf(0.5 * t) - model.cdf(s) - model.cdf(0.5 * (1.0 + s))
+    def ceiling(rects, kind):
+        a, b, _, d = (rects[:, k:k + 1] for k in range(4))
+        return parts(a, b, d, kind)[0][:, 0, 0]
 
     return fun, ceiling
 
 
 def _seed_panels(model, n):
-    """The integrand, the seed panels (a, b, c, d), and a mask of the panels
-    on which G^(n-2) underflows to 0 at every node: 1e-12 covers round-off
-    in G, and -760 lies well past the -745 at which exp underflows."""
+    """The integrand, the seed panels (a, b, c, d), their kinds, and a mask of the panels on
+    which G^(n-2) underflows to 0 at every node: those whose ceiling on G stays below the floor
+    exp(-760 / (n-2)) - 1e-12. 1e-12 covers round-off in G, and -760 lies well past the -745 at
+    which exp underflows; below n = 30 the floor is negative, and no ceiling is needed.
+
+    Each outer interval left of s = 1/3 holds an edge sliver under a column of rect panels, and
+    each outer interval right of it a column of edge panels."""
     fun, ceiling = _make_integrand(model, n)
-    s_cuts, v_cuts = _initial_cuts(model, n)
-    rects = np.array([(a, b, c, d)
-                      for a, b in zip(s_cuts[:-1], s_cuts[1:])
-                      for c, d in zip(v_cuts[:-1], v_cuts[1:])])
-    dead = (n - 2) * np.log(np.maximum(ceiling(rects) + 1e-12, 1e-300)) < -760.0
-    return fun, rects, dead
+    left, right, t_cuts, v_below, v_right = _initial_cuts(model, n)
+    rects, kind = [], []
+    for cuts, columns in ((left, ((1, v_below), (0, t_cuts))), (right, ((2, v_right),))):
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            for k, inner in columns:
+                rects += [(a, b, c, d) for c, d in zip(inner[:-1], inner[1:])]
+                kind += [k] * (len(inner) - 1)
+    rects, kind = np.array(rects), np.array(kind)
+    floor = math.exp(-760.0 / (n - 2)) - 1e-12 if n > 2 else 0.0
+    dead = ceiling(rects, kind) < floor if floor > 0.0 else np.zeros(len(rects), dtype=bool)
+    return fun, rects, kind, dead
 
 
-def _evaluate_panels(fun, rect):
-    """Kronrod 15 x 15 and nested Gauss 7 x 7 tensor estimates per panel from
-    one pass of ``fun``; rect has rows (a, b, c, d)."""
-    nodes, kronrod, gauss = _KRONROD15
-    half_x = 0.5 * (rect[:, 1] - rect[:, 0])
-    half_y = 0.5 * (rect[:, 3] - rect[:, 2])
-    mid_x = 0.5 * (rect[:, 1] + rect[:, 0])
-    mid_y = 0.5 * (rect[:, 3] + rect[:, 2])
-    X = mid_x[:, None, None] + half_x[:, None, None] * nodes[None, :, None]
-    Y = mid_y[:, None, None] + half_y[:, None, None] * nodes[None, None, :]
-    vals = np.broadcast_to(fun(X, Y), (rect.shape[0], nodes.size, nodes.size))
-    fine = np.einsum("pij,i,j->p", vals, kronrod, kronrod)
-    coarse = np.einsum("pij,i,j->p", vals[:, 1::2, 1::2], gauss, gauss)
-    return fine * half_x * half_y, coarse * half_x * half_y
+def _evaluate_panels(fun, rects, kind):
+    """Kronrod 15 x 15 and nested Gauss 7 x 7 tensor estimates per panel from one pass of
+    ``fun``; rects has rows (a, b, c, d). The node values are vals times an outer product of
+    row and col, so each sum is one contraction with the rule's weights folded into both."""
+    _, kronrod, gauss = _KRONROD15
+    vals, row, col = fun(rects, kind)
+    area = 0.25 * (rects[:, 1] - rects[:, 0]) * (rects[:, 3] - rects[:, 2])
+    fine = np.einsum("pij,pi,pj->p", vals, row * kronrod, col * kronrod)
+    coarse = np.einsum("pij,pi,pj->p", vals[:, 1::2, 1::2], row[:, 1::2] * gauss,
+                       col[:, 1::2] * gauss)
+    return fine * area, coarse * area
 
 
 def p_quadrature(model, n, config=None):
     """p_n by adaptive tensor-product Gauss-Kronrod quadrature.
 
-    Panels are seeded on density knots and on the images of the lower edge
-    kink. One pass of the integrand on a panel's 15 x 15 nested 7/15
-    Gauss-Kronrod grid gives the Kronrod sum (the value) and, on the odd
-    nodes, the 7 x 7 Gauss sum; panels are refined where the two differ most.
+    The region is split at s = 1/3, the kink of its lower edge L(s). Rect panels tile the
+    rectangle Q = [0, 1/3] x [2/3, 1] in (s, t), where the integrand's density and A, B factors
+    are evaluated once per coordinate node; edge panels cover the two triangles along t = L(s)
+    with a sliver coordinate. Panels of both kinds are seeded on density knots, on the images
+    of the t-kinks and on cuts packing the corner (0, 1), share one pool and one refinement
+    rule, and are evaluated together: one ``model.cdf`` and one ``model.pdf`` call per round on
+    all their abscissae. One pass of the integrand on a panel's 15 x 15 nested 7/15
+    Gauss-Kronrod grid gives the Kronrod sum (the value) and, on the odd nodes, the 7 x 7 Gauss
+    sum; panels are refined where the two differ most.
     Each round splits the fewest worst panels whose error estimates sum to
     at least the error minus half the target, and never more than 64, so
     the last rounds stop near the target instead of far below it.
@@ -454,10 +527,10 @@ def p_quadrature(model, n, config=None):
     if n == 1:
         return ProbabilityReport(0.0, "quadrature", n, error_estimate=0.0,
                                  panels=0)
-    fun, rects, dead = _seed_panels(model, n)
+    fun, rects, kind, dead = _seed_panels(model, n)
     # dead seed panels keep their place at value and error 0: sums and order hold
     vals, rough = np.zeros(len(rects)), np.zeros(len(rects))
-    vals[~dead], rough[~dead] = _evaluate_panels(fun, rects[~dead])
+    vals[~dead], rough[~dead] = _evaluate_panels(fun, rects[~dead], kind[~dead])
     errs = np.abs(vals - rough)
     # live panels stay in creation order, which fixes the order of the sums
     # (left to right: cumsum, not pairwise np.sum or compensated sum()) and
@@ -477,8 +550,10 @@ def p_quadrature(model, n, config=None):
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         children = np.stack([(a, mx, c, my), (a, mx, my, d), (mx, b, c, my), (mx, b, my, d)])
         children = children.transpose(2, 0, 1).reshape(-1, 4)   # four per panel, worst first
-        child_vals, child_rough = _evaluate_panels(fun, children)
+        child_kind = np.repeat(kind[worst], 4)
+        child_vals, child_rough = _evaluate_panels(fun, children, child_kind)
         rects = np.concatenate([np.delete(rects, worst, axis=0), children])
+        kind = np.concatenate([np.delete(kind, worst), child_kind])
         vals = np.concatenate([np.delete(vals, worst), child_vals])
         errs = np.concatenate([np.delete(errs, worst), np.abs(child_vals - child_rough)])
         value, error = vals.cumsum()[-1], errs.cumsum()[-1]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -272,6 +273,16 @@ def test_piecewise_polynomial_parts_agree_with_the_float_evaluators(model):
     u = np.concatenate([[0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53], np.random.default_rng(0).random(2000)])
     q = model.quantile(u)
     assert np.all(np.abs(model.cdf(q) - u) <= 2.0 * model.pdf(q) * np.spacing(q) + 4.0 * np.finfo(float).eps)
+
+
+def test_newton_quantile_keeps_every_bit():
+    # Newton passes drop the values that have stopped, which leaves each value's own steps as
+    # they were: the sha256 of the float64 bytes was taken before that change
+    u = np.linspace(0.0, 1.0, 10_000).reshape(100, 100)
+    x = D.PieceQuadratic(2 / 3).quantile(u)
+    assert x.shape == u.shape
+    assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == (
+        "0ae649183927559299c9d19731ad0fee4f501dc89b81371a0c1db8431a1df737")
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccd import exact
-from cccd.densities import (AbsSine, ArcSine, Beta, GapUniform, GeneralLinear,
+from cccd.densities import (_KRONROD15, AbsSine, ArcSine, Beta, GapUniform, GeneralLinear,
                             Linear, PieceQuadratic, QPower, ShrunkUniform,
                             SquareCdf, ThreeStep, TruncatedNormal, TwoStep,
                             Uniform)
@@ -16,6 +16,12 @@ STEP_MODELS = [
     ShrunkUniform(0.30), GapUniform(0.05), GapUniform(1.0 / 6.0),
     GapUniform(0.34), GapUniform(0.45), TwoStep(0.4), TwoStep(-0.7),
     ThreeStep(0.6), ThreeStep(-0.3),
+]
+
+# the non-step families the benchmark's quadrature ops run
+LAWS_CATALOG = [
+    Linear(1.0), AbsSine(), ArcSine(), Beta(2, 2), Beta(4, 1), TruncatedNormal(0.3, 0.5),
+    QPower(2.0), PieceQuadratic(2.0 / 3.0), SquareCdf(),
 ]
 
 SMOOTH_MODELS = [
@@ -225,18 +231,18 @@ class TestQuadrature:
         assert "stopped at 36 panels" in str(info.value)
 
     @pytest.mark.parametrize("model, n, rel_tol, value, error, panels", [
-        (ArcSine(), 10, 1e-10, "0x1.9b09d5759aaf9p-1", "0x1.6890411800000p-39", 36),
-        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6e49cp-1", "0x1.3c72c66dd282dp-41", 360),
-        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7f0e6dp-1", "0x1.0e59bd41b026ap-35", 331),
-        (Linear(1.0), 10, 1e-10, "0x1.93a422031b822p-2", "0x1.d220580000000p-47", 36),
-        (AbsSine(), 1000, 1e-8, "0x1.479336c035bf5p-1", "0x1.6a4136b470b9fp-29", 153),
+        (ArcSine(), 10, 1e-10, "0x1.9b09d5759aafbp-1", "0x1.68a3073bb0000p-39", 36),
+        (ThreeStep(0.6), 10_000, 1e-12, "0x1.948b0fcd6df8fp-1", "0x1.1127778ba9053p-41", 330),
+        (QPower(2.0), 1_000_000, 1e-10, "0x1.2f6848e7e9e49p-1", "0x1.1e9bed7ae2eb0p-35", 334),
+        (Linear(1.0), 10, 1e-10, "0x1.93a422031b820p-2", "0x1.d979978000000p-47", 36),
+        (AbsSine(), 1000, 1e-8, "0x1.479336c035cfep-1", "0x1.78be00d34aae8p-29", 153),
         (PieceQuadratic(2.0 / 3.0), 1_000_000, 1e-8,
-         "0x1.c71c6d016c6efp-2", "0x1.144b3ee2959d1p-30", 226),
-        (Beta(4, 1), 50, 1e-8, "0x1.3dfd5132933efp-7", "0x1.2a4b2721031e4p-34", 58),
+         "0x1.c71c6d01aae82p-2", "0x1.147a7c3e68996p-30", 226),
+        (Beta(4, 1), 50, 1e-8, "0x1.3dfd5132933eap-7", "0x1.edc44657af94ap-35", 61),
         (TruncatedNormal(0.3, 0.5), 1000, 1e-10,
-         "0x1.2844a6627d070p-2", "0x1.07ad44ea006e9p-36", 186),
-        (TwoStep(0.5), 10, 1e-8, "0x1.5f0e410000001p-2", "0x1.7b6de80000000p-53", 36),
-        (ArcSine(), 10, 1e-8, "0x1.9b09d5759aaf9p-1", "0x1.6890411800000p-39", 36),
+         "0x1.2844a6627cfd7p-2", "0x1.07fbafcdf5b88p-36", 186),
+        (TwoStep(0.5), 10, 1e-8, "0x1.5f0e40fffffffp-2", "0x1.8aa7040000000p-53", 36),
+        (ArcSine(), 10, 1e-8, "0x1.9b09d5759aafbp-1", "0x1.68a3073bb0000p-39", 36),
     ], ids=["arc_sine", "three_step", "q_power", "linear", "abs_sine", "piece_quadratic",
             "beta41", "truncated_normal", "two_step", "arc_sine_loose"])
     def test_refinement_is_pinned(self, model, n, rel_tol, value, error, panels):
@@ -275,22 +281,54 @@ class TestQuadrature:
         assert rep.panels <= 64
         assert abs(rep.value - reference) <= 1e-14 * reference
 
-    @pytest.mark.parametrize("model", [
-        Linear(1.0), AbsSine(), Beta(2, 2), Beta(4, 1), TruncatedNormal(0.3, 0.5),
-        QPower(2.0), PieceQuadratic(2.0 / 3.0), SquareCdf(), ArcSine()], ids=repr)
+    @pytest.mark.parametrize("model", LAWS_CATALOG, ids=repr)
     def test_skipped_seed_panels_are_zero_at_every_node(self, model):
         # the quadrature skips the seed panels whose ceiling on G makes G^(n-2)
-        # underflow; evaluated anyway, each must be exactly 0 at all 225 nodes
+        # underflow; evaluated anyway, each rect and edge panel must be exactly 0
+        # at all 225 nodes
         for n in (3, 10**3, 10**4, 10**6):
-            fun, rects, dead = exact._seed_panels(model, n)
-            grids = []
-            exact._evaluate_panels(lambda x, y: grids.append(fun(x, y)) or grids[-1], rects)
-            nodes = np.broadcast_to(grids[0], (len(rects), 15, 15))
+            fun, rects, kind, dead = exact._seed_panels(model, n)
+            vals, row, col = fun(rects, kind)
+            nodes = vals * row[:, :, None] * col[:, None, :]
             assert not np.any(nodes[dead])
             if n == 3:
                 assert not dead.any()
-            if n >= 10**4:   # the check is not vacuous
-                assert dead.any()
+            if n >= 10**4:   # the check is not vacuous for either kind
+                assert dead[kind == 0].any() and dead[kind > 0].any()
+
+    @pytest.mark.parametrize("n", [3, 10**3, 10**6])
+    @pytest.mark.parametrize("model", LAWS_CATALOG, ids=repr)
+    def test_rect_panel_sums_equal_pointwise_evaluation(self, model, n):
+        # on a rect panel inside Q = [0, 1/3] x [2/3, 1] the integrand is assembled
+        # from factors of one coordinate each; its Kronrod and Gauss sums must equal
+        # those of n (n-1) f(s) f(t) G^(n-2) evaluated node by node on the 15 x 15
+        # grid, in (z, w) = (outer, F(t)) coordinates for the arc-sine; G^(n-2) is
+        # exp((n-2) log G) on both sides, as pow rounds differently by up to ~1e-13
+        # where it nears underflow
+        fun, rects, kind, dead = exact._seed_panels(model, n)
+        rect = rects[(kind == 0) & ~dead]
+        assert len(rect) >= 4
+        fine, coarse = exact._evaluate_panels(fun, rect, np.zeros(len(rect), dtype=int))
+        nodes, kronrod, gauss = _KRONROD15
+        x, y = ((0.5 * (rect[:, hi] + rect[:, lo]))[:, None]
+                + (0.5 * (rect[:, hi] - rect[:, lo]))[:, None] * nodes for lo, hi in ((0, 1), (2, 3)))
+        if model.unbounded:
+            top = model.cdf(0.5)
+            u = top * x * (2.0 - x)
+            B = u + model.cdf(0.5 * (1.0 + model.quantile(u)))
+            A = y + model.cdf(0.5 * model.quantile(y))
+            density = (2.0 * top * (1.0 - x))[:, :, None]
+        else:
+            B = model.cdf(x) + model.cdf(0.5 * (1.0 + x))
+            A = model.cdf(y) + model.cdf(0.5 * y)
+            density = model.pdf(x)[:, :, None] * model.pdf(y)[:, None, :]
+        G = A[:, None, :] - B[:, :, None]
+        point = n * (n - 1) * density * np.exp((n - 2) * np.log(G))
+        area = 0.25 * (rect[:, 1] - rect[:, 0]) * (rect[:, 3] - rect[:, 2])
+        want_fine = np.einsum("pij,i,j->p", point, kronrod, kronrod) * area
+        want_coarse = np.einsum("pij,i,j->p", point[:, 1::2, 1::2], gauss, gauss) * area
+        np.testing.assert_allclose(fine, want_fine, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(coarse, want_coarse, rtol=1e-14, atol=0.0)
 
     def test_large_n_approaches_known_limits(self):
         for model, limit in ((Uniform(), 4 / 9), (Linear(1.0), 3 / 8),
