@@ -273,6 +273,7 @@ class _PiecewisePolynomial(DensityModel):
         # inverse v / height divides by inf, which puts u at the piece start
         self._inverse = min(self.polynomial_degree + 1, 3)
         self._heights = np.where(self._rows[0][0] > 0, self._rows[0][0], np.inf)
+        self._exact_mass = mass
         super().__init__(support)
 
     def _keep_delta(self, delta, inside, needs):
@@ -285,6 +286,13 @@ class _PiecewisePolynomial(DensityModel):
 
     def interior_knots(self):
         return [float(lo) for lo, _, _ in self._parts[1:]]
+
+    def _mass(self):
+        """The pieces' exact mass, rounded once; a subclass that replaces ``_pdf`` no longer
+        evaluates the pieces, and its pdf is integrated instead."""
+        if type(self)._pdf is _PiecewisePolynomial._pdf:
+            return float(self._exact_mass)
+        return super()._mass()
 
     def piecewise_polynomial_parts(self):
         return list(self._parts)

@@ -392,7 +392,7 @@ def _make_integrand(model, n):
     one z, with u = F(s) = top z (2 - z) and top = F(1/2): both density factors cancel, and
     top - u = top (1 - z)^2 makes the square-root edge of w_lo = F(2s) at s = 1/2 smooth. Row is
     then 2 top (1 - z) and col 1. The edge slivers start at w_lo = F(L(s)), so their w nodes
-    need a second quantile and cdf call.
+    need a second quantile and cdf call, made only when edge panels are evaluated.
 
     G rises with t and falls with s, and t rises with both coordinates, so the ceiling, an
     upper bound of G on a panel, takes s at a and t at d, on the sliver over b for an edge.
@@ -437,7 +437,8 @@ def _make_integrand(model, n):
             B += u
             A_rect += y_rect
             A_edge, edge_factor = sliver(w_lo[:, :, None], v, side)
-            A_edge += model.cdf(0.5 * model.quantile(A_edge))
+            if A_edge.size:
+                A_edge += model.cdf(0.5 * model.quantile(A_edge))
             row, col = 2.0 * top * (1.0 - xb), np.ones_like(y)
         else:
             t_edge, edge_factor = sliver(_lower_edge(xl[edge])[:, :, None], v, side)

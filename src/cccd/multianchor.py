@@ -10,9 +10,13 @@ from that decomposition.
 
 Conditional on the anchor positions the cell counts are multinomial in the
 per-cell masses, and the distribution of the total is a small dynamic
-program over cells.  Uniform anchors make the m + 1 cell counts uniform
-over the C(n + m, m) compositions of n, so the same program gives their law
-exactly, with no anchor integral.  Other anchor densities integrate the
+program over cells that reads one weight per cell and count.  Independent
+Poisson(n q_j) counts conditioned on summing to n are the multinomial counts,
+so a cell of mass q weighs t points with (n q)^t / t! and the program divides
+by n^n / n! at the end.  Uniform anchors make the m + 1 cell counts uniform
+over the C(n + m, m) compositions of n, so the same program with unit weights
+and C(n + m, m) in place of n^n / n! gives their law exactly, with no anchor
+integral.  Other anchor densities integrate the
 conditional law against the order-statistic density m! * prod f_Y(y_j),
 through nested Gauss-Legendre rules for m <= 3 (split at the knots of f_Y),
 or sample the anchors (``mc_reps``), once per batch of anchor configurations.
@@ -45,7 +49,9 @@ from . import simulate
 from .exact import _to_unit, probability
 
 # Caps n + m on every route that runs the cell program or reads p_0..p_n, by
-# its cost: uniform anchors take about 0.4 s at n = m = 200 on two cores.
+# its cost: uniform anchors take about 0.33 s at n = m = 200 on two cores.
+# The cell weights and their scale reach n^n / n! ~ e^n, finite only below
+# n ~ 700.
 MAX_CELL_TOTAL = 400
 
 # Most non-uniform anchors the nested Gauss rule integrates.
@@ -58,7 +64,8 @@ _TABLE_NODES = 24
 _MEAN_NODES = 48
 
 # Anchor configurations per cell program call: at most _BATCH_ROWS, and fewer
-# at large n, so that a batch's (rows, n + 1, n + 1) moves fit _BATCH_DOUBLES.
+# at large n, so that a batch's (rows, n + 1, n + 1) gathered weights fit
+# _BATCH_DOUBLES.
 _BATCH_ROWS, _BATCH_DOUBLES = 512, 2 ** 21
 
 
@@ -121,74 +128,48 @@ def _pair_probs(fx, n):
     return np.array([0.0, 0.0] + [_pair_prob(model, t) for t in range(2, n + 1)])
 
 
-@functools.lru_cache(maxsize=32)
-def _log_binomials(n):
-    """log C(r, s) over [s, r] (-inf where s > r) by log-gamma, so that nothing
-    overflows at large n; with s and t = max(r - s, 0) as floats."""
-    log_fact = special.gammaln(np.arange(n + 1) + 1.0)  # log k!
-    r = np.arange(n + 1)
-    s, t = r[:, None], np.maximum(r - r[:, None], 0)
-    return np.where(s <= r, log_fact[r] - log_fact[s] - log_fact[t], -np.inf), s + 0.0, t + 0.0
-
-
-def _binomial_moves(cell_probs, n):
-    """Per-cell moves for fixed cell masses (rows, m + 1): the next cell leaves s
-    of r points with C(r, s) q^(r - s) (1 - q)^s, q its renormalized mass."""
-    probs = np.asarray(cell_probs, dtype=float)
-    tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(tail > 0.0, np.minimum(probs / tail, 1.0), 0.0).T
-        # log 0 floored to a finite value, so 0^0 stays 1 and n * floor cannot overflow
-        log_q, log_rest = np.maximum(np.log([ratio, 1.0 - ratio]), -1e300)[..., None, None]
-    log_binom, s, t = _log_binomials(n)
-    for lq, lr in zip(log_q, log_rest):
-        move = t * lq
-        move += log_binom
-        move += s * lr
-        yield np.exp(move, out=move)
-
-
-def _composition_moves(n, m):
-    """Per-cell moves when the cell counts are uniform over the compositions of n.
-
-    With r points and k cells left, the next cell leaves s of them with
-    C(s + k - 2, k - 2) / C(r + k - 1, k - 1): the binomial move averaged over
-    a Beta(1, k - 1) cell mass.  The last cell takes every point."""
-    log_binom = _log_binomials(n + m)[0]
-    s, r = np.arange(n + 1)[:, None], np.arange(n + 1)
-    for k in range(m + 1, 1, -1):
-        log_move = log_binom[k - 2, s + k - 2] - log_binom[k - 1, r + k - 1]
-        yield np.where(s <= r, np.exp(log_move), 0.0)[None]
-    yield np.where(s == 0, 1.0, 0.0 * r)[None]
-
-
-def _cell_program(moves, m, p_pair, n):
+def _cell_program(weights, scale, p_pair, n):
     """Distributions (rows, 2m + 1) of the domination total, cell by cell.
 
-    ``moves`` yields one (rows, n + 1, n + 1) array per cell, left to right,
-    whose [s, r] entry is the chance that the cell leaves s of r points
-    unplaced; ``p_pair`` holds p_0..p_n of the middle cells (unused when m = 1).
-    States track (points remaining, domination so far) for all rows at once."""
-    occupied = 1.0 - np.eye(n + 1)  # the cell takes t = r - s >= 1 points
+    ``weights`` (m + 1, rows, n + 1) holds per cell, left to right, the weight
+    of t points in it, 1 at t = 0 (rows may be 1 for every row): the product of
+    one weight per cell over counts that sum to n, divided by ``scale``, is the
+    chance of those counts.  ``p_pair`` holds p_0..p_n of the middle cells
+    (unused when m = 1).  States track (points placed, domination so far) for
+    all rows at once.  An empty cell keeps a state, and a cell that takes t >= 1
+    points moves it by the strictly lower-triangular Toeplitz gather of its
+    weights times the chance of each contribution: 1 for an end cell, 1 or 2
+    with 1 - p_t or p_t for a middle one."""
+    m = len(weights) - 1
+    counts = np.arange(n + 1)
+    gap = np.maximum(counts[:, None] - counts, 0)  # [placed after, placed before] -> t
+    occupied = np.minimum(counts, 1.0)
     if m > 1:
-        p_two = occupied * p_pair[np.maximum(np.arange(n + 1) - np.arange(n + 1)[:, None], 0)]
+        p_two = occupied * p_pair
         p_one = occupied - p_two
-    dp = np.zeros((1, n + 1, 2 * m + 1))  # broadcasts to the rows of the first move
-    dp[:, n, 0] = 1.0
-    for j, move in enumerate(moves):
-        new = np.diagonal(move, axis1=1, axis2=2)[:, :, None] * dp  # cell left empty
-        if j == 0 or j == m:
-            new[:, :, 1:] += (move * occupied) @ dp[:, :, :-1]
-        else:
-            new[:, :, 1:] += (move * p_one) @ dp[:, :, :-1]
-            new[:, :, 2:] += (move * p_two) @ dp[:, :, :-2]
-        dp = new
-    return dp[:, 0]
+    dp = np.zeros((weights.shape[1], n + 1, 2 * m + 1))
+    dp[:, 0, 0] = 1.0
+    for j, w in enumerate(weights):
+        before, into = (dp[:, :1], gap[:, :1]) if j == 0 else (dp, gap)  # nothing placed yet
+        if j == m:  # only the state with every point placed is read
+            dp, into = dp[:, n:].copy(), into[n:]
+        chances = [occupied] if j in (0, m) else [p_one, p_two]  # of adding 1, 2
+        moved = [(w * c)[:, into] @ before[:, :, :-step] for step, c in enumerate(chances, 1)]
+        for step, add in enumerate(moved, 1):
+            dp[:, :, step:] += add
+    return dp[:, 0] / scale
 
 
 def _pmf_vector(cell_probs, p_pair, n):
-    """Domination pmfs (rows, 2m + 1) for fixed cell masses (rows, m + 1)."""
-    return _cell_program(_binomial_moves(cell_probs, n), np.shape(cell_probs)[1] - 1, p_pair, n)
+    """Domination pmfs (rows, 2m + 1) for fixed cell masses (rows, m + 1).
+
+    A cell of mass q weighs t points with (n q)^t / t!, the Poisson(n q) chance
+    without its factor e^(-n q), formed as a running product: the weights of
+    counts summing to n multiply to their multinomial chance times n^n / n!."""
+    steps = n * np.asarray(cell_probs, dtype=float).T[:, :, None] / np.arange(1, n + 1)
+    weights = np.ones(steps.shape[:2] + (n + 1,))
+    np.cumprod(steps, axis=2, out=weights[:, :, 1:])
+    return _cell_program(weights, n ** n / math.factorial(n), p_pair, n)
 
 
 def _checked_sizes(n, m):
@@ -295,7 +276,7 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
     _require_cell_law(fx, hu_family)
     p_pair = _pair_probs(fx, n) if m > 1 else None
     if mc_reps is None and fy.family == "uniform":
-        return _cell_program(_composition_moves(n, m), m, p_pair, n)[0]
+        return _cell_program(np.ones((m + 1, 1, n + 1)), math.comb(n + m, m), p_pair, n)[0]
 
     if mc_reps is not None:
         reps = int(mc_reps)
@@ -357,7 +338,8 @@ def expected_gamma(fx, fy, n, m, hu_family=False):
     middle = 0.0
     if m > 1:
         counts = np.arange(1, n + 1)
-        log_binom = _log_binomials(n)[0][1:, n]  # log C(n, t)
+        log_fact = special.gammaln(np.arange(n + 1) + 1.0)  # log k!
+        log_binom = log_fact[n] - log_fact[counts] - log_fact[n - counts]  # log C(n, t)
         # (a, b) runs over the lower and upper anchor of one middle cell
         pairs, wp = _ordered_simplex_nodes(lo, hi, 2, nodes, knots)
         a, b = pairs.T

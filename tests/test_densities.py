@@ -129,6 +129,21 @@ def test_nan_mass_is_rejected():
         nan_pdf()
 
 
+def test_piecewise_polynomial_mass_is_exact_and_still_checked(monkeypatch):
+    # the pieces' exact Fraction mass is the check: no quadrature runs, and it is exactly 1
+    def no_quadrature(self, f, breaks):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(D.DensityModel, "_gauss_mass", no_quadrature)
+    for model in (D.Uniform(), D.TwoStep(0.5), D.GapUniform(0.1), D.PieceQuadratic(2 / 3),
+                  D.GeneralLinear(0.05, (-1.0, 3.0))):
+        assert model._mass() == 1.0, model
+    # pieces that integrate to 1 + 5e-10, or to 2, are refused
+    for pieces in ([[1], [1 + Fraction(1, 10**9)]], [[1], [3]]):
+        with pytest.raises(ValueError, match="density mass .* deviates from 1"):
+            D._PiecewisePolynomial([0, Fraction(1, 2), 1], pieces, (0.0, 1.0))
+
+
 @pytest.mark.parametrize("mu", [-0.28, 1.28])
 def test_truncated_normal_with_its_mode_outside_the_interval(mu):
     # ndtr(b) - ndtr(a) cancels to 0 on these laws; their masses come from log tails

@@ -219,11 +219,12 @@ class TestQuadrature:
 
     def test_budget_exhaustion_raises_with_best_estimate(self, monkeypatch):
         # 36 seed panels already exceed the budget, and their error of
-        # 2.08e-12 is above the 1e-12 floor
+        # 1.25e-12 is above the 1e-12 floor
         monkeypatch.setattr(exact, "MAX_PANELS", 16)
         tight = exact.QuadratureConfig(rel_tol=1e-15)
         with pytest.raises(exact.QuadratureError, match="loosen rel_tol") as info:
             exact.p_quadrature(Beta(2, 2), 10, tight)
+        assert info.value.error_estimate > 1e-12
         best = info.value.best_estimate
         assert best == pytest.approx(exact.p_quadrature(Beta(2, 2), 10).value,
                                      abs=1e-4)
@@ -295,6 +296,42 @@ class TestQuadrature:
                 assert not dead.any()
             if n >= 10**4:   # the check is not vacuous for either kind
                 assert dead[kind == 0].any() and dead[kind > 0].any()
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**6])
+    @pytest.mark.parametrize("model", LAWS_CATALOG, ids=repr)
+    def test_edge_seed_ceilings_bound_G_at_every_node(self, model, n):
+        # the ceiling of an edge panel takes s at a and t at the top of the sliver
+        # over b; G at each of its 225 nodes must stay below it.  A ceiling on a
+        # degenerate panel (x, x, ., y) is G at the node (x, y) itself
+        _, rects, kind, _ = exact._seed_panels(model, n)
+        ceiling = exact._make_integrand(model, n)[1]
+        edge = kind > 0
+        rects, kind = rects[edge], kind[edge]
+        x, y = exact._nodes(rects[:, 0], rects[:, 1]), exact._nodes(rects[:, 2], rects[:, 3])
+        x, y = np.broadcast_arrays(x[:, :, None], y[:, None, :])
+        nodes = np.stack([x, x, y, y], axis=-1).reshape(-1, 4)
+        G = ceiling(nodes, np.repeat(kind, x[0].size)).reshape(x.shape)
+        assert np.all(G <= ceiling(rects, kind)[:, None, None] + 1e-12)
+
+    def test_arc_sine_makes_no_empty_evaluator_calls(self):
+        # at large n every edge seed panel is dead, and no evaluator runs on an empty array
+        sizes = []
+
+        class Counting(ArcSine):
+            def quantile(self, u):
+                sizes.append(np.size(u))
+                return super().quantile(u)
+
+            def cdf(self, x):
+                sizes.append(np.size(x))
+                return super().cdf(x)
+
+        config = exact.QuadratureConfig(rel_tol=1e-10)
+        rep = exact.p_quadrature(Counting(), 10**6, config)
+        assert sizes and 0 not in sizes
+        want = exact.p_quadrature(ArcSine(), 10**6, config)
+        assert (rep.value, rep.error_estimate, rep.panels) == (want.value, want.error_estimate,
+                                                               want.panels)
 
     @pytest.mark.parametrize("n", [3, 10**3, 10**6])
     @pytest.mark.parametrize("model", LAWS_CATALOG, ids=repr)

@@ -100,6 +100,36 @@ def exact_uniform_anchor_pmf(n, m):
     return pmf
 
 
+def exact_fixed_anchor_pmf(cell_probs, n):
+    """Exact pmf under uniform points for fixed cell masses, as Fractions.
+
+    Sequential binomials over the cells: with r points left, the next cell
+    takes t of them with C(r, t) q^t (1 - q)^(r - t), q its mass over the mass
+    left; an occupied end cell adds 1, and a middle cell with t points 1 or 2
+    with p_t deciding.
+    """
+    probs = [Fraction(q) for q in cell_probs]
+    m = len(probs) - 1
+    p = [Fraction(0)] + [p_uniform_fraction(t) for t in range(1, n + 1)]
+    law = {(n, 0): Fraction(1)}  # (points left, domination so far)
+    for j, mass in enumerate(probs):
+        q = mass / sum(probs[j:])
+        new = {}
+        for (r, k), a in law.items():
+            for t in range(r + 1):
+                w = a * math.comb(r, t) * q ** t * (1 - q) ** (r - t)
+                if not w:
+                    continue
+                adds = {0: 1} if t == 0 else {1: 1} if j in (0, m) else {1: 1 - p[t], 2: p[t]}
+                for c, b in adds.items():
+                    new[r - t, k + c] = new.get((r - t, k + c), 0) + w * b
+        law = new
+    pmf = [Fraction(0)] * (2 * m + 1)
+    for (_, k), value in law.items():
+        pmf[k] += value
+    return pmf
+
+
 def generating_function_pmf(n, m, p):
     """[x^n] E(x, z)^2 M(x, z)^(m - 1) / C(n + m, m) as Fractions, one entry per z^k.
 
@@ -199,6 +229,20 @@ class TestPmfConditional:
             for k in range(0, 2 * m + 1):
                 want = reference_pmf(cond.cell_probs, uniform_p, n, k)
                 assert table[k] == pytest.approx(want, abs=1e-12), (n, m, k)
+
+    @pytest.mark.parametrize("n", [25, 40, 60])
+    @pytest.mark.parametrize("anchors", [(0.25, 0.5, 0.75), (0.125, 0.5), (0.375,)], ids=str)
+    def test_matches_the_exact_multinomial_law(self, anchors, n):
+        # dyadic anchors make the cell masses exact in floating point
+        table = pmf_conditional_table(conditional_on_anchors(Uniform(), anchors), n)
+        cell_probs = np.diff(anchors, prepend=0.0, append=1.0)
+        want = [float(v) for v in exact_fixed_anchor_pmf(cell_probs, n)]
+        assert np.max(np.abs(table - want)) <= 2e-15
+
+    @pytest.mark.parametrize("anchors", [(1e-6, 0.5, 1 - 1e-6), (1e-300, 0.5)], ids=str)
+    def test_extreme_cells_keep_their_mass_at_the_cap(self, anchors):
+        table = pmf_conditional_table(conditional_on_anchors(Uniform(), anchors), 397)
+        assert abs(table.sum() - 1.0) <= 5e-14
 
     def test_rescaled_cells_use_their_own_pair_probability(self):
         model = TwoStep(0.4)
@@ -529,14 +573,14 @@ class TestDegreeExactAnchorRules:
         # float.hex of the fixed 24- and 48-node results
         tables = {
             (TruncatedNormal(0.3, 0.5), 5, 3): [
-                "0x0.0p+0", "0x1.a06b3d66e0cd5p-5", "0x1.4a68e0da25b5ep-2", "0x1.c0ebc1ad819e5p-2",
-                "0x1.6135537095209p-3", "0x1.0034c133202e5p-6", "0x0.0p+0"],
+                "0x0.0p+0", "0x1.a06b3d66e0cd5p-5", "0x1.4a68e0da25b5ep-2", "0x1.c0ebc1ad819e6p-2",
+                "0x1.613553709520cp-3", "0x1.0034c133202e6p-6", "0x0.0p+0"],
             (AbsSine(), 4, 2): [
                 "0x0.0p+0", "0x1.4bad9e7540d16p-3", "0x1.09337e67ea4a9p-1", "0x1.2c3fd34ca5c4ap-2",
-                "0x1.b8260a8e53bfep-6"],
+                "0x1.b8260a8e53bfdp-6"],
             (Beta(2, 2), 43, 2): [  # 25 nodes would be exact
-                "0x0.0p+0", "0x1.92e115bbe83bcp-14", "0x1.f094a3b6bb275p-5", "0x1.1c86c75c19293p-1",
-                "0x1.88c6aebf9a8d3p-2"],
+                "0x0.0p+0", "0x1.92e115bbe83c3p-14", "0x1.f094a3b6bb23ep-5", "0x1.1c86c75c19281p-1",
+                "0x1.88c6aebf9a8b8p-2"],
         }
         for (fy, n, m), want in tables.items():
             got = pmf_random_anchors_table(Uniform(), fy, n, m)
