@@ -23,7 +23,8 @@ Evaluation routes, from most to least exact:
     f(t) are evaluated once per coordinate node, and edge panels on the two
     triangles along t = L(s), all refined in one pool with one cdf and one
     pdf call per round;
-  * Monte Carlo through ``simulate.run`` as an independent check.
+  * Monte Carlo through ``simulate.run`` as an independent check
+    (``p_monte_carlo``; ``probability`` never routes here, nor to a closed form).
 """
 
 from __future__ import annotations
@@ -150,6 +151,20 @@ def p_closed_form(model, n):
         "or p_exact_rational")
 
 
+def _kinks(knots):
+    """The t-kinks in (1/2, 1) and the s-cuts in (0, 1/2) of the integrand, for density
+    knots given as Fractions or floats.
+
+    A(t) or f(t) changes form at t = k and t = 2k, B(s) or f(s) at s = k and s = 2k - 1, and
+    a t-kink tau meets the lower edge L(s) at s = 2 tau - 1 up to tau = 2/3 and at tau / 2
+    above it, so that s is cut too.  Returns the sorted t-kinks and the set of s-cuts."""
+    half = Fraction(1, 2)
+    t_kinks = sorted({tau for k in knots for tau in (k, 2 * k) if half < tau < 1})
+    s_cuts = {s for k in knots for s in (k, 2 * k - 1) if 0 < s < half}
+    s_cuts |= {2 * tau - 1 if tau <= Fraction(2, 3) else tau / 2 for tau in t_kinks}
+    return t_kinks, s_cuts
+
+
 # exact rational route for piecewise-constant densities
 
 def p_exact_rational(model, n):
@@ -188,13 +203,8 @@ def p_exact_rational(model, n):
     def B(s):
         return cdf(s) + cdf((1 + s) / 2)
 
-    t_kinks = sorted({b for b in starts if half < b < one}
-                     | {2 * b for b in starts if half < 2 * b < one})
-    s_kinks = ({b for b in starts if 0 < b < half}
-               | {2 * b - 1 for b in starts if 0 < 2 * b - 1 < half})
-    crossings = {2 * tau - 1 if tau <= Fraction(2, 3) else tau / 2
-                 for tau in t_kinks}
-    s_cuts = sorted({Fraction(0), half, third} | s_kinks | crossings)
+    t_kinks, s_kinks = _kinks(starts)
+    s_cuts = sorted({Fraction(0), half, third} | s_kinks)
 
     total = Fraction(0)
     for s_lo, s_hi in zip(s_cuts[:-1], s_cuts[1:]):
@@ -307,20 +317,10 @@ def _geometric_cuts(n):
     return cuts
 
 
-def _t_kinks(model):
-    """Ordinates in (1/2, 1) where A or the t-density changes analytic form."""
-    kinks = set()
-    for k in model.interior_knots():
-        for tau in (k, 2.0 * k):
-            if 0.5 < tau < 1.0:
-                kinks.add(tau)
-    return sorted(kinks)
-
-
 def _ladders(model):
     """Per edge, the t-ordinates that split its strip into bands: below Q the strip
     runs from L(s) up to 2/3, right of Q from L(s) up to 1."""
-    kinks = _t_kinks(model)
+    kinks = _kinks(model.interior_knots())[0]
     return [[0.0, *(k for k in kinks if k < _TWO_THIRDS), _TWO_THIRDS],
             [0.0, *(k for k in kinks if k > _TWO_THIRDS), 1.0]]
 
@@ -329,15 +329,8 @@ def _initial_cuts(model, n):
     """Seed cuts in integration coordinates: the outer cuts left and right of s = 1/3, the
     inner cuts of the rect panels, and the v cuts of the edge below Q and of the edge right
     of it."""
-    kinks = _t_kinks(model)
-    s_cuts = {0.0, _THIRD, 0.5}
-    for k in model.interior_knots():
-        if 0.0 < k < 0.5:
-            s_cuts.add(k)
-        if 0.0 < 2.0 * k - 1.0 < 0.5:
-            s_cuts.add(2.0 * k - 1.0)
-    for tau in kinks:
-        s_cuts.add(2.0 * tau - 1.0 if tau <= _TWO_THIRDS else tau / 2.0)
+    kinks, s_cuts = _kinks(model.interior_knots())
+    s_cuts |= {0.0, _THIRD, 0.5}
     t_cuts = {_TWO_THIRDS, 1.0} | {tau for tau in kinks if tau > _TWO_THIRDS}
     below, right = (len(ladder) - 1 for ladder in _ladders(model))
     v_below = {k / below for k in range(below + 1)}
@@ -572,37 +565,24 @@ def p_monte_carlo(model, n, reps=100000, seed=0):
     return ProbabilityReport(p, "monte-carlo", n, error_estimate=se)
 
 
-def probability(model, n, method="auto", config=None, reps=100000, seed=0):
-    """Route to the best available evaluation for this family.
+def probability(model, n, method="auto", config=None):
+    """p_n by the best route for this family, or by quadrature when ``method="quadrature"``.
 
     auto prefers exact arithmetic: the rational integrator for piecewise
     constant densities, the polynomial expansion for the density 2x at
-    moderate n, adaptive quadrature otherwise.
+    moderate n, adaptive quadrature otherwise.  The other routes are called
+    by name: ``p_closed_form``, ``p_exact_rational``,
+    ``p_multinomial_squarecdf`` and ``p_monte_carlo``.
     """
     n = _require_sample_size(n)
     model = _to_unit(model)
     if method == "auto":
         if model.polynomial_degree == 0 and model.piecewise_polynomial_parts() is not None:
-            method = "exact-rational"
-        elif model.family == "square_cdf" and n <= MULTINOMIAL_MAX_N:
-            method = "multinomial"
-        else:
-            method = "quadrature"
-    if method == "closed-form":
-        return ProbabilityReport(p_closed_form(model, n), "closed-form", n)
-    if method == "exact-rational":
-        exact = p_exact_rational(model, n)
-        return ProbabilityReport(float(exact), "exact-rational", n, exact=exact)
-    if method == "multinomial":
-        if model.family != "square_cdf":
-            raise ValueError("method multinomial applies to the square_cdf family only")
-        exact = p_multinomial_squarecdf(n)
-        return ProbabilityReport(float(exact), "multinomial", n, exact=exact)
-    if method == "quadrature":
-        return p_quadrature(model, n, config)
-    if method == "monte-carlo":
-        return p_monte_carlo(model, n, reps=reps, seed=seed)
-    raise ValueError(
-        f"method: expected one of auto, closed-form, exact-rational, "
-        f"multinomial, quadrature, monte-carlo; got {method!r}")
-
+            exact = p_exact_rational(model, n)
+            return ProbabilityReport(float(exact), "exact-rational", n, exact=exact)
+        if model.family == "square_cdf" and n <= MULTINOMIAL_MAX_N:
+            exact = p_multinomial_squarecdf(n)
+            return ProbabilityReport(float(exact), "multinomial", n, exact=exact)
+    elif method != "quadrature":
+        raise ValueError(f"method: expected auto or quadrature, got {method!r}")
+    return p_quadrature(model, n, config)

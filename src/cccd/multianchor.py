@@ -361,9 +361,9 @@ def expected_gamma_hu(n, m, p_table):
     """Expected domination number under uniform anchors with equal cell masses.
 
     Evaluates 2n/(n+m) plus the occupancy-weighted sum of per-count pair
-    probabilities.  Exact rational arithmetic up to n + m = 170 (returns a
-    Fraction there when the table is rational); floating point via log-gamma
-    above.
+    probabilities, in exact integer and Fraction arithmetic at every size:
+    always a Fraction, and the exact mean when the table is rational (a
+    float entry counts as the rational it holds).
     """
     n, m = int(n), int(m)
     if n < 1 or m < 1:
@@ -373,25 +373,16 @@ def expected_gamma_hu(n, m, p_table):
         raise ValueError(f"p_table: need probabilities for counts 1..{n}, got {len(p_table)}")
     if any(not 0 <= float(p) <= 1 for p in p_table[:n]):
         raise ValueError("p_table: probabilities must lie in [0, 1]")
-    if n + m <= 170:
-        base = Fraction(2 * n, n + m)
-        if m < 2:
-            return base
-        coef = Fraction(math.factorial(n) * m * (m - 1), math.factorial(n + m))
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            occ = Fraction(math.factorial(n + m - i - 1), math.factorial(n - i))
-            acc += occ * (1 + Fraction(p_table[i - 1]))
-        return base + coef * acc
-    base = 2.0 * n / (n + m)
+    base = Fraction(2 * n, n + m)
     if m < 2:
         return base
-    log_coef = math.lgamma(n + 1) - math.lgamma(n + m + 1) + math.log(m * (m - 1))
-    acc = 0.0
+    # m - 1 middle cells, each holding i points with chance
+    # C(n - i + m - 1, m - 1) / C(n + m, m) = m (n + m - i - 1)_(m-1) / (n + m)_m
+    coef = Fraction(m * (m - 1), math.perm(n + m, m))
+    acc = Fraction(0)
     for i in range(1, n + 1):
-        log_occ = math.lgamma(n + m - i) - math.lgamma(n - i + 1)
-        acc += math.exp(log_coef + log_occ) * (1.0 + float(p_table[i - 1]))
-    return base + acc
+        acc += math.perm(n + m - i - 1, m - 1) * (1 + Fraction(p_table[i - 1]))
+    return base + coef * acc
 
 
 def asymptotic_law_fixed_m(p_cell_limits, m):

@@ -411,15 +411,16 @@ class TestProbabilityRouting:
         assert rep.exact == Fraction(1, 3)
 
     def test_explicit_method_validation(self):
-        with pytest.raises(ValueError, match="method"):
-            exact.probability(Uniform(), 2, method="tea-leaves")
-        with pytest.raises(ValueError, match="square_cdf"):
-            exact.probability(Uniform(), 2, method="multinomial")
+        # only auto and quadrature are routes of probability; the rest are called by name
+        for method in ("closed-form", "exact-rational", "multinomial", "monte-carlo",
+                       "tea-leaves"):
+            with pytest.raises(ValueError, match="method"):
+                exact.probability(Uniform(), 2, method=method)
 
     def test_routes_agree(self):
         for n in (2, 9):
-            values = {
-                exact.probability(TwoStep(0.4), n, method=m).value
-                for m in ("closed-form", "exact-rational", "quadrature")}
+            values = {exact.p_closed_form(TwoStep(0.4), n),
+                      float(exact.p_exact_rational(TwoStep(0.4), n)),
+                      exact.probability(TwoStep(0.4), n, method="quadrature").value}
             assert max(values) - min(values) < 1e-8
 

@@ -623,20 +623,19 @@ class TestExpectedGammaHu:
         table = pmf_random_anchors_table(Uniform(), Uniform(), 10, 10)
         assert float(np.arange(len(table)) @ table) == pytest.approx(float(means[1]), rel=1e-13)
 
-    def test_large_counts_switch_to_log_gamma(self):
+    def test_exact_at_every_size(self):
         def reference(n, m, p_table):
-            base = 2.0 * n / (n + m)
-            log_coef = math.lgamma(n + 1) - math.lgamma(n + m + 1) + math.log(m * (m - 1))
-            acc = sum(math.exp(log_coef + math.lgamma(n + m - i) - math.lgamma(n - i + 1))
-                      * (1.0 + float(p)) for i, p in enumerate(p_table, start=1))
-            return base + acc
+            """Counts compositions: C(n - i + m - 1, m - 1) of the C(n + m, m) put i
+            points in a given middle cell."""
+            acc = sum(math.comb(n - i + m - 1, m - 1) * (1 + p)
+                      for i, p in enumerate(p_table, start=1))
+            return Fraction(2 * n, n + m) + Fraction(m - 1, math.comb(n + m, m)) * acc
 
-        small = [p_uniform_fraction(i) for i in range(1, 161)]
-        exact = expected_gamma_hu(160, 2, small)
-        assert isinstance(exact, Fraction)
-        assert reference(160, 2, small) == pytest.approx(float(exact), abs=1e-9)
-        big = [p_uniform_fraction(i) for i in range(1, 181)]
-        assert expected_gamma_hu(180, 2, big) == pytest.approx(reference(180, 2, big), abs=1e-12)
+        for n, m in ((180, 2), (397, 3), (300, 100)):
+            table = [p_uniform_fraction(i) for i in range(1, n + 1)]
+            mean = expected_gamma_hu(n, m, table)
+            assert isinstance(mean, Fraction)
+            assert mean == reference(n, m, table)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="p_table"):
