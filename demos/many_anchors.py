@@ -19,7 +19,6 @@ from cccd.exact import p_uniform_fraction
 from cccd.multianchor import (
     asymptotic_law_fixed_m,
     conditional_on_anchors,
-    expected_gamma,
     expected_gamma_hu,
     pmf_conditional_table,
     pmf_random_anchors_table,
@@ -43,8 +42,8 @@ def main():
         if prob > 0:
             print(f"  P(gamma = {k}) = {prob:.6f}")
     mean = float(np.arange(len(table)) @ table)
-    print(f"  mean {mean:.6f} vs expected_gamma by anchor quadrature "
-          f"{expected_gamma(uniform, uniform, 4, 2):.6f}")
+    exact_mean = expected_gamma_hu(4, 2, [p_uniform_fraction(i) for i in range(1, 5)])
+    print(f"  mean {mean:.6f} vs exact rational mean {exact_mean} = {float(exact_mean):.6f}")
     print()
 
     print("The same exact route at n = m = 30, far past any anchor quadrature:")

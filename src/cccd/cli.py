@@ -138,8 +138,8 @@ def _resolve(args) -> CommandRequest:
         raise ValueError(f"--m must be at least {least_m}")
     if req.reps is not None and req.reps < 1:
         raise ValueError("--reps must be at least 1")
-    if req.rel_tol is not None and req.rel_tol <= 0:
-        raise ValueError("--rel-tol must be positive")
+    if req.rel_tol is not None and not 0 < req.rel_tol < np.inf:  # NaN fails this test too
+        raise ValueError("--rel-tol must be finite and positive")
     if not 0 <= req.seed < 2**64:
         raise ValueError("--seed must fit in 64 bits")
     return req
@@ -358,7 +358,7 @@ def _paper_rows():
                             (3, 3, Fraction(257, 120))]:
         rows.append(_row(f"uniform E[gamma(D_{n},{m})]", float(reference),
                          multianchor.expected_gamma(uniform, uniform, n, m),
-                         "order-statistic anchor integral", 1e-8))
+                         "mean of the uniform-composition pmf table", 1e-8))
     return rows
 
 

@@ -555,15 +555,9 @@ class QPower(DensityModel):
             # smooth branch evaluated at half-width 1/2
             coef = self._c * math.prod(q - j for j in range(order))
             return coef * 0.5 ** (q - order), False
-        # behavior of t^q as t -> 0+
-        coef = self._c * math.prod(q - j for j in range(order))
-        if q > order:
-            return 0.0, False
-        if q == order:
-            return coef, False
-        if coef == 0.0:  # integer q below the requested order
-            return 0.0, False
-        return math.copysign(math.inf, coef), True
+        # c t^q as t -> 0+; adding 0.0 turns the -0.0 of a zero limit into 0.0
+        val, inf = _power_limit(q, 0.0, self._c, order)
+        return val + 0.0, inf
 
 
 class PieceQuadratic(_PiecewisePolynomial):
@@ -727,33 +721,33 @@ class Beta(DensityModel):
         sign = 1.0 if which == "lo" else (-1.0) ** order
         # only the branches with a <= 2 read 1/B, which overflows at large shapes
         c = math.exp(-self._lognorm) if a <= 2.0 else math.nan
-        val, inf = self._power_limit(a, b, c, order)
+        val, inf = _power_limit(a, b, c, order)
         return sign * val, inf
 
-    @staticmethod
-    def _power_limit(a, b, c, order):
-        """Limit of the order-th derivative of c x^a (1-x)^b as x -> 0+."""
-        if order == 0:
-            return (c, False) if a == 0.0 else (0.0, False)
-        if order == 1:
-            if a == 0.0:
-                return -b * c, False
-            if a == 1.0:
-                return c, False
-            if a < 1.0:
-                return math.inf, True
-            return 0.0, False
+
+def _power_limit(a, b, c, order):
+    """Limit of the order-th derivative of c x^a (1-x)^b as x -> 0+."""
+    if order == 0:
+        return (c, False) if a == 0.0 else (0.0, False)
+    if order == 1:
         if a == 0.0:
-            return b * (b - 1.0) * c, False
+            return -b * c, False
         if a == 1.0:
-            return -2.0 * b * c, False
-        if a == 2.0:
-            return 2.0 * c, False
+            return c, False
         if a < 1.0:
-            return -math.inf, True
-        if a < 2.0:
             return math.inf, True
         return 0.0, False
+    if a == 0.0:
+        return b * (b - 1.0) * c, False
+    if a == 1.0:
+        return -2.0 * b * c, False
+    if a == 2.0:
+        return 2.0 * c, False
+    if a < 1.0:
+        return -math.inf, True
+    if a < 2.0:
+        return math.inf, True
+    return 0.0, False
 
 
 def _beta_pdf(a, b, lognorm, x):

@@ -64,8 +64,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol: tolerance must be positive")
+        if not 0 < self.rel_tol < math.inf:  # NaN fails this test too
+            raise ValueError("rel_tol: tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,17 @@ or sample the anchors (``mc_reps``), once per batch of anchor configurations.
 Cell masses are linear in the anchors, so where f_Y is a polynomial of degree
 d between its knots the integrand is one too, and ceil((n + m(d + 1)) / 2)
 nodes per knot interval integrate it exactly.  The rules take that many,
-capped at 24 nodes for the pmf table and 48 for ``expected_gamma``; other
-anchor densities, and sizes past the caps, take the capped rules, which are
-not exact.
+capped at 24 nodes; other anchor densities, and sizes past the cap, take the
+capped rules, which are not exact.  ``expected_gamma`` is the mean of that
+table, so the expectation has no anchor rule of its own.
 
 Middle-cell densities follow the support-rescaled construction: each cell
 hosts an affine copy of the point density, which makes the per-cell p
 values independent of the cell, so one vector p_0..p_n, computed once per
 model and size, serves every cell; it is also what makes closed-form
 expectations possible.  For the uniform family the rescaled copy coincides
-with the plain conditional density, so no flag is needed there.
+with the plain conditional density; only ``pmf_random_anchors_table`` offers
+the construction for other families.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from . import simulate
 from .exact import _to_unit, probability
@@ -57,11 +57,10 @@ MAX_CELL_TOTAL = 400
 # Most non-uniform anchors the nested Gauss rule integrates.
 MAX_QUADRATURE_M = 3
 
-# Most Gauss-Legendre nodes per knot interval of the anchor rules: the pmf
-# table nests m of them, the expectation at most two.  Polynomial anchor
-# densities take fewer where fewer are exact (``_anchor_nodes``).
+# Most Gauss-Legendre nodes per knot interval of the anchor rule, which nests m
+# of them.  Polynomial anchor densities take fewer where fewer are exact
+# (``_anchor_nodes``).
 _TABLE_NODES = 24
-_MEAN_NODES = 48
 
 # Anchor configurations per cell program call: at most _BATCH_ROWS, and fewer
 # at large n, so that a batch's (rows, n + 1, n + 1) gathered weights fit
@@ -92,19 +91,19 @@ class AnchorConditional:
             raise ValueError(
                 f"cell_probs: expected {m + 1} cell masses for {m} anchors, "
                 f"got {len(self.cell_probs)}")
-        if any(p < 0 for p in self.cell_probs):
+        if any(not p >= 0 for p in self.cell_probs):  # NaN fails this test too
             raise ValueError("cell_probs: cell masses must be nonnegative")
-        if abs(sum(self.cell_probs) - 1.0) > 1e-9:
+        if not abs(sum(self.cell_probs) - 1.0) <= 1e-9:
             raise ValueError(f"cell_probs: cell masses sum to {sum(self.cell_probs)!r}, not 1")
 
 
-def conditional_on_anchors(fx, anchors, hu_family=False):
-    """Build the cell decomposition of ``fx`` for fixed anchors.
+def conditional_on_anchors(fx, anchors):
+    """Build the cell decomposition of uniform points ``fx`` for fixed anchors.
 
-    Uniform point densities condition cleanly on every cell.  Any other
-    family needs ``hu_family=True``, which places an affine copy of ``fx``
-    in each middle cell and gives every cell the uniform mass of its gap.
+    Uniform points condition cleanly on every cell.  Another cell law is an
+    ``AnchorConditional`` built from its cell masses and cell model.
     """
+    _require_uniform_points(fx, "build an AnchorConditional for another cell law")
     anchors = tuple(sorted(float(a) for a in np.atleast_1d(anchors)))
     if len(set(anchors)) != len(anchors):
         raise ValueError("anchors: duplicate anchor positions")
@@ -112,7 +111,7 @@ def conditional_on_anchors(fx, anchors, hu_family=False):
     for a in anchors:
         if not lo < a < hi:
             raise ValueError(f"anchors: {a!r} lies outside the open support ({lo}, {hi})")
-    cell_probs = tuple(_cell_masses(fx, anchors, hu_family)[0])
+    cell_probs = tuple(_cell_masses(fx, anchors)[0])
     return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_model=_to_unit(fx))
 
 
@@ -200,17 +199,15 @@ def _require_matching_supports(fx, fy):
             f"point support [{fx.support.lo}, {fx.support.hi}]")
 
 
-def _require_cell_law(fx, hu_family):
-    """Cells carry the uniform mass of their gap: uniform points, or the hu construction."""
-    if fx.family != "uniform" and not hu_family:
+def _require_uniform_points(fx, hint):
+    """Cells carry the uniform mass of their gap, the cell law of uniform points."""
+    if fx.family != "uniform":
         raise ValueError(
-            f"fx: cell-conditional densities are only available for the uniform family; "
-            f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
+            f"fx: cell-conditional densities are only available for the uniform family; {hint}")
 
 
-def _cell_masses(fx, anchors_sorted, hu_family):
-    """(rows, m + 1) cell masses for (rows, m) or (m,) sorted anchor positions."""
-    _require_cell_law(fx, hu_family)
+def _cell_masses(fx, anchors_sorted):
+    """(rows, m + 1) uniform cell masses for (rows, m) or (m,) sorted anchor positions."""
     lo, hi = fx.support.lo, fx.support.hi
     return np.diff(np.atleast_2d(anchors_sorted), prepend=lo, append=hi, axis=1) / (hi - lo)
 
@@ -245,35 +242,44 @@ def _ordered_simplex_nodes(lo, hi, m, nodes, knots):
     return points, weights
 
 
-def _anchor_nodes(fy, n, m, cap):
-    """Gauss-Legendre nodes per knot interval for the anchor rules of (n, m): at most ``cap``.
+def _anchor_nodes(fy, n, m):
+    """Gauss-Legendre nodes per knot interval of the anchor rule, at most ``_TABLE_NODES``.
 
     Cell masses are linear in the anchors, so the conditional pmf has degree n
     in them.  Where ``fy`` has degree d between its knots, the nested integrand,
     after the inner coordinates are integrated out, has degree at most
-    n + m(d + 1) - 1 in each coordinate, and so do the order-statistic terms of
-    ``expected_gamma``: half that many nodes, rounded up, are exact."""
+    n + m(d + 1) - 1 in each coordinate: half that many nodes, rounded up, are
+    exact."""
     d = fy.polynomial_degree
-    return cap if d is None else min(cap, (n + m * (d + 1) + 1) // 2)
+    return _TABLE_NODES if d is None else min(_TABLE_NODES, (n + m * (d + 1) + 1) // 2)
 
 
-def _require_anchor_mass(mass, nodes, fy, hint=""):
-    """Raise when an anchor rule misses mass 1, as it does where ``fy`` diverges."""
+def _require_anchor_mass(mass, nodes, fy):
+    """Raise when the anchor rule misses mass 1, as it does where ``fy`` diverges."""
     lost = 1.0 - mass
     if abs(lost) > 1e-9:
         raise ValueError(
-            f"anchor quadrature (nodes={nodes}) lost mass {lost:.3g} on {fy.family} anchors"
-            + hint)
+            f"anchor quadrature (nodes={nodes}) lost mass {lost:.3g} on {fy.family} anchors; "
+            "pass mc_reps (cccd multi --reps) to sample anchors instead")
 
 
 def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False):
     """Domination-number pmf with anchors drawn from ``fy``; index k holds P(gamma = k).
 
     Exact for uniform anchors; other anchors take the nested rule, and
-    ``mc_reps`` samples that many anchor sets instead."""
+    ``mc_reps`` samples that many anchor sets instead.  Points other than
+    uniform need ``hu_family=True``, which places an affine copy of ``fx`` in
+    every middle cell and gives every cell the uniform mass of its gap."""
     n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
-    _require_cell_law(fx, hu_family)
+    if not hu_family:
+        _require_uniform_points(
+            fx, f"pass hu_family=True to place an affine copy of {fx.family} in every cell")
+    return _anchor_table(fx, fy, n, m, mc_reps, seed)
+
+
+def _anchor_table(fx, fy, n, m, mc_reps=None, seed=0):
+    """``pmf_random_anchors_table`` past its argument checks."""
     p_pair = _pair_probs(fx, n) if m > 1 else None
     if mc_reps is None and fy.family == "uniform":
         return _cell_program(np.ones((m + 1, 1, n + 1)), math.comb(n + m, m), p_pair, n)[0]
@@ -290,71 +296,30 @@ def pmf_random_anchors_table(fx, fy, n, m, mc_reps=None, seed=0, hu_family=False
             raise ValueError(
                 f"m: deterministic anchor quadrature is limited to m <= {MAX_QUADRATURE_M}, "
                 f"got {m}; pass mc_reps (cccd multi --reps) to sample anchors instead")
-        nodes = _anchor_nodes(fy, n, m, _TABLE_NODES)
+        nodes = _anchor_nodes(fy, n, m)
         ys, weights = _ordered_simplex_nodes(fx.support.lo, fx.support.hi, m, nodes,
                                              fy.interior_knots())
         weights = weights * math.factorial(m) * np.prod(fy.pdf(ys), axis=1)
-    probs = _cell_masses(fx, ys, hu_family)
+    probs = _cell_masses(fx, ys)
     batch = max(1, min(_BATCH_ROWS, _BATCH_DOUBLES // (n + 1) ** 2))
     table = np.zeros(2 * m + 1)
     for start in range(0, len(ys), batch):
         rows = slice(start, start + batch)
         table += weights[rows] @ _pmf_vector(probs[rows], p_pair, n)
     if mc_reps is None:
-        _require_anchor_mass(float(np.sum(table)), nodes, fy,
-                             "; pass mc_reps (cccd multi --reps) to sample anchors instead")
+        _require_anchor_mass(float(np.sum(table)), nodes, fy)
     return table
 
 
-def expected_gamma(fx, fy, n, m, hu_family=False):
-    """Expected domination number with random anchors.
-
-    Splits into the chance that each end cell is occupied plus, for every
-    middle cell, the count distribution integrated against the joint density
-    of the two bracketing anchor order statistics.  The count probability
-    P(N_j = t) = C(n, t) d^t (1 - d)^(n - t) of a cell of mass d is formed in
-    log space.  Raises when a rule misses the mass of the density it integrates.
-    """
+def expected_gamma(fx, fy, n, m):
+    """Expected domination number of uniform points ``fx`` with anchors drawn from
+    ``fy``: the mean of their ``pmf_random_anchors_table``, exact for uniform anchors."""
     n, m = _checked_sizes(n, m)
     _require_matching_supports(fx, fy)
-    _require_cell_law(fx, hu_family)
-    lo, hi = fx.support.lo, fx.support.hi
-    width = hi - lo
-
-    knots, nodes = fy.interior_knots(), _anchor_nodes(fy, n, m, _MEAN_NODES)
-    ys, wy = _ordered_simplex_nodes(lo, hi, 1, nodes, knots)
-    y = ys[:, 0]
-    fy_pdf = fy.pdf(y)
-    Fy = fy.cdf(y)
-    mass_left = (y - lo) / width
-    mass_right = (hi - y) / width
-    # densities of the lowest and the highest anchor
-    lowest = wy * m * fy_pdf * (1.0 - Fy) ** (m - 1)
-    highest = wy * m * fy_pdf * Fy ** (m - 1)
-    masses = [float(np.sum(lowest)), float(np.sum(highest))]
-    left = float(np.sum(lowest * (1.0 - (1.0 - mass_left) ** n)))
-    right = float(np.sum(highest * (1.0 - (1.0 - mass_right) ** n)))
-
-    middle = 0.0
-    if m > 1:
-        counts = np.arange(1, n + 1)
-        log_fact = special.gammaln(np.arange(n + 1) + 1.0)  # log k!
-        log_binom = log_fact[n] - log_fact[counts] - log_fact[n - counts]  # log C(n, t)
-        # (a, b) runs over the lower and upper anchor of one middle cell
-        pairs, wp = _ordered_simplex_nodes(lo, hi, 2, nodes, knots)
-        a, b = pairs.T
-        delta = ((b - a) / width)[:, None]
-        occupancy = np.exp(log_binom + counts * np.log(delta) + (n - counts) * np.log1p(-delta))
-        pair = wp * fy.pdf(a) * fy.pdf(b)
-        inner = pair * (occupancy @ (1.0 + _pair_probs(fx, n)[1:]))
-        Fa, Fb = fy.cdf(a), fy.cdf(b)
-        for j in range(2, m + 1):
-            pair_norm = math.factorial(m) / (math.factorial(j - 2) * math.factorial(m - j))
-            masses.append(pair_norm * float(np.sum(pair * Fa ** (j - 2) * (1.0 - Fb) ** (m - j))))
-            middle += pair_norm * float(np.sum(inner * Fa ** (j - 2) * (1.0 - Fb) ** (m - j)))
-    for mass in masses:
-        _require_anchor_mass(mass, nodes, fy)
-    return left + right + middle
+    _require_uniform_points(
+        fx, "the rescaled cells of other families take the mean of pmf_random_anchors_table")
+    table = _anchor_table(fx, fy, n, m)
+    return float(np.arange(len(table)) @ table)
 
 
 def expected_gamma_hu(n, m, p_table):

@@ -64,7 +64,8 @@ class TestArgumentHandling:
     def test_bad_sizes(self, capsys):
         assert run_cli(capsys, ["exact", "--n", "0"])[0] == 2
         assert run_cli(capsys, ["simulate", "--n", "3", "--reps", "0"])[0] == 2
-        assert run_cli(capsys, ["quadrature", "--n", "3", "--rel-tol", "-1"])[0] == 2
+        for rel_tol in ("-1", "nan", "inf"):
+            assert run_cli(capsys, ["quadrature", "--n", "3", "--rel-tol", rel_tol])[0] == 2
         assert run_cli(capsys, ["multi", "--n", "3", "--m", "0"])[0] == 2
 
     def test_help_exits_zero(self, capsys):

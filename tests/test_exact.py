@@ -374,8 +374,9 @@ class TestQuadrature:
             assert abs(q.value - limit) < 5e-3
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="rel_tol"):
-            exact.QuadratureConfig(rel_tol=0.0)
+        for rel_tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rel_tol"):
+                exact.QuadratureConfig(rel_tol=rel_tol)
 
 
 class TestMonteCarlo:

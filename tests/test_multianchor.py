@@ -178,15 +178,16 @@ class TestAnchorConditional:
             conditional_on_anchors(Uniform(), [0.0, 0.5])
 
     def test_non_uniform_needs_the_rescaled_construction(self):
-        with pytest.raises(ValueError, match="hu_family"):
+        # the cell law of other points is built as an AnchorConditional
+        with pytest.raises(ValueError, match="uniform family; build an AnchorConditional") as info:
             conditional_on_anchors(TwoStep(0.4), [0.5])
-        cond = conditional_on_anchors(TwoStep(0.4), [0.25, 0.5], hu_family=True)
-        assert cond.cell_probs == pytest.approx([0.25, 0.25, 0.5])
-        assert cond.cell_model.family == "two_step"
+        assert "hu_family" not in str(info.value)
 
     def test_direct_construction_validation(self):
         with pytest.raises(ValueError, match="cell masses sum"):
             AnchorConditional((0.5,), (0.4, 0.4), Uniform())
+        with pytest.raises(ValueError, match="nonnegative"):
+            AnchorConditional((0.5,), (math.nan, math.nan), Uniform())
         with pytest.raises(ValueError, match="strictly increasing"):
             AnchorConditional((0.6, 0.3), (0.3, 0.3, 0.4), Uniform())
 
@@ -246,7 +247,7 @@ class TestPmfConditional:
 
     def test_rescaled_cells_use_their_own_pair_probability(self):
         model = TwoStep(0.4)
-        cond = conditional_on_anchors(model, [0.3, 0.6], hu_family=True)
+        cond = AnchorConditional((0.3, 0.6), (0.3, 0.3, 0.4), model)
         p_vec = [probability(model, t).value if t >= 2 else 0.0 for t in range(4)]
         table = pmf_conditional_table(cond, 3)
         for k in range(0, 5):
@@ -391,6 +392,15 @@ class TestPmfRandomAnchors:
         with pytest.raises(ValueError, match="support"):
             pmf_random_anchors_table(GeneralLinear(0.05, (-1.0, 3.0)), Uniform(), 2, 1)
 
+    def test_rescaled_cells_change_the_mean(self):
+        model = TwoStep(0.4)
+        p_table = [0.0, probability(model, 2).value]
+        want = float(expected_gamma_hu(2, 2, p_table))
+        table = pmf_random_anchors_table(model, Uniform(), 2, 2, hu_family=True)
+        assert float(np.arange(len(table)) @ table) == pytest.approx(want, abs=1e-9)
+        with pytest.raises(ValueError, match="hu_family"):
+            pmf_random_anchors_table(model, Uniform(), 2, 2)
+
 
 # every route that runs the cell program: its anchor count, and (n, m) -> pmf table or mean
 CAP_ROUTES = {
@@ -433,36 +443,18 @@ class TestExpectedGamma:
         for n, m in ((397, 3), (390, 10)):
             p_table = [p_uniform_fraction(i) for i in range(1, n + 1)]
             want = float(expected_gamma_hu(n, m, p_table))
-            assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(want, abs=1e-10)
-
-    def test_consistent_with_pmf_mean(self):
-        for n, m in ((2, 2), (3, 2)):
-            table = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
-            mean = float(np.arange(len(table)) @ table)
-            assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(mean, abs=1e-6)
-
-    def test_jumping_anchor_density_matches_the_pmf_mean(self):
-        model = TwoStep(0.5)
-        for n, m in ((4, 2), (6, 3)):
-            table = pmf_random_anchors_table(model, model, n, m, hu_family=True)
-            mean = float(np.arange(len(table)) @ table)
-            got = expected_gamma(model, model, n, m, hu_family=True)
-            assert got == pytest.approx(mean, abs=1e-9), (n, m)
+            assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(want, abs=1e-13)
 
     def test_quadrature_that_loses_mass_raises(self):
-        # the order-statistic densities of arc-sine anchors diverge at the ends
+        # arc-sine anchors diverge at both ends, where the table's Gauss nodes miss mass
         for n, m in ((4, 2), (3, 1), (6, 3)):
             with pytest.raises(ValueError, match="lost mass"):
                 expected_gamma(Uniform(), ArcSine(), n, m)
 
-    def test_rescaled_cells_change_the_mean(self):
-        model = TwoStep(0.4)
-        p_table = [0.0, probability(model, 2).value]
-        want = float(expected_gamma_hu(2, 2, p_table))
-        got = expected_gamma(model, Uniform(), 2, 2, hu_family=True)
-        assert got == pytest.approx(want, abs=1e-9)
-        with pytest.raises(ValueError, match="hu_family"):
-            expected_gamma(model, Uniform(), 2, 2)
+    def test_non_uniform_points_raise(self):
+        with pytest.raises(ValueError, match="uniform family; the rescaled cells") as info:
+            expected_gamma(TwoStep(0.4), Uniform(), 2, 2)
+        assert "hu_family" not in str(info.value)
 
 
 class TestPairProbabilityMemo:
@@ -477,15 +469,16 @@ class TestPairProbabilityMemo:
         monkeypatch.setattr(multianchor, "probability", counting)
         n = 7
         # GeneralLinear rescales to a fresh Linear on every call
-        for model, anchors in ((Uniform(), [0.25, 0.5, 0.75]),
-                               (GeneralLinear(0.05, (-1.0, 3.0)), [0.0, 1.0])):
+        for model in (Uniform(), GeneralLinear(0.05, (-1.0, 3.0))):
             calls.clear()
-            cond = conditional_on_anchors(model, anchors, hu_family=True)
-            first = pmf_conditional_table(cond, n)
-            assert np.array_equal(pmf_conditional_table(cond, n), first)
-            expected_gamma(model, model, n, 2, hu_family=True)
+            first = pmf_random_anchors_table(model, model, n, 2, hu_family=True)
+            again = pmf_random_anchors_table(model, model, n, 2, hu_family=True)
+            assert np.array_equal(again, first)
             assert len(calls) == n - 1, model
         calls.clear()
+        cond = conditional_on_anchors(Uniform(), [0.25, 0.5, 0.75])
+        assert np.array_equal(pmf_conditional_table(cond, n), pmf_conditional_table(cond, n))
+        expected_gamma(Uniform(), Uniform(), n, 2)
         pmf_random_anchors_table(Uniform(), Uniform(), n, 1)
         assert calls == []
 
@@ -493,8 +486,8 @@ class TestPairProbabilityMemo:
 class TestAnchorRuleCache:
     @staticmethod
     def anchor_quadrature_results():
-        """Anchor-rule users: the expected_gamma grid and a Beta-anchor table."""
-        means = [expected_gamma(Uniform(), Uniform(), n, m) for n in range(1, 9) for m in range(1, 5)]
+        """Anchor-rule users: Beta-anchor means and a Beta-anchor table."""
+        means = [expected_gamma(Uniform(), Beta(2, 2), n, m) for n in range(1, 9) for m in range(1, 4)]
         return means, pmf_random_anchors_table(Uniform(), Beta(2, 2), 5, 3)
 
     def test_each_rule_is_built_once(self, monkeypatch):
@@ -548,13 +541,13 @@ class TestDegreeExactAnchorRules:
     @staticmethod
     def with_nodes(monkeypatch, nodes, compute, *args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(multianchor, "_anchor_nodes", lambda fy, n, m, cap: nodes)
+            patch.setattr(multianchor, "_anchor_nodes", lambda fy, n, m: nodes)
             return compute(*args, **kwargs)
 
     @pytest.mark.parametrize("fx, fy, d, n, m, hu", DEGREE_CASES, ids=repr)
     def test_the_fewest_exact_nodes(self, monkeypatch, fx, fy, d, n, m, hu):
         nodes = math.ceil((n + m * (d + 1)) / 2)
-        assert multianchor._anchor_nodes(fy, n, m, 10 ** 6) == nodes
+        assert multianchor._anchor_nodes(fy, n, m) == nodes
         table = pmf_random_anchors_table(fx, fy, n, m, hu_family=hu)
         reference = self.with_nodes(monkeypatch, 40, pmf_random_anchors_table, fx, fy, n, m,
                                     hu_family=hu)
@@ -562,15 +555,9 @@ class TestDegreeExactAnchorRules:
                                 hu_family=hu)
         assert np.max(np.abs(table - reference)) <= 1e-14
         assert np.max(np.abs(fewer - reference)) > 1e-10
-        # a mean sums thousands of node terms, with about 2e-14 of rounding at 48 nodes
-        mean = expected_gamma(fx, fy, n, m, hu_family=hu)
-        reference = self.with_nodes(monkeypatch, 60, expected_gamma, fx, fy, n, m, hu_family=hu)
-        fewer = self.with_nodes(monkeypatch, nodes - 1, expected_gamma, fx, fy, n, m, hu_family=hu)
-        assert abs(mean - reference) <= 1e-13
-        assert abs(fewer - reference) > 1e-10
 
     def test_rules_past_the_caps_and_non_polynomial_anchors_are_unchanged(self):
-        # float.hex of the fixed 24- and 48-node results
+        # float.hex of the fixed 24-node results
         tables = {
             (TruncatedNormal(0.3, 0.5), 5, 3): [
                 "0x0.0p+0", "0x1.a06b3d66e0cd5p-5", "0x1.4a68e0da25b5ep-2", "0x1.c0ebc1ad819e6p-2",
@@ -585,15 +572,8 @@ class TestDegreeExactAnchorRules:
         for (fy, n, m), want in tables.items():
             got = pmf_random_anchors_table(Uniform(), fy, n, m)
             assert [float(v).hex() for v in got] == want, fy
-        means = {(TruncatedNormal(0.3, 0.5), 5, 3): "0x1.63c3b2355a146p+1",
-                 (AbsSine(), 4, 2): "0x1.17adb8ac79f8ep+1",
-                 (Beta(2, 2), 90, 3): "0x1.2e86d4d5f4912p+2"}  # 50 nodes would be exact
-        for (fy, n, m), want in means.items():
-            assert expected_gamma(Uniform(), fy, n, m).hex() == want, fy
         with pytest.raises(ValueError, match=r"nodes=24\) lost mass 1.64e-07"):
             pmf_random_anchors_table(Uniform(), Beta(2.5, 2), 4, 2)
-        with pytest.raises(ValueError, match=r"nodes=48\) lost mass 5.38e-09"):
-            expected_gamma(Uniform(), Beta(2.5, 2), 4, 2)
 
     def test_lost_mass_names_the_nodes_used(self, monkeypatch):
         # declared as a constant, the arc-sine density takes ceil((4 + 2) / 2) = 3 nodes
