@@ -445,6 +445,19 @@ class TestExpectedGamma:
             want = float(expected_gamma_hu(n, m, p_table))
             assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(want, abs=1e-13)
 
+    def test_consistent_with_pmf_mean(self):
+        for n, m in ((2, 2), (3, 2)):
+            table = pmf_random_anchors_table(Uniform(), Uniform(), n, m)
+            mean = float(np.arange(len(table)) @ table)
+            assert expected_gamma(Uniform(), Uniform(), n, m) == pytest.approx(mean, abs=1e-15)
+
+    def test_jumping_anchor_density_matches_the_pmf_mean(self):
+        model = TwoStep(0.5)
+        for n, m in ((4, 2), (6, 3)):
+            table = pmf_random_anchors_table(Uniform(), model, n, m)
+            mean = float(np.arange(len(table)) @ table)
+            assert expected_gamma(Uniform(), model, n, m) == pytest.approx(mean, abs=1e-15), (n, m)
+
     def test_quadrature_that_loses_mass_raises(self):
         # arc-sine anchors diverge at both ends, where the table's Gauss nodes miss mass
         for n, m in ((4, 2), (3, 1), (6, 3)):
