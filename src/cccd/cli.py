@@ -284,13 +284,15 @@ def _paper_rows():
     rows = []
     uniform = Uniform()
     quad = lambda model, n: exact.probability(model, n, method="quadrature").value
-    profile_limit = lambda model: asymptotics.asymptotic_profile(model).p_limit
+    paper_limit = asymptotics.limit_family_formula
+    limit_row = lambda label, model: _row(f"{label} limit", paper_limit(model),
+                                          asymptotics.asymptotic_profile(model).p_limit,
+                                          "derivative profile", 1e-12)
 
     for n in (1, 2, 5):
         rows.append(_row(f"uniform p_{n}", float(exact.p_uniform_fraction(n)),
                          quad(uniform, n), "quadrature vs closed form", 1e-8))
-    rows.append(_row("uniform limit", 4.0 / 9.0, profile_limit(uniform),
-                     "derivative profile", 1e-12))
+    rows.append(limit_row("uniform", uniform))
 
     rows.append(_row("shrunk-uniform(0.1) p_10",
                      exact.p_closed_form(ShrunkUniform(0.1), 10),
@@ -308,32 +310,18 @@ def _paper_rows():
                      float(exact.p_uniform_fraction(3)),
                      exact.p_closed_form(TwoStep(0.0), 3), "closed form identity", 1e-12))
 
-    rows.append(_row("linear(1) limit", 3.0 / 8.0, profile_limit(Linear(1.0)),
-                     "derivative profile", 1e-12))
-    rows.append(_row("abs-sine limit", 16.0 / 25.0, profile_limit(AbsSine()),
-                     "derivative profile", 1e-12))
-    rows.append(_row("piece-quadratic(0) limit", 16.0 / 27.0,
-                     profile_limit(PieceQuadratic(0.0)), "derivative profile", 1e-12))
-    for a in (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0):
-        rows.append(_row(f"linear({a}) limit", (4.0 - a * a) / (9.0 - a * a),
-                         profile_limit(Linear(a)), "derivative profile", 1e-12))
-    for q in (0, 1, 2):
-        rows.append(_row(f"q-power({q}) limit",
-                         2.0 ** (q + 2) / (3.0 * (1.0 + 2.0 ** (q + 1))),
-                         profile_limit(QPower(q)), "derivative profile", 1e-12))
+    rows.append(limit_row("linear(1)", Linear(1.0)))
+    rows.append(limit_row("abs-sine", AbsSine()))
+    rows.append(limit_row("piece-quadratic(0)", PieceQuadratic(0.0)))
+    rows += [limit_row(f"linear({a})", Linear(a)) for a in (-2.0, -1.0, -0.5, 0.5, 1.5, 2.0)]
+    rows += [limit_row(f"q-power({q})", QPower(q)) for q in (0, 1, 2)]
     for q in (3, 4, 5):
-        rows.append(_row(f"q-power({q}) limit",
-                         2.0 ** (q + 2) / (3.0 * (1.0 + 2.0 ** (q + 1))),
+        rows.append(_row(f"q-power({q}) limit", paper_limit(QPower(q)),
                          asymptotics.limit_matched_derivatives(q, 0),
                          "matched-derivative identity (profile scan caps at order 2)", 1e-12))
-    for d in (0.25, 0.5, 0.75):
-        rows.append(_row(f"two-step({d}) limit", 4.0 * (1.0 - d * d) / (9.0 - d * d),
-                         profile_limit(TwoStep(d)), "derivative profile", 1e-12))
-    for d in (-0.5, 0.5):
-        rows.append(_row(f"three-step({d}) limit",
-                         4.0 * (1.0 + d) ** 2 / (3.0 + d) ** 2,
-                         profile_limit(ThreeStep(d)), "derivative profile", 1e-12))
-    rows.append(_row("arc-sine limit", 1.0, asymptotics.limit_unbounded(ArcSine()),
+    rows += [limit_row(f"two-step({d})", TwoStep(d)) for d in (0.25, 0.5, 0.75)]
+    rows += [limit_row(f"three-step({d})", ThreeStep(d)) for d in (-0.5, 0.5)]
+    rows.append(_row("arc-sine limit", paper_limit(ArcSine()), asymptotics.limit_unbounded(ArcSine()),
                      "vanishing margin", 1e-6))
 
     rows.append(_row("linear(1) p_1000", 0.3753, quad(Linear(1.0), 1000),

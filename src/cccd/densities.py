@@ -1,9 +1,11 @@
-"""Density families on a bounded interval with known endpoint behavior.
+"""Density families with known endpoint behavior.
 
-Every family exposes a vectorized pdf/cdf/quantile triple and one-sided
-derivatives of the density at the support endpoints and midpoint (orders
-0 through 2). Models are immutable value objects; constructors validate
-parameters and check that the density integrates to 1.
+The law of the domination number is invariant under affine maps, so every family
+lives on the unit interval; ``GeneralLinear`` alone takes another support.  Every
+family exposes a vectorized pdf/cdf/quantile triple and one-sided derivatives of
+the density at the support landmarks "lo", "mid" and "hi" (orders 0 through 2).
+Models are immutable value objects; constructors validate parameters and check
+that the density integrates to 1.
 
 The uniform, step, linear and piece-quadratic families are piecewise polynomials
 with exact rational coefficients. One class holds their pieces and derives every
@@ -84,21 +86,19 @@ def _scalar_like(x, out):
 
 
 class DensityModel:
-    """Base class: a named density on a SupportInterval.  A family supplies ``_pdf``, ``_cdf``,
-    ``_quantile``, ``_pdf_derivative`` and ``_one_sided`` on points of the support."""
+    """Base class: a named density on ``support``, the unit interval unless a family sets its own.
+    A family supplies ``_pdf``, ``_cdf``, ``_quantile``, ``_pdf_derivative`` and ``_one_sided`` on
+    points of the support."""
 
     family = "base"
     unbounded = False
+    support = SupportInterval(0.0, 1.0)
     _param_names = ()  # the constructor's arguments other than support, each kept as an attribute
     # degree d of the pdf where it is one polynomial between interior knots, else None; anchor
     # rules take their node counts from it, so it must never be below the true degree
     polynomial_degree = None
 
-    def __init__(self, support=(0.0, 1.0)):
-        if isinstance(support, SupportInterval):
-            self.support = support
-        else:
-            self.support = SupportInterval(float(support[0]), float(support[1]))
+    def __init__(self):
         self._check_mass()
 
     # parameters as a plain dict, used by the JSON spec round trip
@@ -162,30 +162,19 @@ class DensityModel:
         return _scalar_like(x, out)
 
     def one_sided_derivative(self, point, side, order):
-        which = self._landmark(point)
+        """The order-th derivative from ``side`` at the landmark ``point`` names: "lo", "mid" or "hi"."""
+        if point not in ("lo", "mid", "hi"):
+            raise ValueError(f"point: expected the landmark name 'lo', 'mid' or 'hi', got {point!r}")
         if side not in ("+", "-"):
             raise ValueError(f"side: expected '+' or '-', got {side!r}")
-        if which == "lo" and side == "-":
+        if point == "lo" and side == "-":
             raise ValueError("side: only '+' is defined at the lower support endpoint")
-        if which == "hi" and side == "+":
+        if point == "hi" and side == "+":
             raise ValueError("side: only '-' is defined at the upper support endpoint")
         _check_order(order)
-        value, infinite = self._one_sided(which, side, order)
-        pt = {"lo": self.support.lo, "mid": self.support.mid, "hi": self.support.hi}[which]
+        value, infinite = self._one_sided(point, side, order)
+        pt = {"lo": self.support.lo, "mid": self.support.mid, "hi": self.support.hi}[point]
         return OneSidedDerivative(pt, side, order, float(value), infinite)
-
-    def _landmark(self, point):
-        if isinstance(point, str):
-            if point in ("lo", "mid", "hi"):
-                return point
-            raise ValueError(f"point: expected lo/mid/hi or their coordinates, got {point!r}")
-        p = float(point)
-        for name, coord in (("lo", self.support.lo), ("mid", self.support.mid), ("hi", self.support.hi)):
-            if math.isclose(p, coord, rel_tol=0.0, abs_tol=1e-12):
-                return name
-        raise ValueError(
-            f"point: {p} is not a support landmark "
-            f"(lo={self.support.lo}, mid={self.support.mid}, hi={self.support.hi})")
 
     def _check_mass(self):
         mass = self._mass()
@@ -236,13 +225,6 @@ def _check_order(order):
         raise ValueError(f"order: derivatives above order {MAX_DERIVATIVE_ORDER} are not available, got {order}")
 
 
-def _unit_support(support):
-    s = support if isinstance(support, SupportInterval) else SupportInterval(*map(float, support))
-    if not (s.lo == 0.0 and s.hi == 1.0):
-        raise ValueError(f"support: this family is defined on [0,1], got [{s.lo},{s.hi}]")
-    return s
-
-
 def _float_rows(polys, order=0):
     """Row k holds every piece's coefficient of t^k in the order-th derivative, rounded once."""
     polys = [[math.perm(k, order) * c for k, c in enumerate(p)][order:] or [0] for p in polys]
@@ -257,7 +239,7 @@ class _PiecewisePolynomial(DensityModel):
     derivatives, the one-sided values (exact, rounded once) and the degree derive from them.
     """
 
-    def __init__(self, knots, pieces, support):
+    def __init__(self, knots, pieces):
         knots, self._parts, cdfs, mass = [Fraction(k) for k in knots], [], [], Fraction(0)
         for lo, hi, coefs in zip(knots, knots[1:], pieces):
             self._parts.append((lo, hi, tuple(Fraction(c) for c in coefs)))
@@ -274,7 +256,7 @@ class _PiecewisePolynomial(DensityModel):
         self._inverse = min(self.polynomial_degree + 1, 3)
         self._heights = np.where(self._rows[0][0] > 0, self._rows[0][0], np.inf)
         self._exact_mass = mass
-        super().__init__(support)
+        super().__init__()
 
     def _keep_delta(self, delta, inside, needs):
         """Keep a family's delta as a float once ``inside`` accepts it, and return it as a Fraction."""
@@ -288,11 +270,8 @@ class _PiecewisePolynomial(DensityModel):
         return [float(lo) for lo, _, _ in self._parts[1:]]
 
     def _mass(self):
-        """The pieces' exact mass, rounded once; a subclass that replaces ``_pdf`` no longer
-        evaluates the pieces, and its pdf is integrated instead."""
-        if type(self)._pdf is _PiecewisePolynomial._pdf:
-            return float(self._exact_mass)
-        return super()._mass()
+        """The pieces' exact mass, rounded once."""
+        return float(self._exact_mass)
 
     def piecewise_polynomial_parts(self):
         return list(self._parts)
@@ -388,8 +367,8 @@ class _PiecewisePolynomial(DensityModel):
 class Uniform(_PiecewisePolynomial):
     family = "uniform"
 
-    def __init__(self, support=(0.0, 1.0)):
-        super().__init__([0, 1], [[1]], _unit_support(support))
+    def __init__(self):
+        super().__init__([0, 1], [[1]])
 
     # the identity, with no copy: simulate sends every uniform draw through it
     def _cdf(self, x):
@@ -405,11 +384,11 @@ class ShrunkUniform(_PiecewisePolynomial):
     family = "shrunk_uniform"
     _param_names = ("delta",)
 
-    def __init__(self, delta, support=(0.0, 1.0)):
+    def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: 0.0 <= d < 0.5, "0 <= delta < 1/2")
         h = 1 / (1 - 2 * fd)
         knots, heights = ([0, 1], [1]) if fd == 0 else ([0, fd, 1 - fd, 1], [0, h, 0])
-        super().__init__(knots, [[height] for height in heights], _unit_support(support))
+        super().__init__(knots, [[height] for height in heights])
 
 
 class GapUniform(_PiecewisePolynomial):
@@ -422,7 +401,7 @@ class GapUniform(_PiecewisePolynomial):
     family = "gap_uniform"
     _param_names = ("delta",)
 
-    def __init__(self, delta, support=(0.0, 1.0)):
+    def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: 0.0 <= d < 0.5, "0 <= delta < 1/2")
         if 1.0 / 6.0 < self.delta < 1.0 / 3.0:
             raise ValueError(
@@ -432,7 +411,7 @@ class GapUniform(_PiecewisePolynomial):
             knots, heights = [0, 1], [1]
         else:
             knots, heights = [0, Fraction(1, 2) - fd, Fraction(1, 2) + fd, 1], [h, 0, h]
-        super().__init__(knots, [[height] for height in heights], _unit_support(support))
+        super().__init__(knots, [[height] for height in heights])
 
 
 class TwoStep(_PiecewisePolynomial):
@@ -441,9 +420,9 @@ class TwoStep(_PiecewisePolynomial):
     family = "two_step"
     _param_names = ("delta",)
 
-    def __init__(self, delta, support=(0.0, 1.0)):
+    def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: -1.0 <= d <= 1.0, "-1 <= delta <= 1")
-        super().__init__([0, Fraction(1, 2), 1], [[1 + fd], [1 - fd]], _unit_support(support))
+        super().__init__([0, Fraction(1, 2), 1], [[1 + fd], [1 - fd]])
 
 
 class ThreeStep(_PiecewisePolynomial):
@@ -452,10 +431,10 @@ class ThreeStep(_PiecewisePolynomial):
     family = "three_step"
     _param_names = ("delta",)
 
-    def __init__(self, delta, support=(0.0, 1.0)):
+    def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: -1.0 <= d <= 1.0, "-1 <= delta <= 1")
         super().__init__([0, Fraction(1, 4), Fraction(3, 4), 1],
-                         [[1 + fd], [1 - fd], [1 + fd]], _unit_support(support))
+                         [[1 + fd], [1 - fd], [1 + fd]])
 
 
 class GeneralLinear(_PiecewisePolynomial):
@@ -470,10 +449,10 @@ class GeneralLinear(_PiecewisePolynomial):
         bound = 2.0 / s.width ** 2
         if abs(a) > bound * (1.0 + 1e-12):
             raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
-        self.a = a
+        self.a, self.support = a, s
         # mass 1 puts the height 1/width at the midpoint, whatever the slope
         width = Fraction(s.hi) - Fraction(s.lo)
-        super().__init__([s.lo, s.hi], [[1 / width - Fraction(a) * width / 2, a]], s)
+        super().__init__([s.lo, s.hi], [[1 / width - Fraction(a) * width / 2, a]])
 
     def to_unit(self):
         """The same shape rescaled onto [0,1]: Linear(a * width^2)."""
@@ -485,11 +464,11 @@ class Linear(GeneralLinear):
 
     family = "linear"
 
-    def __init__(self, a, support=(0.0, 1.0)):
+    def __init__(self, a):
         a = float(a)
         if not -2.0 <= a <= 2.0:
             raise ValueError(f"a: linear slope must satisfy |a| <= 2, got {a}")
-        super().__init__(a, _unit_support(support))
+        super().__init__(a, DensityModel.support)
 
 
 class SquareCdf(Linear):
@@ -498,8 +477,8 @@ class SquareCdf(Linear):
     family = "square_cdf"
     _param_names = ()
 
-    def __init__(self, support=(0.0, 1.0)):
-        super().__init__(2.0, support)
+    def __init__(self):
+        super().__init__(2.0)
 
     def _quantile(self, u):
         return np.sqrt(u)
@@ -511,13 +490,13 @@ class QPower(DensityModel):
     family = "q_power"
     _param_names = ("q",)
 
-    def __init__(self, q, support=(0.0, 1.0)):
+    def __init__(self, q):
         q = float(q)
         if q < 0.0:
             raise ValueError(f"q: q_power exponent must be >= 0, got {q}")
         self.q = q
         self._c = (q + 1.0) * 2.0 ** q
-        super().__init__(_unit_support(support))
+        super().__init__()
 
     @property
     def polynomial_degree(self):
@@ -566,9 +545,9 @@ class PieceQuadratic(_PiecewisePolynomial):
     family = "piece_quadratic"
     _param_names = ("delta",)
 
-    def __init__(self, delta, support=(0.0, 1.0)):
+    def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: 0.0 <= d <= 1.0, "0 <= delta <= 1")
-        super().__init__([0, Fraction(1, 2), 1], [[fd, 0, 12 * (1 - fd)]] * 2, _unit_support(support))
+        super().__init__([0, Fraction(1, 2), 1], [[fd, 0, 12 * (1 - fd)]] * 2)
 
 
 class AbsSine(DensityModel):
@@ -653,7 +632,7 @@ class Beta(DensityModel):
     family = "beta"
     _param_names = ("nu1", "nu2")
 
-    def __init__(self, nu1, nu2, support=(0.0, 1.0)):
+    def __init__(self, nu1, nu2):
         nu1, nu2 = float(nu1), float(nu2)
         if nu1 < 1.0:
             raise ValueError(f"nu1: beta shape must be >= 1, got {nu1}")
@@ -668,7 +647,7 @@ class Beta(DensityModel):
             self._lognorm = special.betaln(nu1, nu2)
         # the density at an end whose shape is 1; exp(-log B) would overflow at large shapes
         self._unit_end_pdf = float(np.exp(-self._lognorm)) if min(nu1, nu2) == 1.0 else 0.0
-        super().__init__(_unit_support(support))
+        super().__init__()
 
     @property
     def polynomial_degree(self):
@@ -799,7 +778,7 @@ class TruncatedNormal(DensityModel):
     family = "truncated_normal"
     _param_names = ("mu", "sigma")
 
-    def __init__(self, mu, sigma, support=(0.0, 1.0)):
+    def __init__(self, mu, sigma):
         mu, sigma = float(mu), float(sigma)
         if sigma <= 0.0:
             raise ValueError(f"sigma: truncated_normal scale must be > 0, got {sigma}")
@@ -812,7 +791,7 @@ class TruncatedNormal(DensityModel):
         if self._near is not None:
             self._lnear = special.log_ndtr(-abs(self._near - mu) / sigma)
             self._lz = self._lnear + math.log1p(-math.exp(self._log_drop(1.0 - self._near)))
-        super().__init__(_unit_support(support))
+        super().__init__()
 
     def _near_split(self, x):
         """For mu outside [0, 1]: (z0, dz) = (|near - mu|, |x - near|) / sigma, whose sum is |x - mu| / sigma."""
@@ -925,7 +904,11 @@ def model_from_spec(spec):
         if (not isinstance(support, (list, tuple)) or len(support) != 2
                 or not all(isinstance(v, (int, float)) for v in support)):
             raise ValueError(f"support: expected [lo, hi] numbers, got {support!r}")
-        kwargs["support"] = tuple(support)
+        lo, hi = map(float, support)
+        if fam == "general_linear":
+            kwargs["support"] = (lo, hi)
+        elif (lo, hi) != (0.0, 1.0):
+            raise ValueError(f"support: this family is defined on [0,1], got [{lo},{hi}]")
     elif fam == "general_linear":
         raise ValueError("support: field is required for general_linear")
     try:

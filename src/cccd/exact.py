@@ -86,15 +86,11 @@ def _require_sample_size(n):
 
 
 def _to_unit(model):
-    """Rescale to unit support; the law is invariant under affine maps."""
+    """Rescale to unit support; the law is invariant under affine maps.  Only a
+    ``GeneralLinear`` lives off the unit interval, and it rescales itself."""
     if (model.support.lo, model.support.hi) == (0.0, 1.0):
         return model
-    to_unit = getattr(model, "to_unit", None)
-    if to_unit is None:
-        raise ValueError(
-            f"support: family {model.family!r} on {model.support} cannot be "
-            "rescaled to the unit interval")
-    return to_unit()
+    return model.to_unit()
 
 
 def p_uniform_fraction(n):

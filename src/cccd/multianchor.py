@@ -85,8 +85,9 @@ class AnchorConditional:
         m = len(self.anchors)
         if m < 1:
             raise ValueError("anchors: need at least one anchor")
-        if any(b <= a for a, b in zip(self.anchors, self.anchors[1:])):
-            raise ValueError("anchors: positions must be strictly increasing")
+        if not (all(map(math.isfinite, self.anchors))
+                and all(a < b for a, b in zip(self.anchors, self.anchors[1:]))):
+            raise ValueError("anchors: positions must be finite and strictly increasing")
         if len(self.cell_probs) != m + 1:
             raise ValueError(
                 f"cell_probs: expected {m + 1} cell masses for {m} anchors, "

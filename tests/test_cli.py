@@ -78,6 +78,17 @@ class TestArgumentHandling:
         assert rc == 2 and out == ""
         assert "density mass nan" in err
 
+    @pytest.mark.parametrize("spec", ['{"family": "arc_sine", "support": [0, 2]}',
+                                      '{"family": "abs_sine", "support": [-1, 0]}'],
+                             ids=["arc_sine", "abs_sine"])
+    def test_unit_family_on_another_support_exits_two(self, capsys, spec):
+        # these pdfs ignore the interval, so a support they would not honour is refused up front
+        for argv in (["exact", "--n", "10"], ["simulate", "--n", "10", "--m", "2"],
+                     ["asymptotic"], ["multi", "--n", "5", "--m", "2"]):
+            rc, out, err = run_cli(capsys, argv + ["--density", spec])
+            assert rc == 2 and out == "", argv
+            assert "support: this family is defined on [0,1]" in err
+
     def test_computation_failure_maps_to_one(self, capsys):
         # the cell program is capped at n + m = 400 on every route
         n = str(multianchor.MAX_CELL_TOTAL - 1)

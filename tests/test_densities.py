@@ -100,7 +100,9 @@ def test_kronrod_rule_nests_the_seven_point_gauss_rule():
         assert abs(kronrod @ nodes ** k - (1 - k % 2) * 2.0 / (k + 1)) <= 1e-15, k
 
 
-@pytest.mark.parametrize("family, args", [(D.Linear, (1.0,)), (D.PieceQuadratic, (2 / 3,)),
+# piecewise polynomial families check their exact mass, not their pdf (see
+# test_piecewise_polynomial_mass_is_exact_and_still_checked)
+@pytest.mark.parametrize("family, args", [(D.QPower, (0.5,)), (D.AbsSine, ()),
                                           (D.Beta, (1.22, 21.18)), (D.TruncatedNormal, (0.5, 0.01)),
                                           (D.ArcSine, ())], ids=lambda v: getattr(v, "__name__", None))
 def test_mass_check_catches_a_pdf_scaled_by_1e_9(family, args):
@@ -113,7 +115,7 @@ def test_mass_check_catches_a_pdf_scaled_by_1e_9(family, args):
 
 def test_mass_check_that_cannot_converge_raises(monkeypatch):
     # an oscillation that no panel resolves keeps every panel above its share, up to the panel cap
-    noisy = type("Noisy", (D.Uniform,), {"_pdf": lambda self, x: 1.0 + 1e-9 * np.sin(1e9 * x)})
+    noisy = type("Noisy", (D.DensityModel,), {"_pdf": lambda self, x: 1.0 + 1e-9 * np.sin(1e9 * x)})
     with pytest.raises(ValueError, match="did not converge"):
         noisy()
     # the square-root cusp of QPower(0.5) needs more than three rounds of halving
@@ -124,7 +126,7 @@ def test_mass_check_that_cannot_converge_raises(monkeypatch):
 
 def test_nan_mass_is_rejected():
     # NaN fails every comparison, so a NaN mass must be refused by name
-    nan_pdf = type("NanPdf", (D.Uniform,), {"_pdf": lambda self, x: np.full(np.shape(x), np.nan)})
+    nan_pdf = type("NanPdf", (D.DensityModel,), {"_pdf": lambda self, x: np.full(np.shape(x), np.nan)})
     with pytest.raises(ValueError, match="density mass nan"):
         nan_pdf()
 
@@ -141,7 +143,7 @@ def test_piecewise_polynomial_mass_is_exact_and_still_checked(monkeypatch):
     # pieces that integrate to 1 + 5e-10, or to 2, are refused
     for pieces in ([[1], [1 + Fraction(1, 10**9)]], [[1], [3]]):
         with pytest.raises(ValueError, match="density mass .* deviates from 1"):
-            D._PiecewisePolynomial([0, Fraction(1, 2), 1], pieces, (0.0, 1.0))
+            D._PiecewisePolynomial([0, Fraction(1, 2), 1], pieces)
 
 
 @pytest.mark.parametrize("mu", [-0.28, 1.28])
@@ -380,8 +382,10 @@ def test_one_sided_derivative_errors():
         m.one_sided_derivative("lo", "-", 0)
     with pytest.raises(ValueError, match="side"):
         m.one_sided_derivative("hi", "+", 0)
-    with pytest.raises(ValueError, match="point"):
-        m.one_sided_derivative(0.3, "+", 0)
+    # landmarks go by name only, also where a float is a landmark's coordinate
+    for point in (0.3, 0.0, 0.5, 1.0, "0.5"):
+        with pytest.raises(ValueError, match="point"):
+            m.one_sided_derivative(point, "+", 0)
 
 
 def test_parameter_validation_messages():
@@ -438,9 +442,25 @@ def test_spec_parse_errors_name_fields():
 
 @pytest.mark.parametrize("family", sorted(D.FAMILIES))
 def test_params_are_the_constructor_arguments(family):
-    # the spec round trip passes params back to the constructor, so they must name its arguments
+    # the spec round trip passes params back to the constructor, so they must name its arguments;
+    # only general_linear lives off the unit interval, and only it takes a support
     cls = D.FAMILIES[family]
-    assert cls._param_names == tuple(p for p in inspect.signature(cls).parameters if p != "support")
+    support = ("support",) if family == "general_linear" else ()
+    assert tuple(inspect.signature(cls).parameters) == cls._param_names + support
+
+
+@pytest.mark.parametrize("family", sorted(D.FAMILIES))
+def test_spec_support_is_the_unit_interval_but_for_general_linear(family):
+    model = next(m for m in model_zoo() if m.family == family)
+    spec = D.model_to_spec(model)
+    if family == "general_linear":
+        assert D.model_from_spec({**spec, "support": [0, 2]}).support == D.SupportInterval(0.0, 2.0)
+        return
+    assert spec["support"] == [0.0, 1.0]
+    assert D.model_from_spec({**spec, "support": [0, 1]}) == model
+    for support in ([0, 2], [-1, 0], [0.0, 1.5], [1, 1]):
+        with pytest.raises(ValueError, match=r"support: this family is defined on \[0,1\]"):
+            D.model_from_spec({**spec, "support": support})
 
 
 def test_sampling_is_sorted_deterministic_and_unbiased():

@@ -190,6 +190,9 @@ class TestAnchorConditional:
             AnchorConditional((0.5,), (math.nan, math.nan), Uniform())
         with pytest.raises(ValueError, match="strictly increasing"):
             AnchorConditional((0.6, 0.3), (0.3, 0.3, 0.4), Uniform())
+        for anchors in [(math.nan, 0.5), (0.5, math.nan), (math.nan,), (0.5, math.inf), (-math.inf,)]:
+            with pytest.raises(ValueError, match="finite"):
+                AnchorConditional(anchors, (0.2, 0.3, 0.5) if len(anchors) == 2 else (0.4, 0.6), Uniform())
 
 
 class TestPmfConditional:
