@@ -48,6 +48,8 @@ class SupportInterval:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"support: ends must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"support: lo={self.lo} must be < hi={self.hi}")
 
@@ -446,6 +448,9 @@ class GeneralLinear(_PiecewisePolynomial):
     def __init__(self, a, support):
         a = float(a)
         s = support if isinstance(support, SupportInterval) else SupportInterval(*map(float, support))
+        # the slope bound needs the width's square as a normal double
+        if not 2.0 ** -511 <= s.width < 2.0 ** 511:
+            raise ValueError(f"support: general_linear needs a width in [2**-511, 2**511), got {s.width}")
         bound = 2.0 / s.width ** 2
         if abs(a) > bound * (1.0 + 1e-12):
             raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
@@ -904,7 +909,10 @@ def model_from_spec(spec):
         if (not isinstance(support, (list, tuple)) or len(support) != 2
                 or not all(isinstance(v, (int, float)) for v in support)):
             raise ValueError(f"support: expected [lo, hi] numbers, got {support!r}")
-        lo, hi = map(float, support)
+        try:
+            lo, hi = map(float, support)
+        except OverflowError as e:
+            raise ValueError(f"support: ends must be finite ({e})") from e
         if fam == "general_linear":
             kwargs["support"] = (lo, hi)
         elif (lo, hi) != (0.0, 1.0):
@@ -915,6 +923,8 @@ def model_from_spec(spec):
         return FAMILIES[fam](**kwargs)
     except TypeError as e:
         raise ValueError(f"params: invalid for family {fam!r} ({e})") from e
+    except OverflowError as e:
+        raise ValueError(f"params: a number is out of range for family {fam!r} ({e})") from e
 
 
 def model_to_spec(model):

@@ -89,6 +89,19 @@ class TestArgumentHandling:
             assert rc == 2 and out == "", argv
             assert "support: this family is defined on [0,1]" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ('{"family": "general_linear", "params": {"a": 0}, "support": [0, Infinity]}',
+         "support: ends must be finite"),
+        ('{"family": "general_linear", "params": {"a": 0}, "support": [0, 1e-320]}',
+         "support: general_linear needs a width"),
+        ('{"family": "two_step", "params": {"delta": %s}}' % ("1" * 401),
+         "params: a number is out of range"),
+    ], ids=["infinite_end", "width_square_underflows", "huge_integer"])
+    def test_malformed_numbers_in_a_spec_exit_two(self, capsys, spec, message):
+        rc, out, err = run_cli(capsys, ["exact", "--n", "3", "--density", spec])
+        assert rc == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
     def test_computation_failure_maps_to_one(self, capsys):
         # the cell program is capped at n + m = 400 on every route
         n = str(multianchor.MAX_CELL_TOTAL - 1)

@@ -409,6 +409,13 @@ def test_parameter_validation_messages():
         D.GeneralLinear(3.0, (0.0, 2.0))
     with pytest.raises(ValueError, match="support"):
         D.SupportInterval(1.0, 1.0)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="support: ends must be finite"):
+            D.SupportInterval(lo, hi)
+    # 2 / width^2 bounds the slope, so the square must neither underflow nor overflow
+    for support in ((0.0, 1e-320), (0.0, 1e-160), (0.0, 1e200)):
+        with pytest.raises(ValueError, match="support: general_linear needs a width"):
+            D.GeneralLinear(0.0, support)
 
 
 def test_spec_round_trip():
@@ -438,6 +445,11 @@ def test_spec_parse_errors_name_fields():
         D.model_from_spec("{family: uniform}")
     with pytest.raises(ValueError, match="unknown field"):
         D.model_from_spec({"family": "uniform", "extra": 1})
+    # integers too large for a double, which float() answers with OverflowError
+    with pytest.raises(ValueError, match="params: a number is out of range"):
+        D.model_from_spec({"family": "two_step", "params": {"delta": 10 ** 400}})
+    with pytest.raises(ValueError, match="support: ends must be finite"):
+        D.model_from_spec({"family": "general_linear", "params": {"a": 0}, "support": [0, 10 ** 400]})
 
 
 @pytest.mark.parametrize("family", sorted(D.FAMILIES))
@@ -749,8 +761,15 @@ def test_beta_quantile_route_matches_betaincinv(shape):
 
 @pytest.mark.parametrize("shape, counts", [((4, 1), {1: 99041, 2: 959}),
                                            ((1, 4), {1: 99005, 2: 995})], ids=str)
-def test_unit_shape_closed_form_keeps_the_criterion_05_counts(shape, counts):
+def test_unit_shape_closed_form_keeps_the_criterion_05_counts(shape, counts, philox_streams):
     # counts recorded with the betaincinv quantile that the closed forms replaced
+    plan = simulate.SimulationPlan(fx=D.Beta(*shape), fy=(0.0, 1.0), n=50, reps=100_000, seed=14)
+    assert simulate.run(plan) == counts
+
+
+@pytest.mark.parametrize("shape, counts", [((4, 1), {1: 99001, 2: 999}),
+                                           ((1, 4), {1: 99026, 2: 974})], ids=str)
+def test_unit_shape_criterion_05_counts_on_sfc64_streams(shape, counts):
     plan = simulate.SimulationPlan(fx=D.Beta(*shape), fy=(0.0, 1.0), n=50, reps=100_000, seed=14)
     assert simulate.run(plan) == counts
 

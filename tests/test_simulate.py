@@ -1,5 +1,6 @@
 """Monte Carlo harness tests: reproducibility, law agreement, grading."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -10,10 +11,12 @@ from cccd.densities import Beta, GeneralLinear, Uniform
 from cccd.digraph import _cell_gammas
 from cccd.exact import p_uniform_fraction
 from cccd.simulate import (
+    _REDRAW_KEY_BASE,
     BATCH_REPS,
     ComparisonVerdict,
     SimulationPlan,
     _redraw_row,
+    _stream,
     compare,
     run,
 )
@@ -35,8 +38,9 @@ class _GridUniform(Uniform):
         return np.floor(64.0 * u) / 64.0
 
 
-# recorded from the per-cell mask kernel that preceded the rank-based one; a
-# change means the stream layout or a float decision moved
+# recorded from the per-cell mask kernel that preceded the rank-based one, on
+# the Philox streams of the ``philox_streams`` fixture; a change means the
+# stream layout or a float decision moved
 PINNED_COUNTS = [
     (dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8, reps=5000, seed=2026),
      {1: 5, 2: 222, 3: 1520, 4: 2248, 5: 919, 6: 86}),
@@ -52,6 +56,15 @@ PINNED_COUNTS = [
     (dict(fx=_GridUniform(), fy=(0.1, 0.35, 0.6), n=8, reps=1200, seed=5),
      {2: 35, 3: 335, 4: 524, 5: 277, 6: 29}),
 ]
+
+# the same plans on the package's own SFC64 streams
+SFC64_COUNTS = [(kwargs, counts) for (kwargs, _), counts in zip(PINNED_COUNTS, [
+    {1: 1, 2: 220, 3: 1520, 4: 2201, 5: 945, 6: 113},
+    {1: 50, 2: 577, 3: 1639, 4: 1776, 5: 823, 6: 128, 7: 7},
+    {1: 13, 2: 189, 3: 868, 4: 1666, 5: 1484, 6: 629, 7: 140, 8: 11},
+    {3: 1, 4: 6, 5: 103, 6: 631, 7: 1394, 8: 1295, 9: 567, 10: 99},
+    {2: 44, 3: 308, 4: 575, 5: 242, 6: 31},
+], strict=True)]
 
 
 class TestPlanValidation:
@@ -148,15 +161,44 @@ class TestDeterminism:
         counts = run(plan)
         assert sum(counts.values()) == BATCH_REPS + 1
 
-    def test_counts_are_pinned(self):
+    def test_counts_are_pinned(self, philox_streams):
         for kwargs, want in PINNED_COUNTS:
             assert run(SimulationPlan(**kwargs)) == want
 
-    def test_library_draws_only_from_philox_streams(self):
+    def test_counts_are_pinned_on_sfc64_streams(self):
+        for kwargs, want in SFC64_COUNTS:
+            assert run(SimulationPlan(**kwargs)) == want
+
+    def test_only_stream_builds_a_generator(self):
+        # every Monte Carlo number of the package comes from simulate._stream
         package = Path(__file__).resolve().parents[1] / "src" / "cccd"
         sources = sorted(package.glob("*.py"))
         assert sources
-        assert [p.name for p in sources if "default_rng" in p.read_text()] == []
+        offenders = []
+        for path in sources:
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            if path.name == "simulate.py":
+                stream = next(node for node in tree.body
+                              if isinstance(node, ast.FunctionDef) and node.name == "_stream")
+                allowed = {id(node) for node in ast.walk(stream)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                    if any(name == "random" or name.startswith("numpy.random") for name in names):
+                        offenders.append((path.name, node.lineno))
+                elif (isinstance(node, ast.Call) and id(node) not in allowed
+                      and ast.unparse(node.func).startswith(("np.random.", "numpy.random."))):
+                    offenders.append((path.name, node.lineno))
+        assert offenders == []
+
+    def test_stream_is_a_function_of_seed_and_word(self):
+        draws = _stream(2**32, 5).random(8)
+        assert np.array_equal(draws, _stream(2**32, 5).random(8))
+        # the words of SeedSequence([seed, word]) would alias these two pairs
+        assert not np.array_equal(draws, _stream(0, 1 + 5 * 2**32).random(8))
+        assert not np.array_equal(_stream(7, 3).random(8), _stream(7, _REDRAW_KEY_BASE + 3).random(8))
+        assert not np.array_equal(_stream(7, 3).random(8), _stream(3, 7).random(8))
 
     def test_seed_changes_counts(self):
         base = dict(fx=UNIFORM, fy=UNIFORM, n=5, m=3, reps=10_000)
@@ -242,7 +284,7 @@ class TestCompare:
 
 
 class TestChunkedBatches:
-    def test_chunks_of_a_few_rows_leave_counts_unchanged(self, monkeypatch):
+    def test_chunks_of_a_few_rows_leave_counts_unchanged(self, monkeypatch, request):
         plans = [
             dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8, reps=BATCH_REPS + 300, seed=2026),
             dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4, reps=BATCH_REPS + 300, seed=2027),
@@ -257,6 +299,7 @@ class TestChunkedBatches:
         monkeypatch.setattr("cccd.simulate._CHUNK_VALUES", 64)   # 4 to 8 rows a chunk
         assert [run(SimulationPlan(**kwargs)) for kwargs in plans] == want
         assert len(set(redrawn)) == len(redrawn) > 300
+        request.getfixturevalue("philox_streams")
         for kwargs, pinned in PINNED_COUNTS:
             assert run(SimulationPlan(**kwargs)) == pinned
 
