@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -220,6 +221,20 @@ def _cmd_simulate(req: CommandRequest) -> int:
     return 0
 
 
+def _fraction_text(value):
+    """str(value), or None with a stderr note where the interpreter refuses to convert an
+    integer of that many digits to a string (4,300 by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        top = max(abs(value.numerator), value.denominator)
+        digits = int(top.bit_length() * math.log10(2))
+        digits += top >= 10 ** digits  # the estimate is the digit count or one short
+        print(f"note: exact_fraction is null: it has a {digits}-digit integer, past the "
+              f"interpreter's limit for integer strings", file=sys.stderr)
+        return None
+
+
 def _cmd_exact(req: CommandRequest) -> int:
     cfg = exact.QuadratureConfig(rel_tol=req.rel_tol)
     report = exact.probability(_model(req), req.n, config=cfg)
@@ -227,7 +242,7 @@ def _cmd_exact(req: CommandRequest) -> int:
         "n": report.n,
         "p": report.value,
         "method": report.method,
-        "exact_fraction": str(report.exact) if report.exact is not None else None,
+        "exact_fraction": _fraction_text(report.exact) if report.exact is not None else None,
         "error_estimate": report.error_estimate,
     }
     _emit(req, list(row), [row])
@@ -414,17 +429,14 @@ def _selftest_checks():
         sys.stdout.write(("ok " if ok else "FAIL ") + name + "\n")
 
     # the kernel behind every simulate.run count against the exhaustive
-    # oracle, one call of each per (n, m) group of the 1000 instances
-    groups = {}
-    for k in range(1000):
-        n = int(rng.integers(2, 8))
-        m = int(rng.integers(1, 4))
-        groups.setdefault((n, m), []).append((k, rng.random(n), rng.random(m)))
+    # oracle, one call of each per (n, m) group of the 1000 instances;
+    # instance k takes its n points and m anchors from row k of one block
+    ns, ms = rng.integers(2, 8, size=1000), rng.integers(1, 4, size=1000)
+    block = rng.random((1000, 10))
     first = None
-    for group in groups.values():
-        index, xs, ys = (np.array(part) for part in zip(*group))
-        xs.sort(axis=1)
-        ys.sort(axis=1)
+    for n, m in sorted(set(zip(ns.tolist(), ms.tolist()))):
+        index = np.flatnonzero((ns == n) & (ms == m))
+        xs, ys = np.sort(block[index, :n], axis=1), np.sort(block[index, n:n + m], axis=1)
         kernel = digraph._cell_gammas(xs, ys)[0].sum(axis=1)
         oracle = digraph.domination_number_oracle(xs, ys)
         bad = np.flatnonzero(kernel != oracle)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 MASS_TOL = 1e-10
 MAX_DERIVATIVE_ORDER = 2
@@ -40,6 +39,20 @@ _KRONROD15 = (np.concatenate([-_KX, [0.0], _KX[::-1]]), np.concatenate([_KW, _KW
               np.concatenate([_GW, _GW[-2::-1]]))
 # mass check: panels per knot piece at the start, error budget, caps on rounds and live panels
 _MASS_PANELS, _MASS_BUDGET, _MASS_ROUNDS, _MASS_LIVE = 32, 1e-12, 60, 2 ** 14
+
+
+class _LazySpecial:
+    """Stands in for ``scipy.special`` until the first attribute read, which imports it and
+    rebinds this module's ``special`` to it.  The import takes about 0.3 s, and only the Beta
+    cdf and quantile, the Beta normalizer at non-integer shapes and ``TruncatedNormal`` use it."""
+
+    def __getattr__(self, name):
+        global special
+        from scipy import special
+        return getattr(special, name)
+
+
+special = _LazySpecial()
 
 
 @dataclass(frozen=True)
@@ -644,12 +657,14 @@ class Beta(DensityModel):
         if nu2 < 1.0:
             raise ValueError(f"nu2: beta shape must be >= 1, got {nu2}")
         self.nu1, self.nu2 = nu1, nu2
-        # the quantile table's log B is refit to its mass, exact where betaln is not; build
-        # the table here in any case: built amid sample buffers, it pins the heap
-        if nu1 > 1.0 and nu2 > 1.0:
-            self._lognorm = _beta_quantile_table(nu1, nu2)[3]
-        else:
-            self._lognorm = special.betaln(nu1, nu2)
+        self._lognorm = _integer_shape_lognorm(nu1, nu2)
+        # otherwise the quantile table's log B, refit to its mass, is exact where betaln is
+        # not; integer shapes build that table on the first array quantile instead
+        if self._lognorm is None:
+            if nu1 > 1.0 and nu2 > 1.0:
+                self._lognorm = _beta_quantile_table(nu1, nu2)[3]
+            else:
+                self._lognorm = special.betaln(nu1, nu2)
         # the density at an end whose shape is 1; exp(-log B) would overflow at large shapes
         self._unit_end_pdf = float(np.exp(-self._lognorm)) if min(nu1, nu2) == 1.0 else 0.0
         super().__init__()
@@ -732,6 +747,20 @@ def _power_limit(a, b, c, order):
     if a < 2.0:
         return math.inf, True
     return 0.0, False
+
+
+def _integer_shape_lognorm(a, b):
+    """log B(a, b) for integer shapes, from the integer 1/B = (a+b-1) C(a+b-2, a-1) rounded once,
+    or None: for other shapes, or where 1/B passes the float range, as it does whenever
+    min(a, b) - 1 > 1024, since C(a+b-2, min(a, b)-1) >= 2^(min(a, b)-1)."""
+    if not (a.is_integer() and b.is_integer() and min(a, b) <= 1025.0):
+        return None
+    a, b = int(a), int(b)
+    try:
+        # 0.0 - turns the -0.0 of log 1 at Beta(1, 1) into 0.0
+        return 0.0 - math.log(float((a + b - 1) * math.comb(a + b - 2, a - 1)))
+    except OverflowError:
+        return None
 
 
 def _beta_pdf(a, b, lognorm, x):

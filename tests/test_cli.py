@@ -217,6 +217,16 @@ class TestExactAndQuadrature:
         assert rows[0]["p"] == pytest.approx(float(p_uniform_fraction(5)), abs=1e-15)
         assert rows[0]["exact_fraction"] is not None
 
+    @pytest.mark.parametrize("n, digits", [(7145, 4301), (10_000, 6020)])
+    def test_exact_past_the_integer_string_limit_prints_p(self, capsys, n, digits):
+        # the denominator of p_n has more digits than str() converts by default
+        rc, out, err = run_cli(capsys, ["exact", "--n", str(n)])
+        assert rc == 0
+        _, rows, _ = parse_json_lines(out)
+        assert rows[0]["p"] == float(p_uniform_fraction(n))
+        assert rows[0]["exact_fraction"] is None
+        assert err.count("\n") == 1 and f"{digits}-digit" in err
+
     def test_quadrature_agrees_with_closed_form(self, capsys):
         rc, out, _ = run_cli(
             capsys, ["quadrature", "--n", "5", "--rel-tol", "1e-10"])
@@ -416,12 +426,28 @@ class TestSelftest:
         assert (int(found[4]), int(found[5])) == (want + 1, want)
 
 
-def test_import_leaves_scipy_integrate_and_its_dependencies_unloaded():
-    # every command pays for its imports; the runtime needs only scipy.special
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports cccd from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
-    code = f"import sys, cccd.cli; print([m for m in {heavy!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_import_leaves_scipy_integrate_and_its_dependencies_unloaded():
+    # every command pays for its imports; scipy.special loads on the first special-function
+    # call, which no uniform, step, linear or integer-shape Beta model makes at construction
+    heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+    loaded = f"print(sum(m in sys.modules for m in {heavy!r}), 'scipy.special' in sys.modules)"
+    code = ("import sys, cccd.cli\nfrom cccd.densities import Beta, Linear, TwoStep, Uniform\n"
+            f"{loaded}\nUniform(), Linear(1.0), TwoStep(0.5), Beta(2, 2), Beta(4, 1)\n{loaded}\n"
+            f"Beta(2, 2).cdf(0.3)\n{loaded}")
+    assert _fresh_python(code) == ["0", "False", "0", "False", "1", "True"]
+
+
+def test_truncated_normal_loads_scipy_special_at_construction():
+    code = ("import sys\nfrom cccd.densities import TruncatedNormal\n"
+            "print('scipy.special' in sys.modules)\nTruncatedNormal(0.3, 0.5)\n"
+            "print('scipy.special' in sys.modules)")
+    assert _fresh_python(code) == ["False", "True"]

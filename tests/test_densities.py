@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import warnings
@@ -700,6 +701,33 @@ def test_beta_normalizer_against_mpmath(shape):
         want = mp.log(mp.beta(*shape))
     got = D.Beta(*shape)._lognorm
     assert float(abs(got - want)) <= np.spacing(abs(float(want))), (got, float(want))
+
+
+def test_integer_shape_normalizer_within_half_an_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for a, b in itertools.product([1, 2, 3, 7, 16, 27, 40, 200], repeat=2):
+        with mp.workdps(40):
+            want = mp.log(mp.beta(a, b))
+        got = D.Beta(a, b)._lognorm
+        assert float(abs(got - want)) <= 0.5 * np.spacing(abs(float(want))), (a, b, got, float(want))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 1), (1, 4), (4, 2), (2, 4), (1, 1), (30, 30), (2, 200)],
+                         ids=str)
+def test_integer_shape_normalizer_keeps_the_table_and_betaln_values(shape):
+    # the shapes that the commands, tests and benchmark build: their densities stay bit for bit
+    a, b = map(float, shape)
+    want = D._beta_quantile_table(a, b)[3] if min(a, b) > 1.0 else special.betaln(a, b)
+    assert D.Beta(a, b)._lognorm == want
+
+
+def test_integer_shapes_build_the_quantile_table_on_the_first_quantile():
+    assert math.copysign(1.0, D.Beta(1, 1)._lognorm) == 1.0  # +0.0, not the -0.0 of -log 1
+    D._beta_quantile_table.cache_clear()
+    model = D.Beta(3, 5)
+    assert D._beta_quantile_table.cache_info().currsize == 0
+    model.quantile(np.array([0.25, 0.5]))
+    assert D._beta_quantile_table.cache_info().currsize == 1
 
 
 # ---------------------------------------------------- Beta quantile route
