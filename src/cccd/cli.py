@@ -134,6 +134,9 @@ def _resolve(args) -> CommandRequest:
         raise ValueError("--curves needs --out pointing at a directory")
     if req.n is not None and req.n < 1:
         raise ValueError("--n must be at least 1")
+    if req.subcommand in ("exact", "quadrature") and req.n > exact.QUADRATURE_MAX_N:
+        # every route past this n is quadrature, which cannot resolve G^(n-2) there
+        raise ValueError(f"--n must be at most {exact.QUADRATURE_MAX_N}")
     least_m = 1 if req.subcommand == "multi" else 0  # simulate reads 0 as endpoint anchors
     if req.m is not None and req.m < least_m:
         raise ValueError(f"--m must be at least {least_m}")

@@ -44,7 +44,8 @@ _MASS_PANELS, _MASS_BUDGET, _MASS_ROUNDS, _MASS_LIVE = 32, 1e-12, 60, 2 ** 14
 class _LazySpecial:
     """Stands in for ``scipy.special`` until the first attribute read, which imports it and
     rebinds this module's ``special`` to it.  The import takes about 0.3 s, and only the Beta
-    cdf and quantile, the Beta normalizer at non-integer shapes and ``TruncatedNormal`` use it."""
+    cdf and quantile, the Beta normalizer at non-integer shapes, the ``TruncatedNormal`` cdf
+    and quantile, and a ``TruncatedNormal`` whose mode lies outside [0, 1] use it."""
 
     def __getattr__(self, name):
         global special
@@ -807,7 +808,11 @@ def _beta_quantile_cells(a, b, u):
 
 
 class TruncatedNormal(DensityModel):
-    """Normal(mu, sigma^2) conditioned on the unit interval."""
+    """Normal(mu, sigma^2) conditioned on the unit interval.
+
+    With mu in [0, 1] construction and the pdf need only ``math`` and numpy, and
+    ``scipy.special`` loads on the first cdf or quantile; with mu outside [0, 1] the
+    log-tail masses load it at construction."""
 
     family = "truncated_normal"
     _param_names = ("mu", "sigma")
@@ -817,12 +822,16 @@ class TruncatedNormal(DensityModel):
         if sigma <= 0.0:
             raise ValueError(f"sigma: truncated_normal scale must be > 0, got {sigma}")
         self.mu, self.sigma = mu, sigma
-        self._flo = special.ndtr(-mu / sigma)
-        self._z = special.ndtr((1.0 - mu) / sigma) - self._flo
-        # a mode outside [0, 1] leaves the interval in one tail, where that difference can
-        # cancel to 0; masses then come from log tails, counted from the end nearer mu
         self._near = None if 0.0 <= mu <= 1.0 else float(mu > 1.0)
-        if self._near is not None:
+        if self._near is None:
+            # the ends lie on either side of mu, so the mass between them is a sum of two erf
+            # terms of one sign, which cannot cancel the way ndtr(b) - ndtr(a) does
+            self._flo = 0.5 * math.erfc(mu / sigma / math.sqrt(2.0))
+            self._z = 0.5 * (math.erf((1.0 - mu) / sigma / math.sqrt(2.0))
+                             + math.erf(mu / sigma / math.sqrt(2.0)))
+        else:
+            # a mode outside [0, 1] leaves the interval in one tail, where a difference of
+            # normal cdfs can cancel to 0; masses come from log tails, counted from the end nearer mu
             self._lnear = special.log_ndtr(-abs(self._near - mu) / sigma)
             self._lz = self._lnear + math.log1p(-math.exp(self._log_drop(1.0 - self._near)))
         super().__init__()

@@ -5,6 +5,9 @@ would only show when the benchmark runs.  These tests catch it here.
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,17 @@ def test_workload_ops_build(perfbench, workload):
     models = workloads.build_models(workload, 0)
     ops = workloads.build_ops(workload, models, 0, 2)
     assert ops and all(callable(op.run) and callable(op.check) for op in ops)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_models_build_without_scipy_special(workload):
+    # set-up is timed from a cold start to the built models; scipy.special costs about 0.3 s
+    # there, so no model of any workload may load it before its first cdf or quantile
+    src, bench = str(ROOT / "src"), str(ROOT / "perfbench")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, bench, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, cccd.cli, workloads\nworkloads.build_models(sys.argv[1], 0)\n"
+            "print('scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, workload], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from cccd import multianchor
 from cccd.cli import MULTI_SAMPLED_REPS, main
 from cccd.densities import Uniform
-from cccd.exact import p_uniform_fraction
+from cccd.exact import QUADRATURE_MAX_N, p_uniform_fraction
 
 LINEAR = '{"family": "linear", "params": {"a": 1.0}}'
 
@@ -227,6 +228,31 @@ class TestExactAndQuadrature:
         assert rows[0]["exact_fraction"] is None
         assert err.count("\n") == 1 and f"{digits}-digit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["quadrature", "--n", str(10**26)],
+        ["exact", "--n", str(10**16), "--density", LINEAR],
+        ["exact", "--n", str(10**26)],
+        ["exact", "--n", str(QUADRATURE_MAX_N + 1)],
+    ], ids=["quadrature", "exact_linear", "exact_uniform", "exact_past_the_cap"])
+    def test_n_past_the_quadrature_cap_exits_two(self, capsys, argv):
+        # quadrature printed p = 6.16e19 and 1.18 here, and exact on the uniform never returned
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert f"--n must be at most {QUADRATURE_MAX_N}" in err
+
+    def test_exact_past_the_rational_cap_takes_quadrature(self, capsys):
+        # the exact-rational route took 102 s on this law at n = 10^6
+        density = '{"family": "two_step", "params": {"delta": 0.5}}'
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, ["exact", "--n", str(10**6), "--density", density])
+        assert time.perf_counter() - start < 0.1
+        assert rc == 0
+        _, rows, _ = parse_json_lines(out)
+        assert (rows[0]["method"], rows[0]["exact_fraction"]) == ("quadrature", None)
+        assert abs(rows[0]["p"] - 12 / 35) <= 1e-12
+
     def test_quadrature_agrees_with_closed_form(self, capsys):
         rc, out, _ = run_cli(
             capsys, ["quadrature", "--n", "5", "--rel-tol", "1e-10"])
@@ -437,17 +463,24 @@ def _fresh_python(code):
 
 def test_import_leaves_scipy_integrate_and_its_dependencies_unloaded():
     # every command pays for its imports; scipy.special loads on the first special-function
-    # call, which no uniform, step, linear or integer-shape Beta model makes at construction
+    # call, which no uniform, step, linear, integer-shape Beta or truncated normal model with
+    # its mode in [0, 1] makes at construction
     heavy = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
     loaded = f"print(sum(m in sys.modules for m in {heavy!r}), 'scipy.special' in sys.modules)"
-    code = ("import sys, cccd.cli\nfrom cccd.densities import Beta, Linear, TwoStep, Uniform\n"
-            f"{loaded}\nUniform(), Linear(1.0), TwoStep(0.5), Beta(2, 2), Beta(4, 1)\n{loaded}\n"
-            f"Beta(2, 2).cdf(0.3)\n{loaded}")
+    code = ("import sys, cccd.cli\n"
+            "from cccd.densities import Beta, Linear, TruncatedNormal, TwoStep, Uniform\n"
+            f"{loaded}\nUniform(), Linear(1.0), TwoStep(0.5), Beta(2, 2), Beta(4, 1), "
+            f"TruncatedNormal(0.3, 0.5)\n{loaded}\nBeta(2, 2).cdf(0.3)\n{loaded}")
     assert _fresh_python(code) == ["0", "False", "0", "False", "1", "True"]
 
 
-def test_truncated_normal_loads_scipy_special_at_construction():
-    code = ("import sys\nfrom cccd.densities import TruncatedNormal\n"
-            "print('scipy.special' in sys.modules)\nTruncatedNormal(0.3, 0.5)\n"
-            "print('scipy.special' in sys.modules)")
+def test_truncated_normal_loads_scipy_special_only_for_a_mode_outside():
+    # with the mode in [0, 1] the masses come from math.erf and math.erfc; outside it they
+    # come from scipy's log tails, and the first cdf loads scipy.special either way
+    head = "import sys\nfrom cccd.densities import TruncatedNormal\n"
+    loaded = "print('scipy.special' in sys.modules)"
+    code = (f"{head}inside = [TruncatedNormal(*law) for law in ((0.3, 0.5), (0, 1), (1, 0.3))]\n"
+            f"{loaded}\ninside[0].cdf(0.5)\n{loaded}")
     assert _fresh_python(code) == ["False", "True"]
+    for far in ((-0.28, 0.002), (1.5, 0.2)):
+        assert _fresh_python(f"{head}TruncatedNormal{far!r}\n{loaded}") == ["True"], far

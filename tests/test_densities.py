@@ -198,6 +198,22 @@ def test_truncated_normal_quantile_round_trip_with_the_mode_outside(law):
     assert np.all(np.abs(model.cdf(x) - u) <= bound)
 
 
+def test_truncated_normal_masses_with_the_mode_inside_against_mpmath():
+    # the mass between the ends is a sum of two erf terms of one sign; ndtr(b) - ndtr(a) cancelled
+    # to 2.0e-10 relative at sigma = 1e6.  _flo = Phi(-x sqrt 2) carries the rounding of its
+    # argument x = mu / (sigma sqrt 2) times erfc's condition number, about 2 x^2 past x = 1
+    mp = pytest.importorskip("mpmath")
+    tiny = np.nextafter(0.0, 1.0)
+    for mu, sigma in itertools.product(np.linspace(0.0, 1.0, 41), np.logspace(-3.0, 6.0, 46)):
+        model = D.TruncatedNormal(mu, sigma)
+        with mp.workdps(40):
+            flo = mp.ncdf(-mp.mpf(model.mu) / model.sigma)
+            z = mp.ncdf((1 - mp.mpf(model.mu)) / model.sigma) - flo
+            x = float(model.mu / (model.sigma * mp.sqrt(2)))
+            assert abs(model._z - z) <= 4e-16 * z, (mu, sigma)
+            assert abs(model._flo - flo) <= 4e-16 * max(1.0, 2.0 * x * x) * flo + tiny, (mu, sigma)
+
+
 def check_log_tail_law(mu, sigma):
     mp = pytest.importorskip("mpmath")
     model = D.TruncatedNormal(mu, sigma)

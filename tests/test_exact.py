@@ -407,6 +407,23 @@ class TestProbabilityRouting:
                 rep = exact.probability(model, n)
                 assert (rep.method, rep.exact) == ("exact-rational", exact.p_uniform_fraction(n))
 
+    def test_auto_leaves_the_rational_route_past_its_cap(self):
+        top = exact.EXACT_RATIONAL_MAX_N
+        rep = exact.probability(Uniform(), top)
+        assert (rep.method, rep.exact) == ("exact-rational", exact.p_uniform_fraction(top))
+        for model in (Uniform(), TwoStep(0.5)):
+            rep = exact.probability(model, top + 1)
+            assert rep.method == "quadrature" and rep.exact is None
+            assert abs(rep.value - float(exact.p_exact_rational(model, top + 1))) <= 1e-8 * rep.value
+
+    def test_quadrature_refuses_n_past_its_cap(self):
+        # G^(n-2) with G rounded near 1: at 4e15 the uniform "converged" to 0.48 and at 1e17 to 61.6
+        top = exact.QUADRATURE_MAX_N
+        assert exact.probability(Uniform(), top).method == "quadrature"
+        for n in (top + 1, 4 * 10**15, 10**26):
+            with pytest.raises(ValueError, match="quadrature resolves"):
+                exact.probability(Uniform(), n)
+
     def test_exact_field_carries_fraction(self):
         rep = exact.probability(Uniform(), 2)
         assert rep.exact == Fraction(1, 3)
