@@ -16,11 +16,13 @@ mirror quantities at the right endpoint,
     lim p_n = (d_lo * d_hi) / (alpha_k * beta_ell).
 
 This module evaluates that limit from analytic one-sided derivatives
-(``asymptotic_profile``), from per-family closed formulas
-(``limit_family_formula``), and through a vanishing-margin ratio that also
-covers densities diverging at the support edge (``limit_unbounded``).  The
-decay toward the limit is measured, not derived: see
-``empirical_rate_exponent``.
+(``asymptotic_profile``) and from per-family closed formulas
+(``limit_family_formula``).  An endpoint derivative that diverges beside a
+finite midpoint derivative gives that end the factor d_lo / alpha_k = 1
+exactly: the end then holds mass of lower order than the middle.  This covers
+densities such as the arc-sine that diverge at the support edge.  A midpoint
+derivative that diverges has no such rule, and the scan raises.  The decay
+toward the limit is measured, not derived: see ``empirical_rate_exponent``.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from .exact import probability
 # Derivative values at or below this magnitude are treated as exact zeros.
 ZERO_TOL = 1e-12
 
-# Margins shrink geometrically by this factor across the stabilization grid.
-_MARGIN_GRID = [10.0 ** -i for i in range(2, 16)]
-
-# Successive endpoint ratios this close count as stabilized.
-_WINDOW = 1e-6
-
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
@@ -50,7 +46,9 @@ class AsymptoticProfile:
     ``k`` and ``ell`` are the surviving derivative orders at the left and
     right endpoints.  ``alpha_k`` and ``beta_ell`` are the weighted endpoint
     and midpoint combinations; both are nonzero by construction, and
-    ``p_limit`` equals ``d_lo * d_hi / (alpha_k * beta_ell)``.
+    ``p_limit`` equals ``d_lo * d_hi / (alpha_k * beta_ell)`` where both ends
+    are finite.  An infinite ``d_lo`` (and so ``alpha_k``) or ``d_hi`` gives
+    its end the factor 1.
     """
 
     k: int
@@ -64,12 +62,11 @@ class AsymptoticProfile:
     p_limit: float
 
 
-def _order_scan(model, end, tolerate_divergence=False):
+def _order_scan(model, end):
     """Find the smallest usable expansion order at one support endpoint.
 
-    Returns ``(order, d_end, d_mid, combination)``; the three floats are
-    ``None`` when ``tolerate_divergence`` is set and a derivative diverges,
-    in which case ``order`` is the order at which the divergence appears.
+    Returns ``(order, d_end, d_mid, combination)``.  An infinite ``d_end``
+    stops the scan with an infinite combination.
     """
     side = "+" if end == "lo" else "-"
     where = "left" if end == "lo" else "right"
@@ -77,13 +74,11 @@ def _order_scan(model, end, tolerate_divergence=False):
     for order in range(MAX_DERIVATIVE_ORDER + 1):
         d_end = model.one_sided_derivative(end, side, order)
         d_mid = model.one_sided_derivative("mid", side, order)
-        if d_end.is_infinite or d_mid.is_infinite:
-            if tolerate_divergence:
-                return order, None, None, None
+        if d_mid.is_infinite:
             raise ValueError(
-                f"{model.family}: the order-{order} one-sided derivative diverges near the "
-                f"{where} endpoint; use limit_unbounded for densities without bounded "
-                "endpoint derivatives")
+                f"{model.family}: the order-{order} one-sided derivative at the midpoint "
+                f"diverges (from the {'right' if side == '+' else 'left'}), so the profile "
+                f"cannot weigh the {where} endpoint against it")
         weight = 2.0 ** -(order + 1)
         combo = d_end.value + weight * d_mid.value
         if abs(combo) > ZERO_TOL:
@@ -103,16 +98,17 @@ def _order_scan(model, end, tolerate_divergence=False):
 def asymptotic_profile(model):
     """Limiting domination probability from one-sided endpoint derivatives.
 
-    Raises ValueError for densities whose relevant derivatives diverge at a
-    support landmark (route those through ``limit_unbounded``) and for
-    densities needing an expansion order above 2.
+    An endpoint derivative that diverges beside a finite midpoint derivative
+    gives that end the factor 1.  Raises ValueError where the midpoint
+    derivative diverges at the scanned order and for densities needing an
+    expansion order above 2.
     """
-    if model.unbounded:
-        raise ValueError(
-            f"{model.family}: the density diverges at the support edge; use limit_unbounded")
     k, d_lo, d_mid_right, alpha_k = _order_scan(model, "lo")
     ell, d_hi, d_mid_left, beta_ell = _order_scan(model, "hi")
-    p_limit = (d_lo * d_hi) / (alpha_k * beta_ell)
+    # an infinite end holds mass of lower order than the middle: its factor is 1
+    num_lo, den_lo = (1.0, 1.0) if math.isinf(d_lo) else (d_lo, alpha_k)
+    num_hi, den_hi = (1.0, 1.0) if math.isinf(d_hi) else (d_hi, beta_ell)
+    p_limit = (num_lo * num_hi) / (den_lo * den_hi)
     return AsymptoticProfile(
         k=k,
         ell=ell,
@@ -173,47 +169,9 @@ def limit_family_formula(model):
         f"{fam}: no published limit formula; use asymptotic_profile or quadrature at large n")
 
 
-def _aitken(a, b, c):
-    denom = (c - b) - (b - a)
-    if denom == 0.0:
-        return c
-    return c - (c - b) ** 2 / denom
-
-
 def limit_unbounded(model):
-    """Limiting probability via the endpoint ratio at vanishing margins.
-
-    Evaluates the limit expression at interior points a margin away from the
-    endpoints, shrinking the margin geometrically until three successive
-    values agree within ``_WINDOW``, then returns the Aitken extrapolation of
-    the last three (clipped to the unit interval to absorb rounding).  This
-    covers densities that diverge at the support edge; bounded densities
-    give the same answer as ``asymptotic_profile``.
-    """
-    k, _, _, _ = _order_scan(model, "lo", tolerate_divergence=True)
-    ell, _, _, _ = _order_scan(model, "hi", tolerate_divergence=True)
-    lo, mid, hi = model.support.lo, model.support.mid, model.support.hi
-    width = hi - lo
-    w_lo = 2.0 ** -(k + 1)
-    w_hi = 2.0 ** -(ell + 1)
-    values = []
-    for delta in _MARGIN_GRID:
-        h = delta * width
-        a = model.pdf_derivative(lo + h, k)
-        b = model.pdf_derivative(hi - h, ell)
-        m_right = model.pdf_derivative(mid + h, k)
-        m_left = model.pdf_derivative(mid - h, ell)
-        denom = (a + w_lo * m_right) * (b + w_hi * m_left)
-        if denom == 0.0:
-            continue
-        values.append((a * b) / denom)
-        if (len(values) >= 3
-                and abs(values[-1] - values[-2]) <= _WINDOW
-                and abs(values[-2] - values[-3]) <= _WINDOW):
-            return min(max(_aitken(values[-3], values[-2], values[-1]), 0.0), 1.0)
-    raise ValueError(
-        f"{model.family}: the endpoint ratio did not stabilize over margins "
-        f"{_MARGIN_GRID[0]:g} down to {_MARGIN_GRID[-1]:g} of the support width")
+    """The ``p_limit`` of ``asymptotic_profile``, kept under this name for its callers."""
+    return asymptotic_profile(model).p_limit
 
 
 def limit_matched_derivatives(k, ell):
@@ -240,8 +198,7 @@ def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):
     if len(n_values) < 2:
         raise ValueError("n_values: need at least two sample sizes to fit a slope")
     if limit is None:
-        limit = (limit_unbounded(model) if model.unbounded
-                 else asymptotic_profile(model).p_limit)
+        limit = asymptotic_profile(model).p_limit
     gaps = []
     for n in n_values:
         report = probability(model, int(n))
@@ -257,20 +214,12 @@ def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):
 
 def describe_limit(model):
     """Limit summary row: family, params, orders, p_limit, and the method used."""
-    if model.unbounded:
-        k, _, _, _ = _order_scan(model, "lo", tolerate_divergence=True)
-        ell, _, _, _ = _order_scan(model, "hi", tolerate_divergence=True)
-        p = limit_unbounded(model)
-        method = "vanishing-margin"
-    else:
-        prof = asymptotic_profile(model)
-        k, ell, p = prof.k, prof.ell, prof.p_limit
-        method = "derivative-profile"
+    prof = asymptotic_profile(model)
     return {
         "family": model.family,
         "params": dict(model.params),
-        "k": int(k),
-        "ell": int(ell),
-        "p_limit": p,
-        "method": method,
+        "k": prof.k,
+        "ell": prof.ell,
+        "p_limit": prof.p_limit,
+        "method": "derivative-profile",
     }

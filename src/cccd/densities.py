@@ -103,8 +103,9 @@ def _scalar_like(x, out):
 
 class DensityModel:
     """Base class: a named density on ``support``, the unit interval unless a family sets its own.
-    A family supplies ``_pdf``, ``_cdf``, ``_quantile``, ``_pdf_derivative`` and ``_one_sided`` on
-    points of the support."""
+    A family supplies ``_pdf``, ``_cdf`` and ``_quantile`` on points of the support, and
+    ``_one_sided``, the one-sided derivatives at the landmarks that the large-n limit reads.
+    ``unbounded`` marks a density that diverges at the support edge."""
 
     family = "base"
     unbounded = False
@@ -167,15 +168,6 @@ class DensityModel:
             raise ValueError(f"quantile: u must lie in [0,1], got {a[(a < 0) | (a > 1) | ~np.isfinite(a)][:1]}")
         out, lo, hi = self._quantile(a), self.support.lo, self.support.hi
         return out if out is a else np.clip(out, lo, hi, out=out if np.ndim(out) else None)
-
-    def pdf_derivative(self, x, order):
-        """Derivative of the density at interior points, orders 0 to 2."""
-        if order == 0:
-            return self.pdf(x)
-        _check_order(order)
-        a = _as_array(x)
-        out = self._pdf_derivative(a, order)
-        return _scalar_like(x, out)
 
     def one_sided_derivative(self, point, side, order):
         """The order-th derivative from ``side`` at the landmark ``point`` names: "lo", "mid" or "hi"."""
@@ -241,9 +233,8 @@ def _check_order(order):
         raise ValueError(f"order: derivatives above order {MAX_DERIVATIVE_ORDER} are not available, got {order}")
 
 
-def _float_rows(polys, order=0):
-    """Row k holds every piece's coefficient of t^k in the order-th derivative, rounded once."""
-    polys = [[math.perm(k, order) * c for k, c in enumerate(p)][order:] or [0] for p in polys]
+def _float_rows(polys):
+    """Row k holds every piece's coefficient of t^k, rounded once."""
     return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=float)
 
 
@@ -251,8 +242,8 @@ class _PiecewisePolynomial(DensityModel):
     """A density that is one polynomial with exact rational coefficients on each piece.
 
     A family passes its knots, Fractions from lo to hi, and per piece the pdf's coefficients in
-    t = x - piece start; the exact cdf, float rows for Horner's rule on the pdf, cdf and pdf
-    derivatives, the one-sided values (exact, rounded once) and the degree derive from them.
+    t = x - piece start; the exact cdf, float rows for Horner's rule on the pdf and cdf, the
+    one-sided derivatives (exact, rounded once) and the degree derive from them.
     """
 
     def __init__(self, knots, pieces):
@@ -263,14 +254,14 @@ class _PiecewisePolynomial(DensityModel):
             mass = sum(c * (hi - lo) ** k for k, c in enumerate(cdfs[-1]))
         pdfs = [coefs for _, _, coefs in self._parts]
         self.polynomial_degree = max((k for p in pdfs for k, c in enumerate(p) if c), default=0)
-        self._rows = [_float_rows(pdfs, order) for order in range(MAX_DERIVATIVE_ORDER + 1)]
+        self._pdf_rows = _float_rows(pdfs)
         self._cdf_rows = _float_rows(cdfs)
         self._starts = np.array([float(lo) for lo in knots[:-1]])
         self._widths = np.array([float(hi - lo) for lo, hi in zip(knots, knots[1:])])
         # the cdf's degree picks the inverse; on a piece without mass the linear
         # inverse v / height divides by inf, which puts u at the piece start
         self._inverse = min(self.polynomial_degree + 1, 3)
-        self._heights = np.where(self._rows[0][0] > 0, self._rows[0][0], np.inf)
+        self._heights = np.where(self._pdf_rows[0] > 0, self._pdf_rows[0], np.inf)
         self._exact_mass = mass
         super().__init__()
 
@@ -313,13 +304,10 @@ class _PiecewisePolynomial(DensityModel):
         return out
 
     def _pdf(self, x):
-        return self._at(self._rows[0], x)
+        return self._at(self._pdf_rows, x)
 
     def _cdf(self, x):
         return self._at(self._cdf_rows, x)
-
-    def _pdf_derivative(self, x, order):
-        return self._at(self._rows[order], x)
 
     def _quantile(self, u):
         if self._starts.size == 1:
@@ -330,7 +318,7 @@ class _PiecewisePolynomial(DensityModel):
         if self._inverse == 1:
             t = v / self._heights[i]
         elif self._inverse == 2:
-            g, a = self._rows[0][0][i], self._rows[0][1][i]
+            g, a = self._pdf_rows[0][i], self._pdf_rows[1][i]
             disc = np.sqrt(np.maximum(g * g + 2.0 * a * v, 0.0))
             # g + disc is 0 only at v = 0 with a zero density at the piece start; the floor makes 0/0 a 0
             t = 2.0 * v / np.maximum(g + disc, np.finfo(float).tiny)
@@ -356,7 +344,7 @@ class _PiecewisePolynomial(DensityModel):
             for _ in range(100):  # a safety cap: from its start, Newton needs a few steps
                 excess = self._horner(rise, i, t) - v
                 lo, hi = np.where(excess <= 0.0, t, lo), np.where(excess >= 0.0, t, hi)
-                step = t - excess / self._horner(self._rows[0], i, t)
+                step = t - excess / self._horner(self._pdf_rows, i, t)
                 ulp = np.spacing(self._starts[i] + t)
                 done = (np.abs(step - t) <= ulp) | (hi - lo <= 4.0 * ulp)
                 stopped = np.count_nonzero(done)
@@ -540,13 +528,6 @@ class QPower(DensityModel):
         t = (v / 2.0 ** self.q) ** (1.0 / (self.q + 1.0))
         return np.where(u <= 0.5, t, 0.5 + t)
 
-    def _pdf_derivative(self, x, order):
-        q = self.q
-        coef = self._c * q if order == 1 else self._c * q * (q - 1.0)
-        t = self._t(x)
-        with np.errstate(divide="ignore"):
-            return np.where(coef == 0.0, 0.0, coef * t ** (q - order))
-
     def _one_sided(self, which, side, order):
         q = self.q
         if which == "hi" or (which == "mid" and side == "-"):
@@ -589,12 +570,6 @@ class AbsSine(DensityModel):
         hif = 1.0 - np.arccos(np.clip(4.0 * u - 3.0, -1.0, 1.0)) / (2.0 * np.pi)
         return np.where(u <= 0.5, lof, hif)
 
-    def _pdf_derivative(self, x, order):
-        sign = np.where(x <= 0.5, 1.0, -1.0)
-        if order == 1:
-            return sign * np.pi ** 2 * np.cos(2.0 * np.pi * x)
-        return -sign * 2.0 * np.pi ** 3 * np.sin(2.0 * np.pi * x)
-
     def _one_sided(self, which, side, order):
         if order == 0 or order == 2:
             return 0.0, False
@@ -618,12 +593,6 @@ class ArcSine(DensityModel):
 
     def _quantile(self, u):
         return np.sin(0.5 * np.pi * u) ** 2
-
-    def _pdf_derivative(self, x, order):
-        g = x * (1.0 - x)
-        if order == 1:
-            return (2.0 * x - 1.0) / (2.0 * np.pi * g ** 1.5)
-        return 1.0 / (np.pi * g ** 1.5) + 3.0 * (2.0 * x - 1.0) ** 2 / (4.0 * np.pi * g ** 2.5)
 
     def _one_sided(self, which, side, order):
         if which == "mid":
@@ -708,6 +677,8 @@ class Beta(DensityModel):
         # f' = f g and f'' = f (g^2 + g') with g = (log f)', so 1/B stays in log space
         a, b = self.nu1 - 1.0, self.nu2 - 1.0
         f = _beta_pdf(self.nu1, self.nu2, self._lognorm, x)
+        if order == 0:
+            return f
         g = a / x - b / (1.0 - x)
         if order == 1:
             return f * g
@@ -715,7 +686,7 @@ class Beta(DensityModel):
 
     def _one_sided(self, which, side, order):
         if which == "mid":
-            return float(self.pdf_derivative(0.5, order)), False
+            return float(self._pdf_derivative(0.5, order)), False
         # at 1- the density mirrors Beta(nu2, nu1) at 0+ with sign (-1)^order
         a, b = (self.nu1 - 1.0, self.nu2 - 1.0) if which == "lo" else (self.nu2 - 1.0, self.nu1 - 1.0)
         sign = 1.0 if which == "lo" else (-1.0) ** order
@@ -889,6 +860,8 @@ class TruncatedNormal(DensityModel):
 
     def _pdf_derivative(self, x, order):
         f = self._pdf(x)
+        if order == 0:
+            return f
         s2 = self.sigma ** 2
         if order == 1:
             return -f * (x - self.mu) / s2
@@ -896,7 +869,7 @@ class TruncatedNormal(DensityModel):
 
     def _one_sided(self, which, side, order):
         pt = {"lo": 0.0, "mid": 0.5, "hi": 1.0}[which]
-        return float(self.pdf_derivative(pt, order)), False
+        return float(self._pdf_derivative(_as_array(pt), order)), False
 
 
 FAMILIES = {

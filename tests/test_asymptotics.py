@@ -110,8 +110,23 @@ class TestProfile:
             assert prof.p_limit == 1.0
 
     def test_divergent_density_is_rejected(self):
-        with pytest.raises(ValueError, match="limit_unbounded"):
-            asymptotic_profile(ArcSine())
+        # a non-integer q below 2 puts an infinite derivative at the midpoint beside the
+        # one at the end, which the profile cannot weigh; it raises rather than guess a limit
+        for model in (QPower(0.5), QPower(1.5)):
+            for route in (asymptotic_profile, limit_unbounded):
+                with pytest.raises(ValueError, match="at the midpoint diverges") as info:
+                    route(model)
+                assert "limit_unbounded" not in str(info.value)
+
+    def test_divergent_endpoint_gives_factor_one(self):
+        prof = asymptotic_profile(ArcSine())
+        assert (prof.k, prof.ell) == (0, 0)
+        assert (prof.d_lo, prof.d_hi) == (math.inf, math.inf)
+        assert (prof.d_mid_right, prof.d_mid_left) == (2.0 / math.pi, 2.0 / math.pi)
+        assert prof.p_limit == 1.0
+        # an end whose density vanishes beside a nonzero midpoint weighs 0, whatever its
+        # higher derivatives do: Beta(1.5, 2) has an infinite order-1 derivative at 0
+        assert asymptotic_profile(Beta(1.5, 2.0)).p_limit == 0.0
 
     def test_divergent_higher_derivative_is_rejected(self):
         with pytest.raises(ValueError, match="order-1.*diverges"):
@@ -135,7 +150,7 @@ class TestProfile:
 
 class TestFamilyFormula:
     def test_matches_profile_across_catalog(self):
-        for model in BOUNDED_CATALOG:
+        for model in BOUNDED_CATALOG + [ArcSine()]:
             formula = limit_family_formula(model)
             profile = asymptotic_profile(model).p_limit
             assert formula == pytest.approx(profile, abs=1e-12), model.family
@@ -187,7 +202,7 @@ class TestFamilyFormula:
 
 class TestUnboundedLimit:
     def test_edge_divergent_density(self):
-        assert limit_unbounded(ArcSine()) == pytest.approx(1.0, abs=1e-7)
+        assert limit_unbounded(ArcSine()) == 1.0
 
     def test_quadrature_approaches_one(self):
         p = probability(ArcSine(), 1000, method="quadrature").value
@@ -195,8 +210,7 @@ class TestUnboundedLimit:
 
     def test_bounded_densities_agree_with_profile(self):
         for model in (Uniform(), Linear(1.0), AbsSine(), Beta(2.0, 2.0), GapUniform(0.125)):
-            assert limit_unbounded(model) == pytest.approx(
-                asymptotic_profile(model).p_limit, abs=1e-6)
+            assert limit_unbounded(model) == asymptotic_profile(model).p_limit
 
 
 class TestMatchedDerivatives:
@@ -229,6 +243,11 @@ class TestEmpiricalRate:
         with pytest.raises(ValueError, match="underflows"):
             empirical_rate_exponent(Uniform(), (50, 100))
 
+    def test_arc_sine_decays_like_one_over_n(self):
+        # 1 - p_n is about pi / n, measured against the profile's limit of exactly 1
+        exponent = empirical_rate_exponent(ArcSine(), (1000, 2000, 4000, 8000))
+        assert exponent == pytest.approx(1.0, abs=0.05)
+
     def test_beta_decays_like_one_over_n_squared(self):
         exponent = empirical_rate_exponent(Beta(2.0, 2.0), (1600, 3200, 6400, 12800))
         assert exponent == pytest.approx(2.0, abs=0.1)
@@ -256,6 +275,6 @@ class TestDescribeLimit:
 
     def test_divergent_row(self):
         row = describe_limit(ArcSine())
-        assert row["method"] == "vanishing-margin"
+        assert row["method"] == "derivative-profile"
         assert (row["k"], row["ell"]) == (0, 0)
-        assert row["p_limit"] == pytest.approx(1.0, abs=1e-7)
+        assert row["p_limit"] == 1.0

@@ -274,12 +274,12 @@ class TestAsymptotic:
         assert row["p_limit"] == pytest.approx(0.375, abs=1e-12)
         assert row["method"] == "derivative-profile"
 
-    def test_divergent_density_uses_margin_route(self, capsys):
+    def test_divergent_density_uses_derivative_profile(self, capsys):
         rc, out, _ = run_cli(capsys, ["asymptotic", "--density", '{"family": "arc_sine"}'])
         assert rc == 0
         _, rows, _ = parse_json_lines(out)
-        assert rows[0]["method"] == "vanishing-margin"
-        assert rows[0]["p_limit"] == pytest.approx(1.0, abs=1e-6)
+        assert (rows[0]["method"], rows[0]["p_limit"]) == ("derivative-profile", 1.0)
+        assert (rows[0]["k"], rows[0]["ell"]) == (0, 0)
 
 
     def test_beta_with_large_shapes_exits_zero(self, capsys):
@@ -298,6 +298,7 @@ class TestMulti:
         assert total == pytest.approx(1.0, abs=1e-9)
         mean = sum(row["k"] * row["probability"] for row in rows)
         assert summary["expected_gamma"] == pytest.approx(mean, abs=1e-6)
+        assert summary["law"] == "iid"
 
     def test_sampled_anchors_report_the_mean_of_their_table(self, capsys):
         # arc-sine anchors lose mass under quadrature; for m > 3 both the
@@ -331,8 +332,9 @@ class TestMulti:
     def test_non_uniform_many_anchors_default_to_sampling(self, capsys):
         rc, out, _ = run_cli(capsys, ["multi", "--density", LINEAR, "--n", "4", "--m", "4"])
         assert rc == 0
-        config, rows, _ = parse_json_lines(out)
+        config, rows, summary = parse_json_lines(out)
         assert config["reps"] == MULTI_SAMPLED_REPS
+        assert summary["law"] == "cell-copies"
         assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_anchor_quadrature_mass_loss_exits_one(self, capsys):

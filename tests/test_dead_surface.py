@@ -4,9 +4,10 @@ A module-level function, class or UPPERCASE constant in ``src/cccd``, and any
 private (leading underscore) module-level name there, must be named in
 ``src/cccd``, ``demos/`` or ``perfbench/`` somewhere other than inside its own
 definition or assignment: as a name, an attribute, an import or a string (the
-benchmark's tracer looks some functions up by name). Code that only tests
-reach should be deleted with its tests, or wired into a command, a demo or the
-benchmark.
+benchmark's tracer looks some functions up by name). So must every method or
+property defined on a class there, public or private (bar dunders), somewhere
+other than inside its own def. Code that only tests reach should be deleted
+with its tests, or wired into a command, a demo or the benchmark.
 
 Every name a module in ``src/cccd``, ``tests/`` or ``demos/`` imports is also
 read in that module, bar ``from __future__`` imports and the package's
@@ -87,6 +88,24 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     mentions = _mentions()
     assert sorted(name for name in defined
                   if not mentions[name] and name not in ALLOWED) == []
+
+
+def _methods(tree):
+    """Methods and properties of a module's top-level classes, bar dunders, each as its def."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item
+
+
+def test_every_method_is_named_outside_its_own_def():
+    methods = [item for path in sorted(PACKAGE.glob("*.py")) for item in _methods(ast.parse(path.read_text()))]
+    assert methods
+    mentions = _mentions()
+    # a method that names itself, say to recurse, takes those mentions back out
+    assert sorted(item.name for item in methods
+                  if mentions[item.name] <= Counter(_named(item))[item.name]) == []
 
 
 def _imports(tree):

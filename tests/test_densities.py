@@ -271,13 +271,13 @@ def _exact_poly(coefs, t, order=0):
 
 
 def _exact_from_parts(parts, x):
-    """pdf, its first two derivatives and the cdf at the Fraction x, from the piece that
-    holds x on its left end (the last piece also holds the top end)."""
+    """pdf and cdf at the Fraction x, from the piece that holds x on its left end (the
+    last piece also holds the top end)."""
     below = Fraction(0)
     for lo, hi, coefs in parts:
         if lo <= x < hi or x == hi == parts[-1][1]:
             rise = sum(c * (x - lo) ** (k + 1) / (k + 1) for k, c in enumerate(coefs))
-            return [_exact_poly(coefs, x - lo, order) for order in range(3)] + [below + rise]
+            return [_exact_poly(coefs, x - lo), below + rise]
         below += sum(c * (hi - lo) ** (k + 1) / (k + 1) for k, c in enumerate(coefs))
     raise AssertionError(f"{x} lies outside the parts")
 
@@ -294,8 +294,8 @@ def test_piecewise_polynomial_parts_agree_with_the_float_evaluators(model):
     x = np.concatenate([np.linspace(model.support.lo, model.support.hi, 257),
                         model.support.lo + model.support.width * np.random.default_rng(1).random(300)])
     want = np.array([[float(v) for v in _exact_from_parts(parts, Fraction(p))] for p in x]).T
-    got = [model.pdf(x), model.pdf_derivative(x, 1), model.pdf_derivative(x, 2), model.cdf(x)]
-    for name, g, w in zip(["pdf", "first derivative", "second derivative", "cdf"], got, want):
+    got = [model.pdf(x), model.cdf(x)]
+    for name, g, w in zip(["pdf", "cdf"], got, want):
         # a knot such as 1/2 + delta is rounded to a float, which moves t by up to an ulp
         assert np.all(np.abs(g - w) <= 8.0 * np.spacing(np.abs(w))), name
     mid = (lo + hi) / 2
@@ -552,23 +552,19 @@ def test_declared_polynomial_degree_is_the_degree_between_knots():
 
 
 def test_interior_pdf_derivative_matches_finite_differences():
+    # Beta and TruncatedNormal take their midpoint derivatives from these formulas
     probes = {
-        D.Linear(1.5): [0.2, 0.7],
-        D.QPower(2.0): [0.2, 0.8],
-        D.PieceQuadratic(0.3): [0.2, 0.8],
-        D.AbsSine(): [0.2, 0.8],
-        D.ArcSine(): [0.3, 0.6],
-        D.Beta(2, 4): [0.3, 0.6],
-        D.TruncatedNormal(0.4, 0.3): [0.3, 0.6],
-        D.SquareCdf(): [0.25, 0.75],
+        D.Beta(2, 4): [0.3, 0.5, 0.6],
+        D.TruncatedNormal(0.4, 0.3): [0.3, 0.5, 0.6],
     }
     h = 1e-5
     for model, xs in probes.items():
         for x in xs:
+            assert model._pdf_derivative(x, 0) == model.pdf(x)
             fd1 = (model.pdf(x + h) - model.pdf(x - h)) / (2 * h)
-            assert model.pdf_derivative(x, 1) == pytest.approx(fd1, rel=1e-5, abs=1e-5)
+            assert model._pdf_derivative(x, 1) == pytest.approx(fd1, rel=1e-5, abs=1e-5)
             fd2 = (model.pdf(x + h) - 2 * model.pdf(x) + model.pdf(x - h)) / h ** 2
-            assert model.pdf_derivative(x, 2) == pytest.approx(fd2, rel=1e-3, abs=1e-3)
+            assert model._pdf_derivative(x, 2) == pytest.approx(fd2, rel=1e-3, abs=1e-3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,12 +653,13 @@ def test_beta_derivatives_with_large_shapes_stay_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = D.Beta(1000, 1000)
-        assert model.pdf_derivative(0.5, 1) == 0.0
-        # g = 0 at the mode, so f'' = -f (999 / 0.25 + 999 / 0.25)
-        assert model.pdf_derivative(0.5, 2) == pytest.approx(-7992.0 * model.pdf(0.5), rel=1e-14)
+        for side in "+-":
+            assert model.one_sided_derivative("mid", side, 1).value == 0.0
+            # g = 0 at the mode, so f'' = -f (999 / 0.25 + 999 / 0.25)
+            assert model.one_sided_derivative("mid", side, 2).value == pytest.approx(
+                -7992.0 * model.pdf(0.5), rel=1e-14)
         lo = model.one_sided_derivative("lo", "+", 1)
         assert (lo.value, lo.is_infinite) == (0.0, False)
-        assert model.one_sided_derivative("mid", "+", 1).value == 0.0
 
 
 @pytest.mark.parametrize("which, side", [("lo", "+"), ("hi", "-")])
@@ -684,8 +681,8 @@ def test_beta_derivatives_match_the_expanded_power_form():
     second = c * (a * (a - 1) * x ** (a - 2) * (1 - x) ** b
                   - 2 * a * b * x ** (a - 1) * (1 - x) ** (b - 1)
                   + b * (b - 1) * x ** a * (1 - x) ** (b - 2))
-    np.testing.assert_allclose(model.pdf_derivative(x, 1), first, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(model.pdf_derivative(x, 2), second, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(model._pdf_derivative(x, 1), first, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model._pdf_derivative(x, 2), second, rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
