@@ -1,11 +1,12 @@
-"""Large-sample behavior: limits from one-sided derivatives, and rates.
+"""Large-sample behavior: limits from leading terms, and rates.
 
-The limiting P(gamma = 2) depends on the density only through one-sided
-derivatives at three landmarks: the two support endpoints and the
-midpoint.  The first non-vanishing order on each side fixes the limit, and
-an endpoint derivative that diverges beside a finite midpoint one gives
-that side the factor 1.  This script computes those profiles for the catalog, checks them against
-the published closed formulas, and fits empirical convergence rates.
+The limiting P(gamma = 2) depends on the density only through its leading
+term c t^a beside three landmarks: the two support endpoints and the
+midpoint.  On each side the lower power wins, which gives the end the
+factor 1 or 0, and equal powers weigh the two c's.  So an end where the
+density diverges beside a finite midpoint gets the factor 1.  This script
+computes those profiles for the catalog, checks them against the published
+closed formulas, and fits empirical convergence rates.
 """
 
 from cccd.asymptotics import (
@@ -22,19 +23,22 @@ from cccd.densities import (
     PieceQuadratic,
     QPower,
     ThreeStep,
+    TruncatedNormal,
     TwoStep,
     Uniform,
 )
 
 
 def main():
-    print("Derivative profiles and limits:")
+    print("Leading-term profiles and limits (relative gap to the closed formula):")
     for model in (Uniform(), Linear(1.0), AbsSine(), PieceQuadratic(0.0),
-                  QPower(1), TwoStep(0.5), ThreeStep(0.5), Beta(2, 2)):
+                  QPower(1), QPower(0.5), TwoStep(0.5), ThreeStep(0.5), Beta(2, 2),
+                  TruncatedNormal(-0.5, 0.1)):
         prof = asymptotic_profile(model)
         formula = limit_family_formula(model)
+        gap = abs(prof.p_limit - formula) / formula if formula else abs(prof.p_limit)
         print(f"  {model.family:17s} k={prof.k} ell={prof.ell} "
-              f"limit={prof.p_limit:.10f} formula gap {abs(prof.p_limit - formula):.1e}")
+              f"limit={prof.p_limit:.10g} formula gap {gap:.1e}")
     print()
 
     print("The arc-sine density diverges at both endpoints beside a finite")

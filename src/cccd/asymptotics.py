@@ -1,28 +1,22 @@
 """Large-sample limits of the single-point domination probability.
 
 As the sample size grows, the probability that one point dominates its
-anchor interval settles to a constant determined entirely by the lowest
-surviving one-sided derivatives of the density at the interval endpoints
-and at the midpoint.  Writing d_lo for the order-k derivative at the left
-endpoint (from the right) and d_mid_right for the same order at the
-midpoint, the left weight is
+anchor interval settles to a constant determined entirely by how the density
+behaves beside the interval endpoints and the midpoint.  Beside each of these
+landmarks f = c t^a (1 + o(1)) at distance t (``DensityModel.leading_term``).
+On the left, the end's term (c_lo, a_lo) meets the midpoint's from the right,
+(c_mid, a_mid).  The lower power holds more of the mass near the corner, so it
+gives the end the factor 1 where it is the end's and 0 where it is the
+midpoint's; equal powers a give the factor
 
-    alpha_k = d_lo + 2**-(k+1) * d_mid_right,
+    c_lo / (c_lo + 2**-(a+1) * c_mid).
 
-where k is the smallest order at which this combination is nonzero while
-every lower-order endpoint derivative vanishes.  With ell and beta_ell the
-mirror quantities at the right endpoint,
-
-    lim p_n = (d_lo * d_hi) / (alpha_k * beta_ell).
-
-This module evaluates that limit from analytic one-sided derivatives
-(``asymptotic_profile``) and from per-family closed formulas
-(``limit_family_formula``).  An endpoint derivative that diverges beside a
-finite midpoint derivative gives that end the factor d_lo / alpha_k = 1
-exactly: the end then holds mass of lower order than the middle.  This covers
-densities such as the arc-sine that diverge at the support edge.  A midpoint
-derivative that diverges has no such rule, and the scan raises.  The decay
-toward the limit is measured, not derived: see ``empirical_rate_exponent``.
+The right end is the mirror image, against the midpoint from the left, and
+the limit is the product of the two factors.  ``k`` and ``ell`` are the
+lowest power on each side, rounded up to an integer order and floored at 0.
+This module evaluates that limit (``asymptotic_profile``) and the per-family
+closed formulas (``limit_family_formula``).  The decay toward the limit is
+measured, not derived: see ``empirical_rate_exponent``.
 """
 
 from __future__ import annotations
@@ -32,94 +26,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import MAX_DERIVATIVE_ORDER
 from .exact import probability
-
-# Derivative values at or below this magnitude are treated as exact zeros.
-ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class AsymptoticProfile:
-    """Endpoint expansion data behind a limiting domination probability.
+    """Leading terms behind a limiting domination probability.
 
-    ``k`` and ``ell`` are the surviving derivative orders at the left and
-    right endpoints.  ``alpha_k`` and ``beta_ell`` are the weighted endpoint
-    and midpoint combinations; both are nonzero by construction, and
-    ``p_limit`` equals ``d_lo * d_hi / (alpha_k * beta_ell)`` where both ends
-    are finite.  An infinite ``d_lo`` (and so ``alpha_k``) or ``d_hi`` gives
-    its end the factor 1.
+    ``lo``, ``mid_right``, ``mid_left`` and ``hi`` are the (c, a) terms beside
+    the landmarks; ``k`` and ``ell`` the orders of the left and right sides.
     """
 
     k: int
     ell: int
-    d_lo: float
-    d_hi: float
-    d_mid_right: float
-    d_mid_left: float
-    alpha_k: float
-    beta_ell: float
+    lo: tuple
+    mid_right: tuple
+    mid_left: tuple
+    hi: tuple
     p_limit: float
 
 
-def _order_scan(model, end):
-    """Find the smallest usable expansion order at one support endpoint.
-
-    Returns ``(order, d_end, d_mid, combination)``.  An infinite ``d_end``
-    stops the scan with an infinite combination.
-    """
-    side = "+" if end == "lo" else "-"
-    where = "left" if end == "lo" else "right"
-    # one-sided derivatives stop at MAX_DERIVATIVE_ORDER, which caps the order this can certify
-    for order in range(MAX_DERIVATIVE_ORDER + 1):
-        d_end = model.one_sided_derivative(end, side, order)
-        d_mid = model.one_sided_derivative("mid", side, order)
-        if d_mid.is_infinite:
-            raise ValueError(
-                f"{model.family}: the order-{order} one-sided derivative at the midpoint "
-                f"diverges (from the {'right' if side == '+' else 'left'}), so the profile "
-                f"cannot weigh the {where} endpoint against it")
-        weight = 2.0 ** -(order + 1)
-        combo = d_end.value + weight * d_mid.value
-        if abs(combo) > ZERO_TOL:
-            return order, d_end.value, d_mid.value, combo
-        if abs(d_end.value) > ZERO_TOL:
-            raise ValueError(
-                f"{model.family}: the order-{order} endpoint and midpoint derivatives cancel "
-                f"({d_end.value:g} against {d_mid.value:g}) at the {where} end, so no valid "
-                "expansion order exists")
-        # Both the endpoint and (hence) the midpoint derivative vanish at
-        # this order; move up one order.
-    raise ValueError(
-        f"{model.family}: one-sided derivatives through order {MAX_DERIVATIVE_ORDER} all vanish at the "
-        f"{where} endpoint; the expansion order is out of the supported range")
+def _side_factor(family, where, end, mid):
+    """(numerator, denominator) of one end's factor, and the side's order, from the (c, a)
+    terms of the end and of the midpoint on that side."""
+    (c_end, a_end), (c_mid, a_mid) = end, mid
+    if math.isinf(min(a_end, a_mid)):
+        raise ValueError(f"{family}: the density vanishes identically beside both the {where} "
+                         "endpoint and the midpoint, so no expansion order exists")
+    order = max(0, math.ceil(min(a_end, a_mid)))
+    if a_end < a_mid:
+        return c_end, c_end, order  # c / c is exactly 1
+    if a_end > a_mid:
+        return 0.0, 1.0, order
+    den = c_end + 2.0 ** -(a_end + 1.0) * c_mid
+    if den == 0.0:
+        raise ValueError(f"{family}: the density underflows to 0 at both the {where} endpoint "
+                         "and the midpoint, so their weights cannot be compared")
+    return c_end, den, order
 
 
 def asymptotic_profile(model):
-    """Limiting domination probability from one-sided endpoint derivatives.
+    """Limiting domination probability from the leading terms beside the landmarks.
 
-    An endpoint derivative that diverges beside a finite midpoint derivative
-    gives that end the factor 1.  Raises ValueError where the midpoint
-    derivative diverges at the scanned order and for densities needing an
-    expansion order above 2.
+    Raises ValueError where the density vanishes identically beside an end
+    and the midpoint, or underflows at both.
     """
-    k, d_lo, d_mid_right, alpha_k = _order_scan(model, "lo")
-    ell, d_hi, d_mid_left, beta_ell = _order_scan(model, "hi")
-    # an infinite end holds mass of lower order than the middle: its factor is 1
-    num_lo, den_lo = (1.0, 1.0) if math.isinf(d_lo) else (d_lo, alpha_k)
-    num_hi, den_hi = (1.0, 1.0) if math.isinf(d_hi) else (d_hi, beta_ell)
+    lo, mid_right, mid_left, hi = (model.leading_term(*at) for at in
+                                   (("lo", "+"), ("mid", "+"), ("mid", "-"), ("hi", "-")))
+    num_lo, den_lo, k = _side_factor(model.family, "left", lo, mid_right)
+    num_hi, den_hi, ell = _side_factor(model.family, "right", hi, mid_left)
     p_limit = (num_lo * num_hi) / (den_lo * den_hi)
-    return AsymptoticProfile(
-        k=k,
-        ell=ell,
-        d_lo=d_lo,
-        d_hi=d_hi,
-        d_mid_right=d_mid_right,
-        d_mid_left=d_mid_left,
-        alpha_k=alpha_k,
-        beta_ell=beta_ell,
-        p_limit=min(max(p_limit, 0.0), 1.0),
-    )
+    return AsymptoticProfile(k=k, ell=ell, lo=lo, mid_right=mid_right, mid_left=mid_left, hi=hi,
+                             p_limit=min(max(p_limit, 0.0), 1.0))
 
 
 def limit_family_formula(model):
@@ -161,8 +119,11 @@ def limit_family_formula(model):
     if fam == "truncated_normal":
         mu, sigma = model.mu, model.sigma
         s8 = 8.0 * sigma * sigma
-        return 4.0 / ((2.0 + math.exp((4.0 * mu - 1.0) / s8))
-                      * (2.0 + math.exp((3.0 - 4.0 * mu) / s8)))
+        try:
+            return 4.0 / ((2.0 + math.exp((4.0 * mu - 1.0) / s8))
+                          * (2.0 + math.exp((3.0 - 4.0 * mu) / s8)))
+        except OverflowError:  # an exponential past the float range sends the product to 0
+            return 0.0
     if fam == "beta":
         return 0.0
     raise ValueError(
@@ -172,19 +133,6 @@ def limit_family_formula(model):
 def limit_unbounded(model):
     """The ``p_limit`` of ``asymptotic_profile``, kept under this name for its callers."""
     return asymptotic_profile(model).p_limit
-
-
-def limit_matched_derivatives(k, ell):
-    """Limiting probability when endpoint and midpoint derivatives match.
-
-    When the order-k derivative at the left endpoint equals the one at the
-    midpoint (and likewise at order ell on the right), the limit depends on
-    the orders alone.
-    """
-    for name, value in (("k", k), ("ell", ell)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name}: expected a nonnegative integer order, got {value!r}")
-    return 1.0 / ((1.0 + 2.0 ** -(k + 1)) * (1.0 + 2.0 ** -(ell + 1)))
 
 
 def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):

@@ -2,8 +2,8 @@
 
 The law of the domination number is invariant under affine maps, so every family
 lives on the unit interval; ``GeneralLinear`` alone takes another support.  Every
-family exposes a vectorized pdf/cdf/quantile triple and one-sided derivatives of
-the density at the support landmarks "lo", "mid" and "hi" (orders 0 through 2).
+family exposes a vectorized pdf/cdf/quantile triple and the leading term c t^a of
+the density beside the support landmarks "lo", "mid" and "hi".
 Models are immutable value objects; constructors validate parameters and check
 that the density integrates to 1.
 
@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 MASS_TOL = 1e-10
-MAX_DERIVATIVE_ORDER = 2
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
 BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
@@ -76,21 +75,6 @@ class SupportInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass(frozen=True)
-class OneSidedDerivative:
-    """A one-sided derivative value of the density at a support landmark.
-
-    ``is_infinite`` marks divergent limits; ``value`` then holds a signed
-    float infinity rather than a large finite surrogate.
-    """
-
-    point: float
-    side: str
-    order: int
-    value: float
-    is_infinite: bool = False
-
-
 def _as_array(x):
     return np.asarray(x, dtype=float)
 
@@ -104,7 +88,7 @@ def _scalar_like(x, out):
 class DensityModel:
     """Base class: a named density on ``support``, the unit interval unless a family sets its own.
     A family supplies ``_pdf``, ``_cdf`` and ``_quantile`` on points of the support, and
-    ``_one_sided``, the one-sided derivatives at the landmarks that the large-n limit reads.
+    ``_leading``, the leading terms beside the landmarks that the large-n limit reads.
     ``unbounded`` marks a density that diverges at the support edge."""
 
     family = "base"
@@ -169,8 +153,9 @@ class DensityModel:
         out, lo, hi = self._quantile(a), self.support.lo, self.support.hi
         return out if out is a else np.clip(out, lo, hi, out=out if np.ndim(out) else None)
 
-    def one_sided_derivative(self, point, side, order):
-        """The order-th derivative from ``side`` at the landmark ``point`` names: "lo", "mid" or "hi"."""
+    def leading_term(self, point, side):
+        """(c, a) with f = c t^a (1 + o(1)) at distance t from the landmark ``point`` names, "lo",
+        "mid" or "hi", on ``side``; (0.0, inf) where f vanishes identically there."""
         if point not in ("lo", "mid", "hi"):
             raise ValueError(f"point: expected the landmark name 'lo', 'mid' or 'hi', got {point!r}")
         if side not in ("+", "-"):
@@ -179,10 +164,8 @@ class DensityModel:
             raise ValueError("side: only '+' is defined at the lower support endpoint")
         if point == "hi" and side == "+":
             raise ValueError("side: only '-' is defined at the upper support endpoint")
-        _check_order(order)
-        value, infinite = self._one_sided(point, side, order)
-        pt = {"lo": self.support.lo, "mid": self.support.mid, "hi": self.support.hi}[point]
-        return OneSidedDerivative(pt, side, order, float(value), infinite)
+        c, a = self._leading(point, side)
+        return float(c), float(a)
 
     def _check_mass(self):
         mass = self._mass()
@@ -226,13 +209,6 @@ class DensityModel:
                      self.support.lo, self.support.hi))
 
 
-def _check_order(order):
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"order: expected a nonnegative integer, got {order!r}")
-    if order > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"order: derivatives above order {MAX_DERIVATIVE_ORDER} are not available, got {order}")
-
-
 def _float_rows(polys):
     """Row k holds every piece's coefficient of t^k, rounded once."""
     return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=float)
@@ -243,7 +219,7 @@ class _PiecewisePolynomial(DensityModel):
 
     A family passes its knots, Fractions from lo to hi, and per piece the pdf's coefficients in
     t = x - piece start; the exact cdf, float rows for Horner's rule on the pdf and cdf, the
-    one-sided derivatives (exact, rounded once) and the degree derive from them.
+    leading terms (exact, rounded once) and the degree derive from them.
     """
 
     def __init__(self, knots, pieces):
@@ -360,12 +336,17 @@ class _PiecewisePolynomial(DensityModel):
         out[live] = t
         return out.reshape(shape)
 
-    def _one_sided(self, which, side, order):
+    def _leading(self, which, side):
+        """The first nonzero Taylor coefficient at x of the adjacent piece; on the left of x the
+        distance is x - y, which gives the coefficient of (y - x)^j the sign (-1)^j."""
         lo, hi = self._parts[0][0], self._parts[-1][1]
         x = {"lo": lo, "hi": hi, "mid": (lo + hi) / 2}[which]
         start, _, coefs = next(p for p in self._parts if (p[0] <= x < p[1] if side == "+" else p[0] < x <= p[1]))
-        terms = (math.perm(k, order) * c * (x - start) ** (k - order) for k, c in enumerate(coefs[order:], order))
-        return float(sum(terms)), False
+        for j in range(len(coefs)):
+            e = sum(math.comb(k, j) * c * (x - start) ** (k - j) for k, c in enumerate(coefs[j:], j))
+            if e:
+                return float(e if side == "+" else (-1) ** j * e), j
+        return 0.0, math.inf
 
 
 class Uniform(_PiecewisePolynomial):
@@ -528,15 +509,11 @@ class QPower(DensityModel):
         t = (v / 2.0 ** self.q) ** (1.0 / (self.q + 1.0))
         return np.where(u <= 0.5, t, 0.5 + t)
 
-    def _one_sided(self, which, side, order):
-        q = self.q
-        if which == "hi" or (which == "mid" and side == "-"):
-            # smooth branch evaluated at half-width 1/2
-            coef = self._c * math.prod(q - j for j in range(order))
-            return coef * 0.5 ** (q - order), False
-        # c t^q as t -> 0+; adding 0.0 turns the -0.0 of a zero limit into 0.0
-        val, inf = _power_limit(q, 0.0, self._c, order)
-        return val + 0.0, inf
+    def _leading(self, which, side):
+        # c t^q past 0 and past 1/2; before 1/2 and 1 the branch stands at half-width 1/2
+        if side == "+":
+            return self._c, self.q
+        return self._c * 0.5 ** self.q, 0.0
 
 
 class PieceQuadratic(_PiecewisePolynomial):
@@ -570,12 +547,9 @@ class AbsSine(DensityModel):
         hif = 1.0 - np.arccos(np.clip(4.0 * u - 3.0, -1.0, 1.0)) / (2.0 * np.pi)
         return np.where(u <= 0.5, lof, hif)
 
-    def _one_sided(self, which, side, order):
-        if order == 0 or order == 2:
-            return 0.0, False
-        pi2 = math.pi ** 2
-        table = {("lo", "+"): pi2, ("mid", "-"): -pi2, ("mid", "+"): pi2, ("hi", "-"): -pi2}
-        return table[(which, side)], False
+    def _leading(self, which, side):
+        # (pi/2) sin(2 pi t) beside every landmark
+        return math.pi ** 2, 1.0
 
 
 class ArcSine(DensityModel):
@@ -594,16 +568,8 @@ class ArcSine(DensityModel):
     def _quantile(self, u):
         return np.sin(0.5 * np.pi * u) ** 2
 
-    def _one_sided(self, which, side, order):
-        if which == "mid":
-            if order == 0:
-                return 2.0 / math.pi, False
-            if order == 1:
-                return 0.0, False
-            return 8.0 / math.pi, False
-        if order == 0 or order == 2:
-            return math.inf, True
-        return (-math.inf if which == "lo" else math.inf), True
+    def _leading(self, which, side):
+        return (2.0 / math.pi, 0.0) if which == "mid" else (1.0 / math.pi, -0.5)
 
     def _mass(self):
         # t = sin^2(pi u / 2) removes the divergence at both ends; dt/du = pi sqrt(t (1 - t)) is
@@ -673,52 +639,14 @@ class Beta(DensityModel):
             x = np.where(tail, y * (1.0 + (b - 1.0) / (a + 1.0) * y), x)
         return x
 
-    def _pdf_derivative(self, x, order):
-        # f' = f g and f'' = f (g^2 + g') with g = (log f)', so 1/B stays in log space
-        a, b = self.nu1 - 1.0, self.nu2 - 1.0
-        f = _beta_pdf(self.nu1, self.nu2, self._lognorm, x)
-        if order == 0:
-            return f
-        g = a / x - b / (1.0 - x)
-        if order == 1:
-            return f * g
-        return f * (g * g - a / x ** 2 - b / (1.0 - x) ** 2)
-
-    def _one_sided(self, which, side, order):
+    def _leading(self, which, side):
         if which == "mid":
-            return float(self._pdf_derivative(0.5, order)), False
-        # at 1- the density mirrors Beta(nu2, nu1) at 0+ with sign (-1)^order
-        a, b = (self.nu1 - 1.0, self.nu2 - 1.0) if which == "lo" else (self.nu2 - 1.0, self.nu1 - 1.0)
-        sign = 1.0 if which == "lo" else (-1.0) ** order
-        # only the branches with a <= 2 read 1/B, which overflows at large shapes
-        c = math.exp(-self._lognorm) if a <= 2.0 else math.nan
-        val, inf = _power_limit(a, b, c, order)
-        return sign * val, inf
-
-
-def _power_limit(a, b, c, order):
-    """Limit of the order-th derivative of c x^a (1-x)^b as x -> 0+."""
-    if order == 0:
-        return (c, False) if a == 0.0 else (0.0, False)
-    if order == 1:
-        if a == 0.0:
-            return -b * c, False
-        if a == 1.0:
-            return c, False
-        if a < 1.0:
-            return math.inf, True
-        return 0.0, False
-    if a == 0.0:
-        return b * (b - 1.0) * c, False
-    if a == 1.0:
-        return -2.0 * b * c, False
-    if a == 2.0:
-        return 2.0 * c, False
-    if a < 1.0:
-        return -math.inf, True
-    if a < 2.0:
-        return math.inf, True
-    return 0.0, False
+            return float(_beta_pdf(self.nu1, self.nu2, self._lognorm, 0.5)), 0.0
+        try:
+            c = math.exp(-self._lognorm)
+        except OverflowError:  # 1/B passes the float range only where both shapes are large
+            c = math.inf
+        return c, (self.nu1 if which == "lo" else self.nu2) - 1.0
 
 
 def _integer_shape_lognorm(a, b):
@@ -858,18 +786,8 @@ class TruncatedNormal(DensityModel):
         cuts = {w * 2.0 ** k for k in range(1 - math.frexp(w)[1])} if w < 1.0 else set()
         return self._gauss_mass(self.pdf, sorted({abs(self._near - c) for c in cuts} | {0.0, 1.0}))
 
-    def _pdf_derivative(self, x, order):
-        f = self._pdf(x)
-        if order == 0:
-            return f
-        s2 = self.sigma ** 2
-        if order == 1:
-            return -f * (x - self.mu) / s2
-        return f * (((x - self.mu) / s2) ** 2 - 1.0 / s2)
-
-    def _one_sided(self, which, side, order):
-        pt = {"lo": 0.0, "mid": 0.5, "hi": 1.0}[which]
-        return float(self._pdf_derivative(_as_array(pt), order)), False
+    def _leading(self, which, side):
+        return float(self._pdf(_as_array({"lo": 0.0, "mid": 0.5, "hi": 1.0}[which]))), 0.0
 
 
 FAMILIES = {

@@ -198,7 +198,7 @@ def compare(empirical: dict, predicted: dict, threshold: float = DEFAULT_THRESHO
     reps = sum(empirical.values())
     if reps <= 0:
         raise ValueError("empirical distribution is empty")
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails this test too
         raise ValueError("threshold must be positive")
     atoms = sorted(set(empirical) | set(predicted))
     per_atom = []

@@ -12,10 +12,10 @@ from cccd.asymptotics import (
     describe_limit,
     empirical_rate_exponent,
     limit_family_formula,
-    limit_matched_derivatives,
     limit_unbounded,
 )
 from cccd.densities import (
+    _PiecewisePolynomial,
     AbsSine,
     ArcSine,
     Beta,
@@ -32,6 +32,8 @@ from cccd.densities import (
     Uniform,
 )
 from cccd.exact import p_uniform_fraction, probability
+
+LANDMARKS = (("lo", "+"), ("mid", "+"), ("mid", "-"), ("hi", "-"))
 
 BOUNDED_CATALOG = [
     Uniform(),
@@ -60,35 +62,28 @@ BOUNDED_CATALOG = [
 class TestProfile:
     def test_uniform(self):
         prof = asymptotic_profile(Uniform())
+        one = (1.0, 0.0)
         assert prof == AsymptoticProfile(
-            k=0, ell=0, d_lo=1.0, d_hi=1.0, d_mid_right=1.0, d_mid_left=1.0,
-            alpha_k=1.5, beta_ell=1.5, p_limit=pytest.approx(4.0 / 9.0, abs=1e-15))
+            k=0, ell=0, lo=one, mid_right=one, mid_left=one, hi=one,
+            p_limit=pytest.approx(4.0 / 9.0, abs=1e-15))
 
     def test_linear_slope_one(self):
         prof = asymptotic_profile(Linear(1.0))
         assert (prof.k, prof.ell) == (0, 0)
-        assert prof.d_lo == pytest.approx(0.5)
-        assert prof.d_hi == pytest.approx(1.5)
-        assert prof.alpha_k == pytest.approx(1.0)
-        assert prof.beta_ell == pytest.approx(2.0)
+        assert (prof.lo, prof.hi) == ((0.5, 0.0), (1.5, 0.0))
         assert prof.p_limit == pytest.approx(3.0 / 8.0, abs=1e-15)
 
     def test_abs_sine_needs_first_derivatives(self):
         prof = asymptotic_profile(AbsSine())
         assert (prof.k, prof.ell) == (1, 1)
-        assert prof.d_lo == pytest.approx(math.pi ** 2)
-        assert prof.d_hi == pytest.approx(-math.pi ** 2)
-        assert prof.alpha_k == pytest.approx(1.25 * math.pi ** 2)
-        assert prof.beta_ell == pytest.approx(-1.25 * math.pi ** 2)
+        assert {prof.lo, prof.mid_right, prof.mid_left, prof.hi} == {(math.pi ** 2, 1.0)}
         assert prof.p_limit == pytest.approx(16.0 / 25.0, abs=1e-14)
 
     def test_flat_start_quadratic(self):
         prof = asymptotic_profile(PieceQuadratic(0.0))
         assert (prof.k, prof.ell) == (2, 0)
-        assert prof.d_lo == pytest.approx(24.0)
-        assert prof.d_mid_right == pytest.approx(24.0)
-        assert prof.alpha_k == pytest.approx(27.0)
-        assert prof.beta_ell == pytest.approx(4.5)
+        assert prof.lo == prof.mid_right == (12.0, 2.0)
+        assert prof.hi == prof.mid_left == (3.0, 0.0)
         assert prof.p_limit == pytest.approx(16.0 / 27.0, abs=1e-14)
 
     def test_power_ramp_matches_flat_quadratic(self):
@@ -105,55 +100,84 @@ class TestProfile:
     def test_empty_middle_gives_one(self):
         for delta in (0.05, 0.125, 0.45):
             prof = asymptotic_profile(GapUniform(delta))
-            assert prof.d_mid_right == 0.0
-            assert prof.d_mid_left == 0.0
+            assert prof.mid_right == prof.mid_left == (0.0, math.inf)
             assert prof.p_limit == 1.0
 
-    def test_divergent_density_is_rejected(self):
-        # a non-integer q below 2 puts an infinite derivative at the midpoint beside the
-        # one at the end, which the profile cannot weigh; it raises rather than guess a limit
-        for model in (QPower(0.5), QPower(1.5)):
-            for route in (asymptotic_profile, limit_unbounded):
-                with pytest.raises(ValueError, match="at the midpoint diverges") as info:
-                    route(model)
-                assert "limit_unbounded" not in str(info.value)
+    def test_fractional_powers_tie_with_the_midpoint(self):
+        # c t^q beside 0 and beside 1/2 from the right, for every q: the ends weigh in by the tie rule
+        for q, k in ((0.5, 1), (1.5, 2), (2.5, 3)):
+            prof = asymptotic_profile(QPower(q))
+            assert (prof.k, prof.ell) == (k, 0)
+            assert prof.p_limit == limit_unbounded(QPower(q)) == pytest.approx(
+                2.0 ** (q + 2) / (3.0 * (1.0 + 2.0 ** (q + 1))), rel=1e-15)
 
     def test_divergent_endpoint_gives_factor_one(self):
         prof = asymptotic_profile(ArcSine())
         assert (prof.k, prof.ell) == (0, 0)
-        assert (prof.d_lo, prof.d_hi) == (math.inf, math.inf)
-        assert (prof.d_mid_right, prof.d_mid_left) == (2.0 / math.pi, 2.0 / math.pi)
+        assert prof.lo == prof.hi == (1.0 / math.pi, -0.5)
+        assert prof.mid_right == prof.mid_left == (2.0 / math.pi, 0.0)
         assert prof.p_limit == 1.0
-        # an end whose density vanishes beside a nonzero midpoint weighs 0, whatever its
-        # higher derivatives do: Beta(1.5, 2) has an infinite order-1 derivative at 0
+        # an end whose density vanishes beside a nonzero midpoint weighs 0, whatever power it
+        # vanishes at: Beta(1.5, 2) goes like t^(1/2) at 0
         assert asymptotic_profile(Beta(1.5, 2.0)).p_limit == 0.0
 
-    def test_divergent_higher_derivative_is_rejected(self):
-        with pytest.raises(ValueError, match="order-1.*diverges"):
-            asymptotic_profile(QPower(0.5))
+    def test_vanishing_beside_end_and_midpoint_is_rejected(self):
+        class Blocks(_PiecewisePolynomial):
+            family = "blocks"
 
-    def test_order_out_of_range(self):
-        with pytest.raises(ValueError, match="through order 2"):
-            asymptotic_profile(QPower(3.0))
+            def __init__(self):
+                super().__init__([0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1],
+                                 [[0], [2], [0], [2]])
+
+        with pytest.raises(ValueError, match="vanishes identically beside both the left endpoint"):
+            asymptotic_profile(Blocks())
+
+    def test_underflow_at_end_and_midpoint_is_rejected(self):
+        # the pdf underflows to 0 at 1/2 and at 1, so the right weights are 0 / 0
+        with pytest.raises(ValueError, match="underflows to 0 at both the right endpoint"):
+            asymptotic_profile(TruncatedNormal(-0.28, 0.002))
+
+    def test_high_orders(self):
+        # QPower(q) needs order ceil(q) at the left end, past any fixed derivative order
+        for q in (3, 4, 5, 7.25):
+            prof = asymptotic_profile(QPower(q))
+            assert (prof.k, prof.ell) == (math.ceil(q), 0)
+            assert prof.p_limit == pytest.approx(limit_family_formula(QPower(q)), rel=1e-15)
 
     def test_profile_invariants_across_catalog(self):
         for model in BOUNDED_CATALOG:
             prof = asymptotic_profile(model)
-            assert prof.alpha_k == pytest.approx(
-                prof.d_lo + 2.0 ** -(prof.k + 1) * prof.d_mid_right, rel=1e-12)
-            assert prof.beta_ell == pytest.approx(
-                prof.d_hi + 2.0 ** -(prof.ell + 1) * prof.d_mid_left, rel=1e-12)
-            assert abs(prof.alpha_k) > 0.0
-            assert abs(prof.beta_ell) > 0.0
+            terms = (prof.lo, prof.mid_right, prof.mid_left, prof.hi)
+            assert terms == tuple(model.leading_term(*at) for at in LANDMARKS)
+            assert all(c > 0.0 or (c, a) == (0.0, math.inf) for c, a in terms)
+            assert prof.k == max(0, math.ceil(min(prof.lo[1], prof.mid_right[1])))
+            assert prof.ell == max(0, math.ceil(min(prof.hi[1], prof.mid_left[1])))
             assert 0.0 <= prof.p_limit <= 1.0
 
 
 class TestFamilyFormula:
     def test_matches_profile_across_catalog(self):
-        for model in BOUNDED_CATALOG + [ArcSine()]:
+        extra = ([QPower(q) for q in (0.5, 1.5, 2.5, 3, 4, 5, 7.25)]
+                 + [Beta(2, 2000), Beta(2000, 1)]
+                 + [TruncatedNormal(-0.5, 0.1), TruncatedNormal(1.5, 0.1), TruncatedNormal(0, 0.05)])
+        for model in BOUNDED_CATALOG + [ArcSine()] + extra:
             formula = limit_family_formula(model)
             profile = asymptotic_profile(model).p_limit
-            assert formula == pytest.approx(profile, abs=1e-12), model.family
+            assert formula == pytest.approx(profile, rel=1e-12, abs=0.0), model
+
+    def test_far_normal_mode_matches_mpmath(self):
+        # mpmath at 50 digits, mu = -1/2 and sigma = 1/10 exactly:
+        # 4 / ((2 + exp((4 mu - 1) / (8 sigma^2))) (2 + exp((3 - 4 mu) / (8 sigma^2))))
+        # = 1.4375563478121976855e-27; (1.5, 0.1) is its mirror image
+        for model in (TruncatedNormal(-0.5, 0.1), TruncatedNormal(1.5, 0.1)):
+            row = describe_limit(model)
+            assert (row["k"], row["ell"]) == (0, 0)
+            assert row["p_limit"] == pytest.approx(1.4375563478121976855e-27, rel=1e-15)
+
+    def test_overflowing_normal_formula_is_zero(self):
+        # exp((3 - 4 mu) / (8 sigma^2)) passes the float range; the product it divides goes to 0
+        assert limit_family_formula(TruncatedNormal(-0.28, 0.002)) == 0.0
+        assert limit_family_formula(TruncatedNormal(1.28, 0.002)) == 0.0
 
     def test_linear_range(self):
         values = [limit_family_formula(Linear(a)) for a in np.linspace(-2.0, 2.0, 21)]
@@ -211,25 +235,6 @@ class TestUnboundedLimit:
     def test_bounded_densities_agree_with_profile(self):
         for model in (Uniform(), Linear(1.0), AbsSine(), Beta(2.0, 2.0), GapUniform(0.125)):
             assert limit_unbounded(model) == asymptotic_profile(model).p_limit
-
-
-class TestMatchedDerivatives:
-    def test_base_orders(self):
-        assert limit_matched_derivatives(0, 0) == pytest.approx(4.0 / 9.0, abs=1e-16)
-        assert limit_matched_derivatives(1, 1) == pytest.approx(16.0 / 25.0, abs=1e-16)
-
-    def test_power_ramp_identity(self):
-        # QPower's endpoint and midpoint derivatives coincide at every order,
-        # so its family formula is the matched product with ell = 0
-        for q in range(7):
-            assert limit_matched_derivatives(q, 0) == pytest.approx(
-                2.0 ** (q + 2) / (3.0 * (1.0 + 2.0 ** (q + 1))), abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="k"):
-            limit_matched_derivatives(-1, 0)
-        with pytest.raises(ValueError, match="ell"):
-            limit_matched_derivatives(0, 1.5)
 
 
 class TestEmpiricalRate:

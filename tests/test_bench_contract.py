@@ -3,6 +3,7 @@ finds what it traces by name at run time, so a renamed or deleted function
 would only show when the benchmark runs.  These tests catch it here.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -28,6 +29,18 @@ def test_every_traced_target_resolves(perfbench):
     assert {name for _, _, name, _ in targets} >= {f"exact.{r}" for r in layertrace.ROUTES}
     for owner, attr, name, _ in targets:
         assert callable(owner.__dict__.get(attr)), name
+
+
+def test_every_package_name_the_workloads_read_resolves():
+    # an op that calls a deleted name fails only when it runs, where it shows as a lost ok_frac
+    modules = {name: importlib.import_module(f"cccd.{name}")
+               for name in ("asymptotics", "exact", "multianchor", "simulate")}
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("asymptotics", "limit_unbounded") in used
+    assert [f"{mod}.{attr}" for mod, attr in sorted(used) if not hasattr(modules[mod], attr)] == []
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -289,6 +289,20 @@ class TestAsymptotic:
         _, rows, _ = parse_json_lines(out)
         assert (rows[0]["method"], rows[0]["p_limit"]) == ("derivative-profile", 0.0)
 
+    def test_fractional_power_exits_zero(self, capsys):
+        rc, out, _ = run_cli(capsys, ["asymptotic", "--density",
+                                      '{"family": "q_power", "params": {"q": 0.5}}'])
+        assert rc == 0
+        _, rows, _ = parse_json_lines(out)
+        assert (rows[0]["k"], rows[0]["ell"]) == (1, 0)
+        assert rows[0]["p_limit"] == pytest.approx(2.0 ** 2.5 / (3.0 * (1.0 + 2.0 ** 1.5)), rel=1e-15)
+
+    def test_underflowing_density_exits_one_and_says_so(self, capsys):
+        density = '{"family": "truncated_normal", "params": {"mu": -0.28, "sigma": 0.002}}'
+        rc, out, err = run_cli(capsys, ["asymptotic", "--density", density])
+        assert (rc, out) == (1, "")
+        assert "underflows to 0 at both the right endpoint and the midpoint" in err
+
 class TestMulti:
     def test_pmf_rows_normalize_and_match_expected_value(self, capsys):
         rc, out, _ = run_cli(capsys, ["multi", "--n", "4", "--m", "2"])

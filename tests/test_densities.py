@@ -301,9 +301,12 @@ def test_piecewise_polynomial_parts_agree_with_the_float_evaluators(model):
     mid = (lo + hi) / 2
     for which, side, point in [("lo", "+", lo), ("mid", "-", mid), ("mid", "+", mid), ("hi", "-", hi)]:
         start, _, coefs = next(p for p in parts if (p[0] <= point < p[1] if side == "+" else p[0] < point <= p[1]))
-        for order in range(3):
-            d = model.one_sided_derivative(which, side, order)
-            assert (d.value, d.is_infinite) == (float(_exact_poly(coefs, point - start, order)), False)
+        # the first nonzero derivative over its factorial, signed (-1)^j where t runs leftward
+        derivs = [_exact_poly(coefs, point - start, j) for j in range(len(coefs))]
+        j = next((j for j, d in enumerate(derivs) if d), None)
+        want = (0.0, math.inf) if j is None else (
+            float(derivs[j] / math.factorial(j) * (1 if side == "+" else (-1) ** j)), float(j))
+        assert model.leading_term(which, side) == want
     u = np.concatenate([[0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53], np.random.default_rng(0).random(2000)])
     q = model.quantile(u)
     assert np.all(np.abs(model.cdf(q) - u) <= 2.0 * model.pdf(q) * np.spacing(q) + 4.0 * np.finfo(float).eps)
@@ -320,89 +323,82 @@ def test_newton_quantile_keeps_every_bit():
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
-def test_order_zero_one_sided_matches_pdf_limit(model):
-    h1, h2 = 1e-10, 1e-10 / 4096
+def test_leading_term_matches_pdf_beside_each_landmark(model):
     w = model.support.width
     combos = [("lo", "+", model.support.lo, 1), ("hi", "-", model.support.hi, -1),
               ("mid", "+", model.support.mid, 1), ("mid", "-", model.support.mid, -1)]
     for which, side, base, direction in combos:
-        d = model.one_sided_derivative(which, side, 0)
-        if d.is_infinite:
-            assert model.pdf(base + direction * h2 * w) > 1e4
-            continue
-        e1 = abs(model.pdf(base + direction * h1 * w) - d.value)
-        e2 = abs(model.pdf(base + direction * h2 * w) - d.value)
-        # the pdf must converge to the stated one-sided value
-        assert e2 <= max(1e-8, 0.51 * e1)
+        c, a = model.leading_term(which, side)
+        # dyadic offsets keep base + t w exact on a dyadic support
+        errors = []
+        for t in (2.0 ** -16, 2.0 ** -24):
+            f = model.pdf(base + direction * t * w)
+            if (c, a) == (0.0, math.inf):
+                assert f == 0.0, (which, side)
+                continue
+            errors.append(abs(f - c * (t * w) ** a) / (c * (t * w) ** a))
+        # f / (c t^a) - 1 must shrink toward 0 as t does
+        if errors:
+            assert errors[1] <= max(1e-8, 0.51 * errors[0]), (which, side, errors)
 
 
-def test_one_sided_derivative_spot_values():
+def test_leading_term_spot_values():
     pi2 = math.pi ** 2
-    assert D.AbsSine().one_sided_derivative("lo", "+", 1).value == pytest.approx(pi2, abs=1e-12)
-    assert D.AbsSine().one_sided_derivative("mid", "+", 1).value == pytest.approx(pi2, abs=1e-12)
-    assert D.AbsSine().one_sided_derivative("mid", "-", 1).value == pytest.approx(-pi2, abs=1e-12)
-    assert D.AbsSine().one_sided_derivative("hi", "-", 1).value == pytest.approx(-pi2, abs=1e-12)
+    for which, side in [("lo", "+"), ("mid", "+"), ("mid", "-"), ("hi", "-")]:
+        assert D.AbsSine().leading_term(which, side) == (pi2, 1.0)
 
-    q2 = D.QPower(2.0)
-    assert q2.one_sided_derivative("lo", "+", 0).value == 0.0
-    assert q2.one_sided_derivative("lo", "+", 1).value == 0.0
-    assert q2.one_sided_derivative("lo", "+", 2).value == pytest.approx(24.0)
-    assert q2.one_sided_derivative("mid", "-", 0).value == pytest.approx(3.0)
-    assert q2.one_sided_derivative("hi", "-", 1).value == pytest.approx(12.0)
-
-    pq = D.PieceQuadratic(0.0)
-    assert pq.one_sided_derivative("lo", "+", 2).value == pytest.approx(24.0)
-    assert pq.one_sided_derivative("mid", "+", 2).value == pytest.approx(24.0)
-    assert pq.one_sided_derivative("mid", "-", 0).value == pytest.approx(3.0)
-    assert pq.one_sided_derivative("hi", "-", 0).value == pytest.approx(3.0)
+    for model in (D.QPower(2.0), D.PieceQuadratic(0.0)):
+        assert model.leading_term("lo", "+") == (12.0, 2.0)
+        assert model.leading_term("mid", "+") == (12.0, 2.0)
+        assert model.leading_term("mid", "-") == (3.0, 0.0)
+        assert model.leading_term("hi", "-") == (3.0, 0.0)
 
     lin = D.Linear(1.0)
-    assert lin.one_sided_derivative("lo", "+", 0).value == pytest.approx(0.5)
-    assert lin.one_sided_derivative("hi", "-", 0).value == pytest.approx(1.5)
-    assert lin.one_sided_derivative("mid", "-", 1).value == pytest.approx(1.0)
+    assert lin.leading_term("lo", "+") == (0.5, 0.0)
+    assert lin.leading_term("hi", "-") == (1.5, 0.0)
+    assert lin.leading_term("mid", "-") == (1.0, 0.0)
+    # f = 2 - 2x is 2t at distance t left of 1
+    assert D.Linear(-2.0).leading_term("hi", "-") == (2.0, 1.0)
+    assert D.Linear(2.0).leading_term("lo", "+") == (2.0, 1.0)
 
     b22 = D.Beta(2, 2)
-    assert b22.one_sided_derivative("lo", "+", 0).value == 0.0
-    assert b22.one_sided_derivative("lo", "+", 1).value == pytest.approx(6.0)
-    assert b22.one_sided_derivative("lo", "+", 2).value == pytest.approx(-12.0)
-    assert b22.one_sided_derivative("hi", "-", 1).value == pytest.approx(-6.0)
+    assert b22.leading_term("lo", "+") == (pytest.approx(6.0, rel=1e-15), 1.0)
+    assert b22.leading_term("hi", "-") == (pytest.approx(6.0, rel=1e-15), 1.0)
+    assert b22.leading_term("mid", "+") == (pytest.approx(1.5, rel=1e-15), 0.0)
 
     two = D.TwoStep(0.5)
-    assert two.one_sided_derivative("mid", "-", 0).value == pytest.approx(1.5)
-    assert two.one_sided_derivative("mid", "+", 0).value == pytest.approx(0.5)
+    assert two.leading_term("mid", "-") == (1.5, 0.0)
+    assert two.leading_term("mid", "+") == (0.5, 0.0)
+    # a piece without mass beside the landmark
+    assert D.GapUniform(0.1).leading_term("mid", "+") == (0.0, math.inf)
+    assert D.ShrunkUniform(0.1).leading_term("lo", "+") == (0.0, math.inf)
 
 
-def test_infinite_derivative_flags():
+def test_divergent_and_fractional_powers():
     a = D.ArcSine()
     for which, side in [("lo", "+"), ("hi", "-")]:
-        d = a.one_sided_derivative(which, side, 0)
-        assert d.is_infinite and math.isinf(d.value) and d.value > 0
-    assert a.one_sided_derivative("lo", "+", 1).value == -math.inf
-    assert a.one_sided_derivative("hi", "-", 1).value == math.inf
-    assert a.one_sided_derivative("mid", "+", 0).value == pytest.approx(2 / math.pi)
+        assert a.leading_term(which, side) == (1.0 / math.pi, -0.5)
+    assert a.leading_term("mid", "+") == (2.0 / math.pi, 0.0)
 
-    d = D.QPower(0.5).one_sided_derivative("lo", "+", 1)
-    assert d.is_infinite and d.value == math.inf
-    d = D.QPower(1.5).one_sided_derivative("lo", "+", 2)
-    assert d.is_infinite and d.value == math.inf
-    d = D.Beta(1.5, 1).one_sided_derivative("lo", "+", 1)
-    assert d.is_infinite and d.value == math.inf
-    # integer shapes stay finite
-    assert not D.Beta(3, 1).one_sided_derivative("lo", "+", 2).is_infinite
+    assert D.QPower(0.5).leading_term("lo", "+") == (1.5 * 2.0 ** 0.5, 0.5)
+    assert D.QPower(0.5).leading_term("mid", "+") == (1.5 * 2.0 ** 0.5, 0.5)
+    assert D.QPower(1.5).leading_term("hi", "-") == (pytest.approx(2.5, rel=1e-15), 0.0)
+    assert D.Beta(1.5, 1).leading_term("lo", "+") == (pytest.approx(1.5, rel=1e-15), 0.5)
+    assert D.Beta(3, 1).leading_term("lo", "+") == (pytest.approx(3.0, rel=1e-15), 2.0)
 
 
-def test_one_sided_derivative_errors():
+def test_leading_term_errors():
     m = D.Uniform()
-    with pytest.raises(ValueError, match="order"):
-        m.one_sided_derivative("lo", "+", 3)
     with pytest.raises(ValueError, match="side"):
-        m.one_sided_derivative("lo", "-", 0)
+        m.leading_term("lo", "-")
     with pytest.raises(ValueError, match="side"):
-        m.one_sided_derivative("hi", "+", 0)
+        m.leading_term("hi", "+")
+    with pytest.raises(ValueError, match="side"):
+        m.leading_term("mid", "0")
     # landmarks go by name only, also where a float is a landmark's coordinate
     for point in (0.3, 0.0, 0.5, 1.0, "0.5"):
         with pytest.raises(ValueError, match="point"):
-            m.one_sided_derivative(point, "+", 0)
+            m.leading_term(point, "+")
 
 
 def test_parameter_validation_messages():
@@ -551,22 +547,6 @@ def test_declared_polynomial_degree_is_the_degree_between_knots():
             assert misses[d - 1] > 1e-6, model
 
 
-def test_interior_pdf_derivative_matches_finite_differences():
-    # Beta and TruncatedNormal take their midpoint derivatives from these formulas
-    probes = {
-        D.Beta(2, 4): [0.3, 0.5, 0.6],
-        D.TruncatedNormal(0.4, 0.3): [0.3, 0.5, 0.6],
-    }
-    h = 1e-5
-    for model, xs in probes.items():
-        for x in xs:
-            assert model._pdf_derivative(x, 0) == model.pdf(x)
-            fd1 = (model.pdf(x + h) - model.pdf(x - h)) / (2 * h)
-            assert model._pdf_derivative(x, 1) == pytest.approx(fd1, rel=1e-5, abs=1e-5)
-            fd2 = (model.pdf(x + h) - 2 * model.pdf(x) + model.pdf(x - h)) / h ** 2
-            assert model._pdf_derivative(x, 2) == pytest.approx(fd2, rel=1e-3, abs=1e-3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.49, exclude_max=True), st.floats(0.0, 1.0))
 def test_step_quantile_property(delta, u):
@@ -648,41 +628,31 @@ def test_beta_with_large_shapes_builds_without_overflow():
             assert max(ends) == np.exp(-beta._lognorm)
 
 
-def test_beta_derivatives_with_large_shapes_stay_finite():
-    # the derivatives scale the pdf, so 1/B(1000, 1000) is never formed
+def test_beta_midpoint_terms_with_large_shapes_stay_finite():
+    # the midpoint term is the pdf, formed in log space, so 1/B(1000, 1000) is never needed there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = D.Beta(1000, 1000)
         for side in "+-":
-            assert model.one_sided_derivative("mid", side, 1).value == 0.0
-            # g = 0 at the mode, so f'' = -f (999 / 0.25 + 999 / 0.25)
-            assert model.one_sided_derivative("mid", side, 2).value == pytest.approx(
-                -7992.0 * model.pdf(0.5), rel=1e-14)
-        lo = model.one_sided_derivative("lo", "+", 1)
-        assert (lo.value, lo.is_infinite) == (0.0, False)
+            assert model.leading_term("mid", side) == (model.pdf(0.5), 0.0)
 
 
 @pytest.mark.parametrize("which, side", [("lo", "+"), ("hi", "-")])
-def test_beta_endpoint_derivatives_with_large_shapes_vanish(which, side):
+def test_beta_endpoint_terms_with_large_shapes_overflow_quietly(which, side):
+    # 1/B(1000, 1000) passes the float range; its power 999 is what the limit reads
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = D.Beta(1000, 1000)
-        for order in (0, 1, 2):
-            d = model.one_sided_derivative(which, side, order)
-            assert (d.value, d.is_infinite) == (0.0, False)
+        assert D.Beta(1000, 1000).leading_term(which, side) == (math.inf, 999.0)
 
 
-def test_beta_derivatives_match_the_expanded_power_form():
-    model = D.Beta(30.0, 30.0)
-    a = b = 29.0
-    c = math.exp(-model._lognorm)
-    x = np.linspace(0.05, 0.95, 19)
-    first = c * (a * x ** (a - 1) * (1 - x) ** b - b * x ** a * (1 - x) ** (b - 1))
-    second = c * (a * (a - 1) * x ** (a - 2) * (1 - x) ** b
-                  - 2 * a * b * x ** (a - 1) * (1 - x) ** (b - 1)
-                  + b * (b - 1) * x ** a * (1 - x) ** (b - 2))
-    np.testing.assert_allclose(model._pdf_derivative(x, 1), first, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(model._pdf_derivative(x, 2), second, rtol=1e-12, atol=1e-9)
+def test_beta_end_terms_are_the_exact_normalizer():
+    # 1/B(a, b) = (a + b - 1) C(a + b - 2, a - 1) at integer shapes; exp(-log B) keeps it to
+    # about |log B| ulps, which is 42 at (30, 30)
+    for nu1, nu2 in [(30, 30), (2, 5), (4, 1), (2, 2000)]:
+        model = D.Beta(nu1, nu2)
+        c = float((nu1 + nu2 - 1) * math.comb(nu1 + nu2 - 2, nu1 - 1))
+        assert model.leading_term("lo", "+") == (pytest.approx(c, rel=1e-14), nu1 - 1.0)
+        assert model.leading_term("hi", "-") == (pytest.approx(c, rel=1e-14), nu2 - 1.0)
 
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)

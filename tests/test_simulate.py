@@ -279,8 +279,9 @@ class TestCompare:
         loose = compare(counts, {1: 0.5, 2: 0.5}, threshold=10.0)
         tight = compare(counts, {1: 0.5, 2: 0.5}, threshold=2.0)
         assert loose.passed and not tight.passed
-        with pytest.raises(ValueError, match="threshold"):
-            compare(counts, {1: 1.0}, threshold=0.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                compare(counts, {1: 1.0}, threshold=bad)
 
 
 class TestChunkedBatches:
