@@ -100,13 +100,9 @@ def limit_family_formula(model):
     if fam == "three_step":
         d = model.delta
         return 4.0 * (1.0 + d) ** 2 / (3.0 + d) ** 2
-    if fam == "linear":
-        a = model.a
+    if fam in ("linear", "general_linear"):
+        a = model.to_unit().a
         return (4.0 - a * a) / (9.0 - a * a)
-    if fam == "general_linear":
-        width = model.support.hi - model.support.lo
-        s = (model.a * width * width) ** 2
-        return (s - 4.0) / (s - 9.0)
     if fam == "q_power":
         q = model.q
         return 2.0 ** (q + 2) / (3.0 * (1.0 + 2.0 ** (q + 1)))

@@ -128,7 +128,8 @@ def _resolve(args) -> CommandRequest:
     threads = max(1, int(os.environ.get("CCCD_THREADS", "1")))
     fields = dict(subcommand=args.subcommand, threads=threads)
     if hasattr(args, "density"):
-        fields["density"] = model_to_spec(model_from_spec(args.density))
+        model = model_from_spec(args.density)
+        fields["density"] = model_to_spec(model)
     for name in ("n", "m", "reps", "seed", "rel_tol", "out", "paper", "curves"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
@@ -139,9 +140,9 @@ def _resolve(args) -> CommandRequest:
         raise ValueError("--curves needs --out pointing at a directory")
     if req.n is not None and req.n < 1:
         raise ValueError("--n must be at least 1")
-    if req.subcommand in ("exact", "quadrature") and req.n > exact.QUADRATURE_MAX_N:
-        # every route past this n is quadrature, which cannot resolve G^(n-2) there
-        raise ValueError(f"--n must be at most {exact.QUADRATURE_MAX_N}")
+    if req.subcommand in ("exact", "quadrature") and req.n > exact.quadrature_max_n(model):
+        # every route past this n is quadrature, which cannot resolve p_n there
+        raise ValueError(f"--n must be at most {exact.quadrature_max_n(model)}")
     least_m = 1 if req.subcommand == "multi" else 0  # simulate reads 0 as endpoint anchors
     if req.m is not None and req.m < least_m:
         raise ValueError(f"--m must be at least {least_m}")

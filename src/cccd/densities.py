@@ -70,10 +70,6 @@ class SupportInterval:
     def width(self):
         return self.hi - self.lo
 
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
@@ -110,6 +106,10 @@ class DensityModel:
     def interior_knots(self):
         """Points inside the support where pdf or its derivatives jump."""
         return []
+
+    def to_unit(self):
+        """The same law on [0, 1], where every family but ``GeneralLinear`` already lives."""
+        return self
 
     def piecewise_polynomial_parts(self):
         """Per piece (lo, hi, pdf coefficients in t = x - lo) as Fractions; None if not piecewise polynomial."""
@@ -377,20 +377,13 @@ class ShrunkUniform(_PiecewisePolynomial):
 
 
 class GapUniform(_PiecewisePolynomial):
-    """Uniform with a symmetric central gap of half-width delta.
-
-    Only the bands delta in [0, 1/6] and [1/3, 1/2) are supported; the
-    middle band has no established finite-n law here.
-    """
+    """Uniform with a symmetric central gap of half-width delta."""
 
     family = "gap_uniform"
     _param_names = ("delta",)
 
     def __init__(self, delta):
         fd = self._keep_delta(delta, lambda d: 0.0 <= d < 0.5, "0 <= delta < 1/2")
-        if 1.0 / 6.0 < self.delta < 1.0 / 3.0:
-            raise ValueError(
-                f"delta: gap_uniform is implemented for [0,1/6] and [1/3,1/2) only, got {self.delta}")
         h = 1 / (1 - 2 * fd)
         if fd == 0:
             knots, heights = [0, 1], [1]
@@ -434,16 +427,18 @@ class GeneralLinear(_PiecewisePolynomial):
         # the slope bound needs the width's square as a normal double
         if not 2.0 ** -511 <= s.width < 2.0 ** 511:
             raise ValueError(f"support: general_linear needs a width in [2**-511, 2**511), got {s.width}")
-        bound = 2.0 / s.width ** 2
-        if abs(a) > bound * (1.0 + 1e-12):
-            raise ValueError(f"a: general_linear slope must satisfy |a| <= 2/width^2 = {bound}, got {a}")
+        # the bound is on the slope that ``to_unit`` hands to Linear, computed as it computes it
+        if not abs(a * s.width ** 2) <= 2.0:  # NaN fails this test too
+            raise ValueError(f"a: {self.family} slope must satisfy |a * width^2| <= 2, got {a}")
         self.a, self.support = a, s
         # mass 1 puts the height 1/width at the midpoint, whatever the slope
         width = Fraction(s.hi) - Fraction(s.lo)
         super().__init__([s.lo, s.hi], [[1 / width - Fraction(a) * width / 2, a]])
 
     def to_unit(self):
-        """The same shape rescaled onto [0,1]: Linear(a * width^2)."""
+        """The same shape rescaled onto [0,1]: Linear(a * width^2), or self already there."""
+        if self.support == DensityModel.support:
+            return self
         return Linear(self.a * self.support.width ** 2)
 
 
@@ -453,9 +448,6 @@ class Linear(GeneralLinear):
     family = "linear"
 
     def __init__(self, a):
-        a = float(a)
-        if not -2.0 <= a <= 2.0:
-            raise ValueError(f"a: linear slope must satisfy |a| <= 2, got {a}")
         super().__init__(a, DensityModel.support)
 
 
@@ -595,7 +587,7 @@ class Beta(DensityModel):
         self.nu1, self.nu2 = nu1, nu2
         self._lognorm = _integer_shape_lognorm(nu1, nu2)
         # otherwise the quantile table's log B, refit to its mass, is exact where betaln is
-        # not; integer shapes build that table on the first array quantile instead
+        # not; integer shapes build that table on the first quantile instead
         if self._lognorm is None:
             if nu1 > 1.0 and nu2 > 1.0:
                 self._lognorm = _beta_quantile_table(nu1, nu2)[3]
@@ -623,9 +615,7 @@ class Beta(DensityModel):
 
     def _quantile(self, u):
         a, b = self.nu1, self.nu2
-        if u.ndim == 0:
-            x = special.betaincinv(a, b, u)
-        elif b == 1.0:  # I(x) = x^a
+        if b == 1.0:  # I(x) = x^a
             x = u ** (1.0 / a)
         elif a == 1.0:  # I(x) = 1 - (1 - x)^b
             with np.errstate(divide="ignore"):

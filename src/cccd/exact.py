@@ -17,7 +17,7 @@ Evaluation routes, from most to least exact:
   * closed forms for the uniform family and three step-density families;
   * an exact rational integrator for any piecewise-constant density
     (Fraction arithmetic end to end);
-  * a one-dimensional polynomial reduction for the density 2x on (0, 1);
+  * a one-dimensional polynomial reduction for the densities 2x and 2 - 2x on (0, 1);
   * adaptive two-dimensional quadrature for everything else: rect panels on
     the rectangle [0, 1/3] x [2/3, 1] above the lower edge, where G, f(s) and
     f(t) are evaluated once per coordinate node, and edge panels on the two
@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
-from .densities import _KRONROD15, GapUniform, ShrunkUniform, TwoStep, Uniform
+from .densities import _KRONROD15, GapUniform, GeneralLinear, ShrunkUniform, TwoStep, Uniform
 
 # Error floor of the quadrature, and its panel budget.
 _ABS_TOL = 1e-12
@@ -47,6 +47,9 @@ MAX_PANELS = 20_000
 # exponent n - 2 of G^(n-2) multiplies: past 10^10 the refinement stalls on that noise, and
 # from about 4e15 it settles on values off their limits by 8% and more
 QUADRATURE_MAX_N = 10 ** 10
+# for a density unbounded at the support edge: the arc-sine's (1 - p_n) n, whose limit is pi,
+# reads 3.1407 at 10^7 and 2.63 at 10^8, but 7.72 at 3e8 and 27.9 at 10^9
+UNBOUNDED_QUADRATURE_MAX_N = 10 ** 8
 # auto's exact-rational route builds Fractions of about n times the bits of the density's
 # rationals, so its cost has no bound in n: at this n it takes 2.4 ms for the uniform and
 # 16 ms for TwoStep(0.5), and quadrature takes over above it
@@ -93,12 +96,9 @@ def _require_sample_size(n):
     return n
 
 
-def _to_unit(model):
-    """Rescale to unit support; the law is invariant under affine maps.  Only a
-    ``GeneralLinear`` lives off the unit interval, and it rescales itself."""
-    if (model.support.lo, model.support.hi) == (0.0, 1.0):
-        return model
-    return model.to_unit()
+def quadrature_max_n(model):
+    """The largest n at which ``p_quadrature`` resolves p_n for ``model``."""
+    return UNBOUNDED_QUADRATURE_MAX_N if model.unbounded else QUADRATURE_MAX_N
 
 
 def p_uniform_fraction(n):
@@ -132,9 +132,9 @@ def p_closed_form(model, n):
         return p_uniform(n) * shrink ** n
     if isinstance(model, GapUniform):
         d = model.delta
-        if d >= 1.0 / 3.0:
-            # points split across the gap always need one ball per side, so
-            # gamma = 1 happens only when the whole sample shares a side
+        if d >= 1.0 / 6.0:
+            # a left point x has the ball (0, 2x), and 2x <= 1 - 2 delta <= 1/2 + delta: no
+            # ball reaches across the gap, so gamma = 1 only when every point shares a side
             return 1.0 - 2.0 ** (1 - n)
         c = 1.0 - 2.0 * d
         r6 = (1.0 - 6.0 * d) / c
@@ -144,11 +144,10 @@ def p_closed_form(model, n):
                 - (4.0 / 3.0) * (r2 / 4.0) ** n - (4.0 / 9.0) * (r6 / 4.0) ** n)
     if isinstance(model, TwoStep):
         d = model.delta
-        if abs(d) == 1.0:
-            return 0.0
         lead = 4.0 * (1.0 - d * d) / (9.0 - d * d)
-        tail = (8.0 / 3.0) * 4.0 ** (-n) * (1.0 - d * d) * (
-            (1.0 + d) ** (n - 1) / (3.0 - d) + (1.0 - d) ** (n - 1) / (3.0 + d))
+        # 4^-n goes into the powers, whose bases are then at most 1/2: no overflow at any n
+        tail = (2.0 / 3.0) * (1.0 - d * d) * (
+            ((1.0 + d) / 4.0) ** (n - 1) / (3.0 - d) + ((1.0 - d) / 4.0) ** (n - 1) / (3.0 + d))
         return lead - tail
     raise ValueError(
         f"family {model.family!r} has no closed form; use p_quadrature "
@@ -180,11 +179,10 @@ def p_exact_rational(model, n):
     forms are tested against, and it also covers step families without one.
     """
     n = _require_sample_size(n)
+    model = model.to_unit()
     parts = model.piecewise_polynomial_parts()
     if parts is None or model.polynomial_degree != 0:
         raise ValueError(f"family {model.family!r} is not piecewise constant")
-    if (model.support.lo, model.support.hi) != (0.0, 1.0):
-        raise ValueError("support: exact integration expects the unit interval")
     if n == 1:
         return Fraction(0)
 
@@ -269,7 +267,7 @@ def _x_moment(coeffs, d):
 
 
 def p_multinomial_squarecdf(n):
-    """p_n for the density 2x on (0, 1), by polynomial expansion.
+    """p_n for the density 2x on (0, 1), and for 2 - 2x, its mirror, by polynomial expansion.
 
     The t-integral collapses because t f(t) dt is proportional to dG, leaving
     one-dimensional integrals of x times powers of three quadratics:
@@ -517,12 +515,12 @@ def p_quadrature(model, n, config=None):
     the last rounds stop near the target instead of far below it.
     Raises QuadratureError (with the best estimate, its error and the
     panel count attached) if the panel budget runs out before the
-    requested tolerance is met, and ValueError for n past ``QUADRATURE_MAX_N``.
+    requested tolerance is met, and ValueError for n past ``quadrature_max_n(model)``.
     """
     n = _require_sample_size(n)
-    if n > QUADRATURE_MAX_N:
-        raise ValueError(f"n: quadrature resolves G^(n-2) only up to n = {QUADRATURE_MAX_N}, got {n}")
-    model = _to_unit(model)
+    if n > (top := quadrature_max_n(model)):
+        raise ValueError(f"n: quadrature resolves {model.family} only up to n = {top}, got {n}")
+    model = model.to_unit()
     config = config or QuadratureConfig()
     if n == 1:
         return ProbabilityReport(0.0, "quadrature", n, error_estimate=0.0,
@@ -564,7 +562,7 @@ def p_quadrature(model, n, config=None):
 def p_monte_carlo(model, n, reps=100000, seed=0):
     """Empirical p_n: the share of ``simulate.run`` replicates with gamma = 2."""
     n = _require_sample_size(n)
-    plan = simulate.SimulationPlan(fx=_to_unit(model), fy=(0.0, 1.0), n=n,
+    plan = simulate.SimulationPlan(fx=model.to_unit(), fy=(0.0, 1.0), n=n,
                                    reps=int(reps), seed=seed)
     p = simulate.run(plan).get(2, 0) / plan.reps
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / plan.reps)
@@ -576,18 +574,18 @@ def probability(model, n, method="auto", config=None):
 
     auto prefers exact arithmetic: the rational integrator for piecewise
     constant densities up to ``EXACT_RATIONAL_MAX_N``, the polynomial expansion
-    for the density 2x up to ``MULTINOMIAL_MAX_N``, adaptive quadrature otherwise.
+    for the linear densities of slope +-2 up to ``MULTINOMIAL_MAX_N``, quadrature otherwise.
     The other routes are called by name: ``p_closed_form``, ``p_exact_rational``,
     ``p_multinomial_squarecdf`` and ``p_monte_carlo``.
     """
     n = _require_sample_size(n)
-    model = _to_unit(model)
+    model = model.to_unit()
     if method == "auto":
         if (n <= EXACT_RATIONAL_MAX_N and model.polynomial_degree == 0
                 and model.piecewise_polynomial_parts() is not None):
             exact = p_exact_rational(model, n)
             return ProbabilityReport(float(exact), "exact-rational", n, exact=exact)
-        if model.family == "square_cdf" and n <= MULTINOMIAL_MAX_N:
+        if isinstance(model, GeneralLinear) and abs(model.a) == 2.0 and n <= MULTINOMIAL_MAX_N:
             exact = p_multinomial_squarecdf(n)
             return ProbabilityReport(float(exact), "multinomial", n, exact=exact)
     elif method != "quadrature":

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
-from .exact import _to_unit, probability
+from .exact import _require_sample_size, probability
 
 # Caps n + m on every route that runs the cell program or reads p_0..p_n, by
 # its cost: uniform anchors take about 0.33 s at n = m = 200 on two cores.
@@ -113,7 +113,7 @@ def conditional_on_anchors(fx, anchors):
         if not lo < a < hi:
             raise ValueError(f"anchors: {a!r} lies outside the open support ({lo}, {hi})")
     cell_probs = tuple(_cell_masses(fx, anchors)[0])
-    return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_model=_to_unit(fx))
+    return AnchorConditional(anchors=anchors, cell_probs=cell_probs, cell_model=fx.to_unit())
 
 
 @functools.cache
@@ -124,7 +124,7 @@ def _pair_prob(model, t):
 
 def _pair_probs(fx, n):
     """p_0..p_n of the unit-interval copy of ``fx`` that every middle cell hosts."""
-    model = _to_unit(fx)
+    model = fx.to_unit()
     return np.array([0.0, 0.0] + [_pair_prob(model, t) for t in range(2, n + 1)])
 
 
@@ -174,9 +174,7 @@ def _pmf_vector(cell_probs, p_pair, n):
 
 def _checked_sizes(n, m):
     """``(n, m)`` as ints, at least 1 each and with n + m within ``MAX_CELL_TOTAL``."""
-    n, m = int(n), int(m)
-    if n < 1:
-        raise ValueError(f"n: sample size must be at least 1, got {n}")
+    n, m = _require_sample_size(n), int(m)
     if m < 1:
         raise ValueError(f"m: need at least one anchor, got {m}")
     if n + m > MAX_CELL_TOTAL:
@@ -340,8 +338,6 @@ def expected_gamma_hu(n, m, p_table):
     if any(not 0 <= float(p) <= 1 for p in p_table[:n]):
         raise ValueError("p_table: probabilities must lie in [0, 1]")
     base = Fraction(2 * n, n + m)
-    if m < 2:
-        return base
     # m - 1 middle cells, each holding i points with chance
     # C(n - i + m - 1, m - 1) / C(n + m, m) = m (n + m - i - 1)_(m-1) / (n + m)_m
     coef = Fraction(m * (m - 1), math.perm(n + m, m))

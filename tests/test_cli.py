@@ -253,6 +253,29 @@ class TestExactAndQuadrature:
         assert (rows[0]["method"], rows[0]["exact_fraction"]) == ("quadrature", None)
         assert abs(rows[0]["p"] - 12 / 35) <= 1e-12
 
+    @pytest.mark.parametrize("command", ["exact", "quadrature"])
+    def test_unbounded_density_past_its_cap_exits_two(self, capsys, command):
+        # at 3e9 quadrature printed p = 2.66e-16 for the arc-sine, whose p_n tends to 1
+        density = '{"family": "arc_sine"}'
+        rc, out, err = run_cli(capsys, [command, "--n", str(10**8 + 1), "--density", density])
+        assert rc == 2 and out == ""
+        assert "--n must be at most 100000000" in err
+        rc, out, _ = run_cli(capsys, [command, "--n", str(10**8), "--density", density])
+        assert rc == 0 and parse_json_lines(out)[1][0]["p"] > 1.0 - 1e-7
+
+    def test_exact_gap_uniform_inside_the_old_band(self, capsys):
+        density = '{"family": "gap_uniform", "params": {"delta": 0.25}}'
+        rc, out, _ = run_cli(capsys, ["exact", "--n", "10", "--density", density])
+        assert rc == 0
+        row = parse_json_lines(out)[1][0]
+        assert (row["p"], row["method"], row["exact_fraction"]) == (0.998046875, "exact-rational", "511/512")
+
+    def test_general_linear_slope_past_two_over_width_squared_exits_two(self, capsys):
+        # it used to build inside a 1e-12 slack with pdf(0) = -1e-14, and exact then exited 1
+        density = '{"family": "general_linear", "params": {"a": 0.50000000000001}, "support": [0, 2]}'
+        rc, out, err = run_cli(capsys, ["exact", "--n", "5", "--density", density])
+        assert rc == 2 and out == "" and "a: general_linear slope" in err
+
     def test_quadrature_agrees_with_closed_form(self, capsys):
         rc, out, _ = run_cli(
             capsys, ["quadrature", "--n", "5", "--rel-tol", "1e-10"])

@@ -5,9 +5,11 @@ private (leading underscore) module-level name there, must be named in
 ``src/cccd``, ``demos/`` or ``perfbench/`` somewhere other than inside its own
 definition or assignment: as a name, an attribute, an import or a string (the
 benchmark's tracer looks some functions up by name). So must every method or
-property defined on a class there, public or private (bar dunders), somewhere
-other than inside its own def. Code that only tests reach should be deleted
-with its tests, or wired into a command, a demo or the benchmark.
+property defined on a class there, public or private (bar dunders), as an
+attribute read (``obj.name``) somewhere other than inside its own def; a local
+variable or a string of that name is no use of it. Code that only tests reach
+should be deleted with its tests, or wired into a command, a demo or the
+benchmark.
 
 Every name a module in ``src/cccd``, ``tests/`` or ``demos/`` imports is also
 read in that module, bar ``from __future__`` imports and the package's
@@ -99,13 +101,19 @@ def _methods(tree):
                     yield item
 
 
+def _attribute_reads(node):
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def test_every_method_is_named_outside_its_own_def():
     methods = [item for path in sorted(PACKAGE.glob("*.py")) for item in _methods(ast.parse(path.read_text()))]
     assert methods
-    mentions = _mentions()
-    # a method that names itself, say to recurse, takes those mentions back out
+    reads = sum((_attribute_reads(ast.parse(path.read_text()))
+                 for directory in CALLER_DIRS for path in sorted(directory.rglob("*.py"))), Counter())
+    # a method that reads itself, say to recurse, takes those reads back out
     assert sorted(item.name for item in methods
-                  if mentions[item.name] <= Counter(_named(item))[item.name]) == []
+                  if reads[item.name] <= _attribute_reads(item)[item.name]) == []
 
 
 def _imports(tree):

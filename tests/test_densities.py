@@ -324,9 +324,9 @@ def test_newton_quantile_keeps_every_bit():
 
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
 def test_leading_term_matches_pdf_beside_each_landmark(model):
-    w = model.support.width
-    combos = [("lo", "+", model.support.lo, 1), ("hi", "-", model.support.hi, -1),
-              ("mid", "+", model.support.mid, 1), ("mid", "-", model.support.mid, -1)]
+    lo, hi = model.support.lo, model.support.hi
+    w, mid = hi - lo, 0.5 * (lo + hi)
+    combos = [("lo", "+", lo, 1), ("hi", "-", hi, -1), ("mid", "+", mid, 1), ("mid", "-", mid, -1)]
     for which, side, base, direction in combos:
         c, a = model.leading_term(which, side)
         # dyadic offsets keep base + t w exact on a dyadic support
@@ -405,7 +405,7 @@ def test_parameter_validation_messages():
     with pytest.raises(ValueError, match="delta"):
         D.ShrunkUniform(0.5)
     with pytest.raises(ValueError, match="delta"):
-        D.GapUniform(0.25)
+        D.GapUniform(0.5)
     with pytest.raises(ValueError, match="delta"):
         D.TwoStep(1.5)
     with pytest.raises(ValueError, match="a:"):
@@ -449,7 +449,7 @@ def test_spec_parse_errors_name_fields():
     with pytest.raises(ValueError, match="params"):
         D.model_from_spec({"family": "linear", "params": {"slope": 1.0}})
     with pytest.raises(ValueError, match="delta"):
-        D.model_from_spec({"family": "gap_uniform", "params": {"delta": 0.2}})
+        D.model_from_spec({"family": "gap_uniform", "params": {"delta": 0.5}})
     with pytest.raises(ValueError, match="support"):
         D.model_from_spec({"family": "general_linear", "params": {"a": 0.1}})
     with pytest.raises(ValueError, match="support"):
@@ -506,6 +506,31 @@ def test_sampling_is_sorted_deterministic_and_unbiased():
     se = xs.std() / math.sqrt(xs.size)
     assert abs(xs.mean() - mean_oracle) < 4 * se
     assert xs.min() >= 0.0 and xs.max() <= 1.0
+
+
+def test_gap_uniform_builds_for_every_delta_below_a_half():
+    for d in np.linspace(0.0, 0.5, 51)[:-1]:
+        model = D.GapUniform(d)
+        assert model.delta == d and model.cdf(0.5) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_general_linear_bounds_the_slope_it_hands_to_linear():
+    # a = 2 / w^2 builds wherever a * w^2 rounds to at most 2, the slope of its unit copy; the
+    # pdf at the low end is then 0 to within the rounding of a (-5e-17 at w = 1.1)
+    for w in (3.0, 0.3, 7.0, 1.1, 2.5, 10.0, 0.7, 1.0 / 3.0):
+        model = D.GeneralLinear(2.0 / w ** 2, (0.0, w))
+        assert abs(model.pdf(0.0)) <= 4e-16 / w and 2.0 - 4e-16 <= model.to_unit().a <= 2.0
+    for a in (0.50000000000001, -0.50000000000001, math.nan):
+        with pytest.raises(ValueError, match="a: general_linear slope"):
+            D.GeneralLinear(a, (0.0, 2.0))
+
+
+def test_to_unit_returns_models_on_the_unit_interval_unchanged():
+    for model in model_zoo():
+        unit = model.to_unit()
+        assert (unit.support.lo, unit.support.hi) == (0.0, 1.0)
+        if (model.support.lo, model.support.hi) == (0.0, 1.0):
+            assert unit is model
 
 
 def test_general_linear_matches_unit_rescale():
@@ -796,10 +821,11 @@ def test_beta_quantile_route_error_against_mpmath(shape):
 def test_beta_quantile_scalar_and_zero_d_input(shape):
     a, b = shape
     model = D.Beta(a, b)
-    for u in (0.3, np.float64(0.3), np.array(0.3)):
-        x = model.quantile(u)
-        assert isinstance(x, float) and x == special.betaincinv(a, b, 0.3)
-    assert model.quantile(np.array([0.3]))[0] == pytest.approx(model.quantile(0.3), rel=1e-14)
+    # a scalar takes the array route, which is within about an ulp of mpmath
+    for v in (1e-300, 0.001, 0.3, 0.999):
+        for u in (v, np.float64(v), np.array(v)):
+            x = model.quantile(u)
+            assert isinstance(x, float) and x == model.quantile(np.array([v]))[0]
 
 
 @pytest.mark.parametrize("shape", BETA_ROUTE_SHAPES + [(1.01, 50), (100, 100)], ids=str)

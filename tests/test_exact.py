@@ -80,6 +80,26 @@ class TestClosedForms:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-14)
 
+    def test_gap_band_from_a_sixth_is_side_split_law(self):
+        # from delta = 1/6 no ball reaches across the gap: the law is exactly 1 - 2^(1-n)
+        for d in (0.17, 0.2, 0.25, 0.3, 1.0 / 3.0 - 1e-9):
+            for n in (2, 3, 10, 40):
+                side_split = 1 - Fraction(2) ** (1 - n)
+                assert exact.p_exact_rational(GapUniform(d), n) == side_split
+                assert exact.p_closed_form(GapUniform(d), n) == float(side_split)
+
+    def test_gap_closed_form_matches_exact_engine_on_every_delta(self):
+        for d in [*np.linspace(0.0, 0.49, 50), 1.0 / 6.0, 1.0 / 3.0]:
+            for n in (2, 3, 7, 30, 200):
+                cf = exact.p_closed_form(GapUniform(d), n)
+                assert cf == pytest.approx(float(exact.p_exact_rational(GapUniform(d), n)), abs=4e-16)
+
+    def test_gap_band_matches_monte_carlo(self):
+        for d in (0.2, 0.25, 0.3):
+            p = exact.p_closed_form(GapUniform(d), 4)
+            mc = exact.p_monte_carlo(GapUniform(d), 4, reps=40_000, seed=3)
+            assert abs(mc.value - p) < 4 * mc.error_estimate
+
     def test_gap_small_delta_hand_values(self):
         # n = 2, delta = 1/10: direct geometric computation gives 11/24
         assert exact.p_closed_form(GapUniform(0.1), 2) == pytest.approx(11 / 24)
@@ -90,6 +110,20 @@ class TestClosedForms:
         for n in (2, 5, 17):
             assert exact.p_closed_form(GapUniform(0.0), n) == pytest.approx(
                 exact.p_uniform(n), abs=1e-15)
+
+    def test_two_step_closed_form_holds_at_every_n(self):
+        # (1 + delta)^(n-1) overflowed from n = 1752 at delta = 0.5 before 4^-n went into the powers
+        for d in (-1.0, -0.5, 0.0, 0.5, 0.99, 1.0):
+            lead = 4.0 * (1.0 - d * d) / (9.0 - d * d)
+            for n in (1752, 10 ** 4, 10 ** 6):
+                assert exact.p_closed_form(TwoStep(d), n) == lead
+        # at |delta| = 1 the formula gives 0.0 at every n with no branch of its own
+        for n in (2, 3, 60, 10 ** 6):
+            assert exact.p_closed_form(TwoStep(1.0), n) == 0.0 == exact.p_closed_form(TwoStep(-1.0), n)
+        for d in (-0.9, 0.5, 0.75):
+            for n in (500, 2000):
+                en = float(exact.p_exact_rational(TwoStep(d), n))
+                assert exact.p_closed_form(TwoStep(d), n) == pytest.approx(en, abs=1e-16)
 
     def test_two_step_degenerate(self):
         assert exact.p_closed_form(TwoStep(1.0), 5) == 0.0
@@ -109,6 +143,10 @@ class TestExactRational:
     def test_rejects_smooth_families(self):
         with pytest.raises(ValueError, match="piecewise"):
             exact.p_exact_rational(Linear(1.0), 3)
+
+    def test_rescales_off_the_unit_interval(self):
+        for n in (2, 7):
+            assert exact.p_exact_rational(GeneralLinear(0.0, (1.0, 3.0)), n) == exact.p_uniform_fraction(n)
 
     def test_three_step_spot_values(self):
         # frozen from this engine after it was validated against the four
@@ -407,6 +445,16 @@ class TestProbabilityRouting:
                 rep = exact.probability(model, n)
                 assert (rep.method, rep.exact) == ("exact-rational", exact.p_uniform_fraction(n))
 
+    @pytest.mark.parametrize("model", [Linear(2.0), Linear(-2.0), GeneralLinear(0.5, (0.0, 2.0)),
+                                       GeneralLinear(-2.0 / 9.0, (1.0, 4.0))], ids=repr)
+    def test_every_linear_density_of_slope_two_takes_the_multinomial_route(self, model):
+        # gamma does not change under x -> 1 - x, so the slope -2 has the law of 2x
+        for n in (2, 10, 60):
+            rep = exact.probability(model, n)
+            assert (rep.method, rep.exact) == ("multinomial", exact.p_multinomial_squarecdf(n))
+            quad = exact.probability(model, n, method="quadrature", config=exact.QuadratureConfig(1e-12))
+            assert quad.value == pytest.approx(rep.value, abs=1e-12)
+
     def test_auto_leaves_the_rational_route_past_its_cap(self):
         top = exact.EXACT_RATIONAL_MAX_N
         rep = exact.probability(Uniform(), top)
@@ -423,6 +471,17 @@ class TestProbabilityRouting:
         for n in (top + 1, 4 * 10**15, 10**26):
             with pytest.raises(ValueError, match="quadrature resolves"):
                 exact.probability(Uniform(), n)
+
+    def test_quadrature_refuses_unbounded_densities_past_their_cap(self):
+        # the arc-sine's (1 - p_n) n tends to pi: 2.63 at the cap, 7.72 at 3e8, 27.9 at 1e9
+        top = exact.UNBOUNDED_QUADRATURE_MAX_N
+        assert exact.quadrature_max_n(ArcSine()) == top < exact.quadrature_max_n(Beta(2, 2))
+        assert (1.0 - exact.probability(ArcSine(), top).value) * top == pytest.approx(2.63, abs=0.01)
+        for n in (top + 1, 3 * 10 ** 9):
+            with pytest.raises(ValueError, match="quadrature resolves arc_sine only up to"):
+                exact.probability(ArcSine(), n)
+            with pytest.raises(ValueError, match="quadrature resolves"):
+                exact.p_quadrature(ArcSine(), n)
 
     def test_exact_field_carries_fraction(self):
         rep = exact.probability(Uniform(), 2)
