@@ -27,7 +27,10 @@ import numpy as np
 MASS_TOL = 1e-10
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
 BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
+# 3-point Gauss-Legendre rule on [-1, 1]: the doubles leggauss(3) returns, written out so that
+# importing the module skips numpy.polynomial; the end weight is not the double nearest 5/9
+_GAUSS3 = (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
+           np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557]))
 # nested 7/15 Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15): nodes, Kronrod weights, Gauss weights of odd nodes
 _KX = np.array([0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
                 0.586087235467691130, 0.405845151377397167, 0.207784955007898468])

@@ -513,6 +513,8 @@ def p_quadrature(model, n, config=None):
     Each round splits the fewest worst panels whose error estimates sum to
     at least the error minus half the target, and never more than 64, so
     the last rounds stop near the target instead of far below it.
+    The value is clipped to [0, 1]: a law near 0 or 1 may sum to just outside it, within
+    the error estimate, which is reported unclipped.
     Raises QuadratureError (with the best estimate, its error and the
     panel count attached) if the panel budget runs out before the
     requested tolerance is met, and ValueError for n past ``quadrature_max_n(model)``.
@@ -555,7 +557,7 @@ def p_quadrature(model, n, config=None):
         vals = np.concatenate([np.delete(vals, worst), child_vals])
         errs = np.concatenate([np.delete(errs, worst), np.abs(child_vals - child_rough)])
         value, error = vals.cumsum()[-1], errs.cumsum()[-1]
-    return ProbabilityReport(float(value), "quadrature", n,
+    return ProbabilityReport(float(min(max(value, 0.0), 1.0)), "quadrature", n,
                              error_estimate=float(error), panels=len(rects))
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,15 +52,45 @@ def test_workload_ops_build(perfbench, workload):
     assert ops and all(callable(op.run) and callable(op.check) for op in ops)
 
 
+# modules that cold start would load only for code nothing runs at that point: numpy.ma
+# (through np.unique), concurrent.futures (parallel runs only) and numpy.polynomial
+COLD_UNUSED = ("numpy.ma", "concurrent.futures", "numpy.polynomial")
+BUILD_MODELS = "import sys, cccd.cli, workloads\nworkloads.build_models(sys.argv[1], 0)"
+
+
+def _loaded_in_fresh_process(code, modules, *args):
+    """Which of ``modules`` a fresh interpreter has imported after running ``code``."""
+    src, bench = str(ROOT / "src"), str(ROOT / "perfbench")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, bench, os.environ.get("PYTHONPATH")]))}
+    code += f"\nprint(*[m for m in {tuple(modules)!r} if m in sys.modules], sep=',')"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=True)
+    last = done.stdout.splitlines()[-1]
+    return last.split(",") if last else []
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_models_build_without_scipy_special(workload):
     # set-up is timed from a cold start to the built models; scipy.special costs about 0.3 s
     # there, so no model of any workload may load it before its first cdf or quantile
-    src, bench = str(ROOT / "src"), str(ROOT / "perfbench")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, bench, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, cccd.cli, workloads\nworkloads.build_models(sys.argv[1], 0)\n"
-            "print('scipy.special' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, workload], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["False"]
+    assert _loaded_in_fresh_process(BUILD_MODELS, ["scipy.special"], workload) == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_models_build_without_cold_unused_modules(workload):
+    assert _loaded_in_fresh_process(BUILD_MODELS, COLD_UNUSED, workload) == []
+
+
+def test_cli_exact_runs_without_cold_unused_modules():
+    code = ("import runpy, sys\nsys.argv = ['cccd', 'exact', '--n', '10']\n"
+            "try:\n    runpy.run_module('cccd.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+    assert _loaded_in_fresh_process(code, COLD_UNUSED) == []
+
+
+def test_gauss3_is_the_rule_leggauss_returns():
+    from cccd.densities import _GAUSS3
+
+    for ours, ref in zip(_GAUSS3, np.polynomial.legendre.leggauss(3), strict=True):
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()

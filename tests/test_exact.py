@@ -411,6 +411,13 @@ class TestQuadrature:
             q = exact.p_quadrature(model, 2000)
             assert abs(q.value - limit) < 5e-3
 
+    @pytest.mark.parametrize("delta", [0.45, 0.2])
+    def test_value_near_one_is_clipped_into_the_unit_interval(self, delta):
+        # the unclipped sums land about 1e-11 above 1, inside the error estimate
+        q = exact.p_quadrature(GapUniform(delta), 20_000)
+        assert q.value <= 1.0
+        assert abs(q.value - exact.p_closed_form(GapUniform(delta), 20_000)) <= q.error_estimate
+
     def test_config_validation(self):
         for rel_tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="rel_tol"):

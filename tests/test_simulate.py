@@ -83,6 +83,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="distinct"):
             SimulationPlan(fx=UNIFORM, fy=[0.5, 0.5], n=2)
 
+    @pytest.mark.parametrize("fy", [(math.nan,), (0.5, math.nan), (0.5, math.nan, math.nan),
+                                    (math.inf,), (0.2, -math.inf)])
+    def test_non_finite_anchors_rejected(self, fy):
+        # NaN fails both support comparisons, so only a finiteness check keeps it out
+        with pytest.raises(ValueError, match="finite"):
+            SimulationPlan(fx=UNIFORM, fy=fy, n=5, reps=4096)
+
     def test_anchors_outside_support_rejected(self):
         with pytest.raises(ValueError, match="support"):
             SimulationPlan(fx=UNIFORM, fy=[0.2, 1.3], n=2)
