@@ -430,19 +430,23 @@ class GeneralLinear(_PiecewisePolynomial):
         # the slope bound needs the width's square as a normal double
         if not 2.0 ** -511 <= s.width < 2.0 ** 511:
             raise ValueError(f"support: general_linear needs a width in [2**-511, 2**511), got {s.width}")
-        # the bound is on the slope that ``to_unit`` hands to Linear, computed as it computes it
-        if not abs(a * s.width ** 2) <= 2.0:  # NaN fails this test too
+        # the bound is on the slope that ``to_unit`` hands to Linear, and the pieces take it too
+        self._unit_a = a * s.width ** 2
+        if not abs(self._unit_a) <= 2.0:  # NaN fails this test too
             raise ValueError(f"a: {self.family} slope must satisfy |a * width^2| <= 2, got {a}")
         self.a, self.support = a, s
-        # mass 1 puts the height 1/width at the midpoint, whatever the slope
-        width = Fraction(s.hi) - Fraction(s.lo)
-        super().__init__([s.lo, s.hi], [[1 / width - Fraction(a) * width / 2, a]])
+        # mass 1 puts the height 1/width at the midpoint: (1 - A/2)/width + (A/width^2)(x - lo)
+        unit, width = Fraction(self._unit_a), Fraction(s.hi) - Fraction(s.lo)
+        super().__init__([s.lo, s.hi], [[(1 - unit / 2) / width, unit / width ** 2]])
 
     def to_unit(self):
         """The same shape rescaled onto [0,1]: Linear(a * width^2), or self already there."""
         if self.support == DensityModel.support:
             return self
-        return Linear(self.a * self.support.width ** 2)
+        return Linear(self._unit_a)
+
+    def _pdf(self, x):  # where A = -2, the rounded c0 + c1 (hi - lo) can fall an ulp below 0
+        return np.maximum(super()._pdf(x), 0.0)
 
 
 class Linear(GeneralLinear):

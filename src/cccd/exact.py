@@ -15,8 +15,8 @@ so 0 <= G <= 1 on the region.
 
 Evaluation routes, from most to least exact:
   * closed forms for the uniform family and three step-density families;
-  * an exact rational integrator for any piecewise-constant density
-    (Fraction arithmetic end to end);
+  * an exact rational integrator for any piecewise-constant density (its
+    terms are summed in integers over one common denominator, then reduced once);
   * a one-dimensional polynomial reduction for the densities 2x and 2 - 2x on (0, 1);
   * adaptive two-dimensional quadrature for everything else: rect panels on
     the rectangle [0, 1/3] x [2/3, 1] above the lower edge, where G, f(s) and
@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,8 +52,9 @@ QUADRATURE_MAX_N = 10 ** 10
 # reads 3.1407 at 10^7 and 2.63 at 10^8, but 7.72 at 3e8 and 27.9 at 10^9
 UNBOUNDED_QUADRATURE_MAX_N = 10 ** 8
 # auto's exact-rational route builds Fractions of about n times the bits of the density's
-# rationals, so its cost has no bound in n: at this n it takes 2.4 ms for the uniform and
-# 16 ms for TwoStep(0.5), and quadrature takes over above it
+# rationals, so its cost has no bound in n: at this n the uniform takes 0.5 ms, TwoStep(0.5) 6 ms
+# and GapUniform(0.1), whose 2^55 denominators make the final gcd the bulk, 0.4-0.6 s (2-core VM,
+# Python 3.11); quadrature takes over above it
 EXACT_RATIONAL_MAX_N = 10 ** 4
 
 
@@ -168,7 +170,20 @@ def _kinks(knots):
     return t_kinks, s_cuts
 
 
-# exact rational route for piecewise-constant densities
+# exact rational routes
+
+def _power_sum(terms):
+    """The sum of c b^k over a collection of ((b, k), c) int or Fraction pairs, as a Fraction:
+    each b^k goes over D^top, D the lcm of the bases' denominators, and each c over the lcm of
+    its denominators, so the sum runs in integers and the final Fraction does the only gcd."""
+    base_den = math.lcm(*(b.denominator for (b, _), _ in terms))
+    coef_den = math.lcm(*(c.denominator for _, c in terms))
+    top = max((k for (_, k), _ in terms), default=0)
+    total = sum(c.numerator * (coef_den // c.denominator)
+                * (b.numerator * (base_den // b.denominator)) ** k * base_den ** (top - k)
+                for (b, k), c in terms)
+    return Fraction(total, coef_den * base_den ** top)
+
 
 def p_exact_rational(model, n):
     """p_n for a piecewise-constant density, in exact rational arithmetic.
@@ -177,14 +192,13 @@ def p_exact_rational(model, n):
     of a linear function of t and the outer one a power of a linear function
     of s, both integrable in closed form. This is the arbiter the closed
     forms are tested against, and it also covers step families without one.
+    Each piece adds terms c (g0 + g1 s)^n to one ``_power_sum``.
     """
     n = _require_sample_size(n)
     model = model.to_unit()
     parts = model.piecewise_polynomial_parts()
     if parts is None or model.polynomial_degree != 0:
         raise ValueError(f"family {model.family!r} is not piecewise constant")
-    if n == 1:
-        return Fraction(0)
 
     starts, heights = [lo for lo, _, _ in parts], [coefs[0] for _, _, coefs in parts]
     cum = list(itertools.accumulate(((hi - lo) * h for (lo, hi, _), h in zip(parts, heights)),
@@ -208,62 +222,42 @@ def p_exact_rational(model, n):
     t_kinks, s_kinks = _kinks(starts)
     s_cuts = sorted({Fraction(0), half, third} | s_kinks)
 
-    total = Fraction(0)
+    table = defaultdict(int)
     for s_lo, s_hi in zip(s_cuts[:-1], s_cuts[1:]):
         s_mid = (s_lo + s_hi) / 2
         f_s = height(s_mid)
         if f_s == 0:
             continue
-        if s_mid <= third:
-            lam0, lam1 = half, half          # L(s) = (1 + s) / 2
-        else:
-            lam0, lam1 = Fraction(0), Fraction(2)   # L(s) = 2 s
-        L_mid = lam0 + lam1 * s_mid
         beta1 = (B(s_hi) - B(s_lo)) / (s_hi - s_lo)
         beta0 = B(s_lo) - beta1 * s_lo
-        taus = [tau for tau in t_kinks if tau > L_mid]
-        edges = [None] + taus + [one]        # None marks the moving edge L(s)
-        for t_a, t_b in zip(edges[:-1], edges[1:]):
-            probe = (L_mid + t_b) / 2 if t_a is None else (t_a + t_b) / 2
-            f_t = height(probe)
+        # every t-edge is a line e0 + e1 s: the lower edge L(s) is (1 + s) / 2 up to s = 1/3 and
+        # 2 s above it, and the kinks above it and t = 1 are constant
+        lower = (half, half) if s_mid <= third else (0, 2)
+        L_mid = lower[0] + lower[1] * s_mid
+        edges = [lower, *((tau, 0) for tau in t_kinks if tau > L_mid), (one, 0)]
+        for (a0, a1), (t_b, _) in zip(edges[:-1], edges[1:]):
+            t_a = a0 + a1 * s_mid
+            f_t = height((t_a + t_b) / 2)
             if f_t == 0:
                 continue
-            lo_ref = L_mid if t_a is None else t_a
-            alpha1 = (A(t_b) - A(lo_ref)) / (t_b - lo_ref)
+            alpha1 = (A(t_b) - A(t_a)) / (t_b - t_a)
             alpha0 = A(t_b) - alpha1 * t_b
-            for edge, sign in ((t_b, 1), (t_a, -1)):
-                if edge is None:
-                    g0 = alpha0 + alpha1 * lam0 - beta0
-                    g1 = alpha1 * lam1 - beta1
-                else:
-                    g0 = alpha0 + alpha1 * edge - beta0
-                    g1 = -beta1
+            weight = f_s * f_t / alpha1
+            for (e0, e1), coef in (((t_b, 0), weight), ((a0, a1), -weight)):
+                g0, g1 = alpha0 + alpha1 * e0 - beta0, alpha1 * e1 - beta1
                 if g1 == 0:
-                    piece = n * (s_hi - s_lo) * (g0 ** (n - 1))
+                    # G is constant along L(s) where f(t/2) = 4 f(s) below s = 1/3 or f((1+s)/2)
+                    # = 4 f(2s) above: ThreeStep(-3/5) has it, but no double delta does
+                    table[g0, n - 1] += coef * n * (s_hi - s_lo)
                 else:
-                    hi_val = (g0 + g1 * s_hi) ** n
-                    lo_val = (g0 + g1 * s_lo) ** n
-                    piece = (hi_val - lo_val) / g1
-                total += sign * f_s * f_t * piece / alpha1
-    return total
+                    table[g0 + g1 * s_hi, n] += coef / g1
+                    table[g0 + g1 * s_lo, n] -= coef / g1
+    return _power_sum(table.items())
 
 
 # one-dimensional reduction for the density f(x) = 2x
 
 MULTINOMIAL_MAX_N = 60
-
-
-def _x_moment(coeffs, d):
-    """Integral of x * q(x) over [0, 1/d] for integer coefficients of q.
-
-    Every term c_k x^(k+2) / (k+2) of the antiderivative is brought over the
-    one denominator lcm(2..K) * d^K, with K = deg q + 2, so the sum runs in
-    integers.
-    """
-    top = len(coeffs) + 1
-    scale = math.lcm(*range(2, top + 1))
-    num = sum(c * (scale // (k + 2)) * d ** (top - k - 2) for k, c in enumerate(coeffs))
-    return Fraction(num, scale * d ** top)
 
 
 def p_multinomial_squarecdf(n):
@@ -278,12 +272,10 @@ def p_multinomial_squarecdf(n):
     with P1 = 1 - x/2 - 5x^2/4 (value of G at t = 1), P2 = 1/16 + x/8
     - 15x^2/16 (at t = (1+x)/2) and P3 = -1/4 - x/2 + 15x^2/4 (at t = 2x).
     The powers of 4 P1, 16 P2 and 4 P3 are expanded in integer arithmetic
-    and the scale comes off once at the end, so the result is an exact
-    Fraction; the n cap only bounds the polynomial degree.
+    and their moments summed over one common denominator, so the result is
+    an exact Fraction; the n cap only bounds the polynomial degree.
     """
     n = _require_sample_size(n)
-    if n == 1:
-        return Fraction(0)
     if n > MULTINOMIAL_MAX_N:
         raise ValueError(
             f"n: polynomial expansion is supported for n <= {MULTINOMIAL_MAX_N}, got {n}")
@@ -295,9 +287,13 @@ def p_multinomial_squarecdf(n):
                  for x, y, z in zip(q + [0, 0], [0] + q + [0], [0, 0] + q)]
         powers.append(q)
     q1, q2, q3 = powers
-    # int_0^{1/3} + int_{1/3}^{1/2} of x q1 is the moment of q1 up to 1/2
-    quarter = _x_moment(q1, 2) - _x_moment(q3, 2) + _x_moment(q3, 3)
-    return Fraction(8 * n, 5) * (quarter / 4 ** (n - 1) - _x_moment(q2, 3) / 16 ** (n - 1))
+    # over 16^(n-1): moments of 4^(n-1) (q1 - q3) up to 1/2 and of 4^(n-1) q3 - q2 up to 1/3
+    scale = 4 ** (n - 1)
+    moments = {2: [scale * (a - c) for a, c in zip(q1, q3)],
+               3: [scale * c - b for b, c in zip(q2, q3)]}
+    return Fraction(8 * n, 5 * 16 ** (n - 1)) * _power_sum(
+        [((Fraction(1, d), k + 2), Fraction(c, k + 2))
+         for d, q in moments.items() for k, c in enumerate(q)])
 
 
 # adaptive two-dimensional quadrature

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
-from .exact import _require_sample_size, probability
+from .exact import _power_sum, _require_sample_size, probability
 
 # Caps n + m on every route that runs the cell program or reads p_0..p_n, by
 # its cost: uniform anchors take about 0.33 s at n = m = 200 on two cores.
@@ -341,9 +341,8 @@ def expected_gamma_hu(n, m, p_table):
     # m - 1 middle cells, each holding i points with chance
     # C(n - i + m - 1, m - 1) / C(n + m, m) = m (n + m - i - 1)_(m-1) / (n + m)_m
     coef = Fraction(m * (m - 1), math.perm(n + m, m))
-    acc = Fraction(0)
-    for i in range(1, n + 1):
-        acc += math.perm(n + m - i - 1, m - 1) * (1 + Fraction(p_table[i - 1]))
+    acc = _power_sum([((1 + Fraction(p), 1), math.perm(n + m - i - 1, m - 1))
+                      for i, p in enumerate(p_table[:n], 1)])
     return base + coef * acc
 
 

@@ -515,11 +515,16 @@ def test_gap_uniform_builds_for_every_delta_below_a_half():
 
 
 def test_general_linear_bounds_the_slope_it_hands_to_linear():
-    # a = 2 / w^2 builds wherever a * w^2 rounds to at most 2, the slope of its unit copy; the
-    # pdf at the low end is then 0 to within the rounding of a (-5e-17 at w = 1.1)
-    for w in (3.0, 0.3, 7.0, 1.1, 2.5, 10.0, 0.7, 1.0 / 3.0):
-        model = D.GeneralLinear(2.0 / w ** 2, (0.0, w))
-        assert abs(model.pdf(0.0)) <= 4e-16 / w and 2.0 - 4e-16 <= model.to_unit().a <= 2.0
+    # a = +-2 / w^2 builds wherever a * w^2 rounds to at most 2 in size, the slope A of its unit
+    # copy; the pieces take A too, so the pdf never dips below 0 (it read -5e-17 at the low end
+    # for w = 1.1 when they took a) and is 0 at its vanishing end to within the rounding of A
+    for w in (3.0, 0.3, 7.0, 1.1, 2.5, 10.0, 0.7, 1.0 / 3.0, 5.5):
+        for sign in (1.0, -1.0):
+            model = D.GeneralLinear(sign * 2.0 / w ** 2, (0.0, w))
+            low, high = model.pdf(0.0), model.pdf(w)
+            assert low >= 0.0 and high >= 0.0
+            assert (low if sign > 0 else high) <= 4e-16 / w
+            assert 2.0 - 4e-16 <= sign * model.to_unit().a <= 2.0
     for a in (0.50000000000001, -0.50000000000001, math.nan):
         with pytest.raises(ValueError, match="a: general_linear slope"):
             D.GeneralLinear(a, (0.0, 2.0))

@@ -9,7 +9,7 @@ from cccd import exact
 from cccd.densities import (_KRONROD15, AbsSine, ArcSine, Beta, GapUniform, GeneralLinear,
                             Linear, PieceQuadratic, QPower, ShrunkUniform,
                             SquareCdf, ThreeStep, TruncatedNormal, TwoStep,
-                            Uniform)
+                            Uniform, _PiecewisePolynomial)
 
 STEP_MODELS = [
     ShrunkUniform(0.1), ShrunkUniform(0.22), ShrunkUniform(0.27),
@@ -139,6 +139,17 @@ class TestClosedForms:
             exact.p_closed_form(Linear(1.0), 5)
 
 
+class _ExactThreeStep(_PiecewisePolynomial):
+    """ThreeStep(-3/5) with its heights 2/5, 8/5, 2/5 as exact Fractions, which no double delta
+    gives: the lower edge then reads heights 4:1, and G is constant along it."""
+
+    family = "three_step_exact"
+
+    def __init__(self):
+        super().__init__([0, Fraction(1, 4), Fraction(3, 4), 1],
+                         [[Fraction(2, 5)], [Fraction(8, 5)], [Fraction(2, 5)]])
+
+
 class TestExactRational:
     def test_rejects_smooth_families(self):
         with pytest.raises(ValueError, match="piecewise"):
@@ -153,6 +164,19 @@ class TestExactRational:
         # closed-form families, independent quadrature and Monte Carlo
         assert exact.p_exact_rational(ThreeStep(0.5), 2) == Fraction(41, 96)
         assert exact.p_exact_rational(ThreeStep(-0.25), 3) == Fraction(7877, 24576)
+
+    def test_constant_lower_edge_matches_quadrature(self):
+        # the only model whose lower edge has g1 = 0, the n (s_hi - s_lo) g0^(n-1) term
+        config = exact.QuadratureConfig(rel_tol=1e-12)
+        for n in (2, 3, 5, 10, 50):
+            quad = exact.p_quadrature(_ExactThreeStep(), n, config).value
+            assert float(exact.p_exact_rational(_ExactThreeStep(), n)) == pytest.approx(quad, rel=1e-12)
+
+    def test_large_n_matches_closed_forms(self):
+        # the closed forms drift by about n ulp, so the bound is relative
+        for model in (GapUniform(0.1), ShrunkUniform(0.1), TwoStep(0.4)):
+            rational = float(exact.p_exact_rational(model, 3000))
+            assert rational == pytest.approx(exact.p_closed_form(model, 3000), rel=1e-12, abs=0)
 
     def test_values_are_probabilities(self):
         for model in STEP_MODELS:
