@@ -140,9 +140,10 @@ def _resolve(args) -> CommandRequest:
         raise ValueError("--curves needs --out pointing at a directory")
     if req.n is not None and req.n < 1:
         raise ValueError("--n must be at least 1")
-    if req.subcommand in ("exact", "quadrature") and req.n > exact.quadrature_max_n(model):
-        # every route past this n is quadrature, which cannot resolve p_n there
-        raise ValueError(f"--n must be at most {exact.quadrature_max_n(model)}")
+    if req.subcommand == "quadrature" or (
+            req.subcommand == "exact" and exact._auto_route(model.to_unit(), req.n) == "quadrature"):
+        if req.n > exact.quadrature_max_n(model):
+            raise ValueError(f"--n must be at most {exact.quadrature_max_n(model)}")
     least_m = 1 if req.subcommand == "multi" else 0  # simulate reads 0 as endpoint anchors
     if req.m is not None and req.m < least_m:
         raise ValueError(f"--m must be at least {least_m}")

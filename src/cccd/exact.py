@@ -15,8 +15,9 @@ so 0 <= G <= 1 on the region.
 
 Evaluation routes, from most to least exact:
   * closed forms for the uniform family and three step-density families;
-  * an exact rational integrator for any piecewise-constant density (its
-    terms are summed in integers over one common denominator, then reduced once);
+  * an exact rational walk for any piecewise-constant density, run once per model, whose
+    terms are summed in integers over one common denominator for the Fraction of p_n, or
+    at working precision under an error bound for the double nearest p_n at any n;
   * a one-dimensional polynomial reduction for the densities 2x and 2 - 2x on (0, 1);
   * adaptive two-dimensional quadrature for everything else: rect panels on
     the rectangle [0, 1/3] x [2/3, 1] above the lower edge, where G, f(s) and
@@ -30,6 +31,8 @@ Evaluation routes, from most to least exact:
 from __future__ import annotations
 
 import bisect
+import decimal
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -51,10 +54,9 @@ QUADRATURE_MAX_N = 10 ** 10
 # for a density unbounded at the support edge: the arc-sine's (1 - p_n) n, whose limit is pi,
 # reads 3.1407 at 10^7 and 2.63 at 10^8, but 7.72 at 3e8 and 27.9 at 10^9
 UNBOUNDED_QUADRATURE_MAX_N = 10 ** 8
-# auto's exact-rational route builds Fractions of about n times the bits of the density's
-# rationals, so its cost has no bound in n: at this n the uniform takes 0.5 ms, TwoStep(0.5) 6 ms
-# and GapUniform(0.1), whose 2^55 denominators make the final gcd the bulk, 0.4-0.6 s (2-core VM,
-# Python 3.11); quadrature takes over above it
+# auto's exact-rational report carries the Fraction of p_n up to this n. It has about n times the
+# bits of the density's rationals: here the uniform takes 0.5 ms, TwoStep(0.5) 6 ms and
+# GapUniform(0.1), whose 2^55 denominators make the final gcd the bulk, 0.4-0.6 s (2-core VM)
 EXACT_RATIONAL_MAX_N = 10 ** 4
 
 
@@ -110,7 +112,8 @@ def p_uniform_fraction(n):
 
 
 def p_uniform(n):
-    return float(p_uniform_fraction(n))
+    # p_n rises to 4/9 and rounds to the double nearest it from n = 28 on: no larger 4^n is needed
+    return float(p_uniform_fraction(min(n, 28)))
 
 
 def p_closed_form(model, n):
@@ -185,17 +188,16 @@ def _power_sum(terms):
     return Fraction(total, coef_den * base_den ** top)
 
 
-def p_exact_rational(model, n):
-    """p_n for a piecewise-constant density, in exact rational arithmetic.
+@functools.cache
+def _walk(model):
+    """The terms of p_n for a piecewise-constant unit model, which do not depend on n.
 
     The region is cut so that on each piece the inner integrand is a power
     of a linear function of t and the outer one a power of a linear function
-    of s, both integrable in closed form. This is the arbiter the closed
-    forms are tested against, and it also covers step families without one.
-    Each piece adds terms c (g0 + g1 s)^n to one ``_power_sum``.
+    of s, both integrable in closed form. Returns {b: C_b} and {g: D_g}, zero coefficients
+    dropped, with p_n = sum C_b b^n + n sum D_g g^(n-1), the second sum from edges where g1 = 0.
+    The cache hands every caller the same two dicts, so callers only read them.
     """
-    n = _require_sample_size(n)
-    model = model.to_unit()
     parts = model.piecewise_polynomial_parts()
     if parts is None or model.polynomial_degree != 0:
         raise ValueError(f"family {model.family!r} is not piecewise constant")
@@ -222,7 +224,7 @@ def p_exact_rational(model, n):
     t_kinks, s_kinks = _kinks(starts)
     s_cuts = sorted({Fraction(0), half, third} | s_kinks)
 
-    table = defaultdict(int)
+    powers, flat = defaultdict(int), defaultdict(int)
     for s_lo, s_hi in zip(s_cuts[:-1], s_cuts[1:]):
         s_mid = (s_lo + s_hi) / 2
         f_s = height(s_mid)
@@ -248,11 +250,63 @@ def p_exact_rational(model, n):
                 if g1 == 0:
                     # G is constant along L(s) where f(t/2) = 4 f(s) below s = 1/3 or f((1+s)/2)
                     # = 4 f(2s) above: ThreeStep(-3/5) has it, but no double delta does
-                    table[g0, n - 1] += coef * n * (s_hi - s_lo)
+                    flat[g0] += coef * (s_hi - s_lo)
                 else:
-                    table[g0 + g1 * s_hi, n] += coef / g1
-                    table[g0 + g1 * s_lo, n] -= coef / g1
-    return _power_sum(table.items())
+                    powers[g0 + g1 * s_hi] += coef / g1
+                    powers[g0 + g1 * s_lo] -= coef / g1
+    return ({b: c for b, c in powers.items() if c}, {g: d for g, d in flat.items() if d})
+
+
+def _walk_terms(model, n):
+    """The walk's terms at n as ((base, power), coefficient) pairs."""
+    powers, flat = _walk(model)
+    return ([((b, n), c) for b, c in powers.items()]
+            + [((g, n - 1), n * d) for g, d in flat.items()])
+
+
+def p_exact_rational(model, n):
+    """p_n for a piecewise-constant density as a Fraction: the arbiter the closed forms are
+    tested against, which also covers step families without one."""
+    n = _require_sample_size(n)
+    return _power_sum(_walk_terms(model.to_unit(), n))
+
+
+def _p_walk(model, n):
+    """p_n for a piecewise-constant unit model, as the double nearest it, at any n.
+
+    The walk's terms c b^k are summed in ``decimal`` at P = 40 + n.bit_length() // 3 digits
+    or more, each operation within u = 5 10^-P relative. b^k comes from squaring and
+    multiplying the rounded b, and e counts its roundings: 2e + 1 per squaring, e + 2 per
+    multiplication. As (e + 2) u <= 1/4, a rounded term T lies within 2 (e + 2) u |T| of its
+    exact value and a rounded partial sum S within 2 u |S| of the exact sum of its inputs. A
+    power below 10^-999 stops, and as |b| <= 1 its exact term is below 4 |c| 10^-999. E is twice
+    these bounds, and twice again for the rounding of E and of S ± E. S is returned once S - E
+    and S + E round to the same double; otherwise P doubles, and past 8 times the first P the
+    Fraction decides: at the exact zero p_1, and at ties such as GapUniform(0.45) at n = 55,
+    where p = 1 - 2^-54 lies midway between two doubles.
+    """
+    first = digits = 40 + n.bit_length() // 3
+    while digits <= 8 * first:
+        ctx = decimal.Context(prec=digits, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        total = bound = tail = decimal.Decimal(0)
+        for (b, k), c in _walk_terms(model, n):
+            x, c = ctx.divide(b.numerator, b.denominator), ctx.divide(c.numerator, c.denominator)
+            power, rounded = decimal.Decimal(1), 0
+            for bit in bin(k)[2:]:
+                power, rounded = ctx.multiply(power, power), 2 * rounded + 1
+                if bit == "1":
+                    power, rounded = ctx.multiply(power, x), rounded + 2
+                if power.adjusted() < -999:
+                    tail = ctx.add(tail, c.copy_abs())
+                    break
+            else:
+                total = ctx.add(total, term := ctx.multiply(c, power))
+                bound = ctx.fma(rounded + 2, term.copy_abs(), ctx.add(bound, total.copy_abs()))
+        err = ctx.add(ctx.scaleb(ctx.multiply(bound, 4), 1 - digits), ctx.scaleb(tail, -997))
+        if (hi := float(ctx.add(total, err))) == float(ctx.subtract(total, err)):
+            return hi
+        digits *= 2
+    return float(p_exact_rational(model, n))
 
 
 # one-dimensional reduction for the density f(x) = 2x
@@ -398,8 +452,6 @@ def _make_integrand(model, n):
 
     def weight(G):
         """G^(n-2) for G clipped at 0, formed in the array G."""
-        if power == 0:
-            return np.ones_like(G)
         np.log(np.maximum(G, 1e-300, out=G), out=G)
         G *= power
         return np.exp(G, out=G)
@@ -567,25 +619,34 @@ def p_monte_carlo(model, n, reps=100000, seed=0):
     return ProbabilityReport(p, "monte-carlo", n, error_estimate=se)
 
 
+def _auto_route(model, n):
+    """The route ``probability`` takes for the unit model at n under ``method="auto"``."""
+    if model.polynomial_degree == 0 and model.piecewise_polynomial_parts() is not None:
+        return "exact-rational"
+    if isinstance(model, GeneralLinear) and abs(model.a) == 2.0 and n <= MULTINOMIAL_MAX_N:
+        return "multinomial"
+    return "quadrature"
+
+
 def probability(model, n, method="auto", config=None):
     """p_n by the best route for this family, or by quadrature when ``method="quadrature"``.
 
-    auto prefers exact arithmetic: the rational integrator for piecewise
-    constant densities up to ``EXACT_RATIONAL_MAX_N``, the polynomial expansion
-    for the linear densities of slope +-2 up to ``MULTINOMIAL_MAX_N``, quadrature otherwise.
+    auto prefers exact arithmetic: the walk of ``p_exact_rational`` for piecewise constant
+    densities at every n, its value the double nearest the exact p_n and ``exact`` its
+    Fraction up to ``EXACT_RATIONAL_MAX_N``; the polynomial expansion for the linear densities
+    of slope +-2 up to ``MULTINOMIAL_MAX_N``; quadrature otherwise.
     The other routes are called by name: ``p_closed_form``, ``p_exact_rational``,
     ``p_multinomial_squarecdf`` and ``p_monte_carlo``.
     """
     n = _require_sample_size(n)
     model = model.to_unit()
-    if method == "auto":
-        if (n <= EXACT_RATIONAL_MAX_N and model.polynomial_degree == 0
-                and model.piecewise_polynomial_parts() is not None):
-            exact = p_exact_rational(model, n)
-            return ProbabilityReport(float(exact), "exact-rational", n, exact=exact)
-        if isinstance(model, GeneralLinear) and abs(model.a) == 2.0 and n <= MULTINOMIAL_MAX_N:
-            exact = p_multinomial_squarecdf(n)
-            return ProbabilityReport(float(exact), "multinomial", n, exact=exact)
-    elif method != "quadrature":
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"method: expected auto or quadrature, got {method!r}")
+    route = _auto_route(model, n) if method == "auto" else method
+    if route == "exact-rational":
+        exact = p_exact_rational(model, n) if n <= EXACT_RATIONAL_MAX_N else None
+        return ProbabilityReport(_p_walk(model, n), route, n, exact=exact)
+    if route == "multinomial":
+        exact = p_multinomial_squarecdf(n)
+        return ProbabilityReport(float(exact), route, n, exact=exact)
     return p_quadrature(model, n, config)

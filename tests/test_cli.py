@@ -2,18 +2,20 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cccd import multianchor
 from cccd.cli import MULTI_SAMPLED_REPS, main
-from cccd.densities import Uniform
-from cccd.exact import QUADRATURE_MAX_N, p_uniform_fraction
+from cccd.densities import Uniform, model_from_spec
+from cccd.exact import QUADRATURE_MAX_N, p_closed_form, p_uniform_fraction
 
 LINEAR = '{"family": "linear", "params": {"a": 1.0}}'
 
@@ -231,27 +233,50 @@ class TestExactAndQuadrature:
     @pytest.mark.parametrize("argv", [
         ["quadrature", "--n", str(10**26)],
         ["exact", "--n", str(10**16), "--density", LINEAR],
-        ["exact", "--n", str(10**26)],
-        ["exact", "--n", str(QUADRATURE_MAX_N + 1)],
-    ], ids=["quadrature", "exact_linear", "exact_uniform", "exact_past_the_cap"])
+        ["quadrature", "--n", str(QUADRATURE_MAX_N + 1)],
+        ["exact", "--n", str(QUADRATURE_MAX_N + 1), "--density", LINEAR],
+    ], ids=["quadrature", "exact_linear", "quadrature_past_the_cap", "exact_past_the_cap"])
     def test_n_past_the_quadrature_cap_exits_two(self, capsys, argv):
-        # quadrature printed p = 6.16e19 and 1.18 here, and exact on the uniform never returned
+        # quadrature printed p = 6.16e19 and 1.18 here; step densities take the exact walk
         start = time.perf_counter()
         rc, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert rc == 2 and out == ""
         assert f"--n must be at most {QUADRATURE_MAX_N}" in err
 
-    def test_exact_past_the_rational_cap_takes_quadrature(self, capsys):
-        # the exact-rational route took 102 s on this law at n = 10^6
+    def test_exact_past_the_rational_cap_stays_exact_rational(self, capsys):
+        # the exact-rational route took 102 s on this law at n = 10^6, and quadrature took over
         density = '{"family": "two_step", "params": {"delta": 0.5}}'
         start = time.perf_counter()
         rc, out, _ = run_cli(capsys, ["exact", "--n", str(10**6), "--density", density])
         assert time.perf_counter() - start < 0.1
         assert rc == 0
         _, rows, _ = parse_json_lines(out)
-        assert (rows[0]["method"], rows[0]["exact_fraction"]) == ("quadrature", None)
-        assert abs(rows[0]["p"] - 12 / 35) <= 1e-12
+        assert (rows[0]["method"], rows[0]["exact_fraction"]) == ("exact-rational", None)
+        assert rows[0]["p"] == float(Fraction(12, 35))
+
+    @pytest.mark.parametrize("density", [
+        '{"family": "two_step", "params": {"delta": 0.4}}',
+        '{"family": "gap_uniform", "params": {"delta": 0.45}}',
+    ])
+    def test_exact_on_step_densities_at_a_billion_exits_zero(self, capsys, density):
+        # quadrature exited 1 here: it did not reach rel_tol 1e-8 within 20000 panels
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, ["exact", "--n", str(10**9), "--density", density])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 0
+        _, rows, _ = parse_json_lines(out)
+        closed = p_closed_form(model_from_spec(density), 10**9)
+        assert rows[0]["method"] == "exact-rational"
+        assert abs(rows[0]["p"] - closed) <= 2 * math.ulp(closed)
+
+    def test_exact_on_the_uniform_past_every_cap_prints_its_limit(self, capsys):
+        # this never returned while the uniform's closed form built 4^n
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, ["exact", "--n", str(10**26)])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 0
+        assert parse_json_lines(out)[1][0]["p"] == 0.4444444444444444
 
     @pytest.mark.parametrize("command", ["exact", "quadrature"])
     def test_unbounded_density_past_its_cap_exits_two(self, capsys, command):

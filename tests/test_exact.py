@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cccd import exact
+from cccd.asymptotics import asymptotic_profile, limit_family_formula
 from cccd.densities import (_KRONROD15, AbsSine, ArcSine, Beta, GapUniform, GeneralLinear,
                             Linear, PieceQuadratic, QPower, ShrunkUniform,
                             SquareCdf, ThreeStep, TruncatedNormal, TwoStep,
@@ -190,6 +192,49 @@ class TestExactRational:
         cf = exact.p_closed_form(TwoStep(delta), n)
         en = float(exact.p_exact_rational(TwoStep(delta), n))
         assert cf == pytest.approx(en, abs=1e-12)
+
+
+# the step families of the benchmark's laws workload
+LAWS_STEPS = [ShrunkUniform(0.1), GapUniform(0.1), GapUniform(0.45), TwoStep(0.5), ThreeStep(0.5)]
+
+
+class TestWalk:
+    @pytest.mark.parametrize("model", STEP_MODELS + LAWS_STEPS, ids=repr)
+    def test_working_precision_sum_is_the_exact_value_rounded(self, model):
+        # n = 1 is an exact zero, and GapUniform(0.45) at n = 55 is 1 - 2^-54, midway between doubles
+        for n in (1, 2, 3, 5, 7, 10, 20, 50, 54, 55, 56, 200, 1000, 3000):
+            rep = exact.probability(model, n)
+            assert rep.method == "exact-rational"
+            assert repr(rep.value) == repr(float(exact.p_exact_rational(model, n)))
+
+    @pytest.mark.parametrize("model", [Uniform(), TwoStep(0.4), GapUniform(0.1), GapUniform(0.45),
+                                       ShrunkUniform(0.1)], ids=repr)
+    def test_large_n_matches_the_closed_forms(self, model):
+        for n in (10**5, 10**9, 10**15):
+            rep = exact.probability(model, n)
+            closed = exact.p_closed_form(model, n)
+            assert (rep.method, rep.exact) == ("exact-rational", None)
+            assert abs(rep.value - closed) <= 2 * math.ulp(closed)
+
+    def test_an_empty_walk_is_exactly_zero(self):
+        for model in (TwoStep(1.0), TwoStep(-1.0)):
+            assert exact._walk(model.to_unit()) == ({}, {})
+            assert repr(exact.probability(model, 10**9).value) == "0.0"
+
+    def test_the_limit_is_the_exact_coefficient_of_base_one(self):
+        for model, limit in ((Uniform(), Fraction(4, 9)), (TwoStep(0.5), Fraction(12, 35)),
+                             (ThreeStep(0.5), Fraction(36, 49)), (ThreeStep(-0.5), Fraction(4, 25))):
+            assert exact._walk(model.to_unit())[0][1] == limit
+
+    @pytest.mark.parametrize("model", STEP_MODELS + LAWS_STEPS + [
+        Uniform(), TwoStep(-0.3), ThreeStep(-0.5), TwoStep(1.0)], ids=repr)
+    def test_limits_are_within_two_ulps_of_the_exact_limit(self, model):
+        # no base leaves [-1, 1] and base 1 carries no factor n, so the base-1 coefficient is p_inf
+        powers, flat = exact._walk(model.to_unit())
+        assert all(-1 <= b <= 1 for b in [*powers, *flat]) and 1 not in flat
+        limit = float(powers.get(1, 0))
+        for value in (asymptotic_profile(model).p_limit, limit_family_formula(model)):
+            assert abs(value - limit) <= 2 * math.ulp(limit)
 
 
 def multinomial_oracle(top):
@@ -486,22 +531,23 @@ class TestProbabilityRouting:
             quad = exact.probability(model, n, method="quadrature", config=exact.QuadratureConfig(1e-12))
             assert quad.value == pytest.approx(rep.value, abs=1e-12)
 
-    def test_auto_leaves_the_rational_route_past_its_cap(self):
+    def test_auto_keeps_the_rational_route_past_its_cap(self):
+        # past the cap the report carries no Fraction, but the value is still the exact p_n rounded
         top = exact.EXACT_RATIONAL_MAX_N
         rep = exact.probability(Uniform(), top)
         assert (rep.method, rep.exact) == ("exact-rational", exact.p_uniform_fraction(top))
         for model in (Uniform(), TwoStep(0.5)):
             rep = exact.probability(model, top + 1)
-            assert rep.method == "quadrature" and rep.exact is None
-            assert abs(rep.value - float(exact.p_exact_rational(model, top + 1))) <= 1e-8 * rep.value
+            assert rep.method == "exact-rational" and rep.exact is None
+            assert rep.value == float(exact.p_exact_rational(model, top + 1))
 
     def test_quadrature_refuses_n_past_its_cap(self):
         # G^(n-2) with G rounded near 1: at 4e15 the uniform "converged" to 0.48 and at 1e17 to 61.6
         top = exact.QUADRATURE_MAX_N
-        assert exact.probability(Uniform(), top).method == "quadrature"
+        assert exact.probability(Uniform(), top, method="quadrature").method == "quadrature"
         for n in (top + 1, 4 * 10**15, 10**26):
             with pytest.raises(ValueError, match="quadrature resolves"):
-                exact.probability(Uniform(), n)
+                exact.probability(Uniform(), n, method="quadrature")
 
     def test_quadrature_refuses_unbounded_densities_past_their_cap(self):
         # the arc-sine's (1 - p_n) n tends to pi: 2.63 at the cap, 7.72 at 3e8, 27.9 at 1e9
