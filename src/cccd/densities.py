@@ -26,7 +26,10 @@ import numpy as np
 
 MASS_TOL = 1e-10
 BETA_CELLS, BETA_END_CELLS = 8192, 32  # Beta quantile table; end cells go to betaincinv
-BETA_CHUNK, BETA_TAIL_X = 2 ** 15, 2.0 ** -60  # values per pass; x below which the series is used
+# values per pass of the table route, whose 64 KiB temporaries stay under glibc's default
+# 128 KiB mmap threshold and so reuse heap pages from pass to pass (256 KiB passes took 3.6
+# times the minor page faults on simulate's 1 MiB chunks); x below which the series is used
+BETA_CHUNK, BETA_TAIL_X = 2 ** 13, 2.0 ** -60
 # 3-point Gauss-Legendre rule on [-1, 1]: the doubles leggauss(3) returns, written out so that
 # importing the module skips numpy.polynomial; the end weight is not the double nearest 5/9
 _GAUSS3 = (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
@@ -217,6 +220,16 @@ def _float_rows(polys):
     return np.array(list(itertools.zip_longest(*polys, fillvalue=0)), dtype=float)
 
 
+def _piece(knots, x):
+    """The count of knots at or below x, one comparison per knot: ``searchsorted(knots, x,
+    side="right")`` at every x but NaN, which counts 0.  No family has more than two interior
+    knots, and on random keys the binary search mispredicts its branch at every level."""
+    i = (x >= knots[0]).astype(np.intp)
+    for knot in knots[1:]:
+        i += x >= knot
+    return i
+
+
 class _PiecewisePolynomial(DensityModel):
     """A density that is one polynomial with exact rational coefficients on each piece.
 
@@ -266,7 +279,7 @@ class _PiecewisePolynomial(DensityModel):
         """The polynomial of the float rows at points x of the support.  One piece skips the search,
         and the subtraction t = x - 0; a constant on each piece is gathered."""
         one = self._starts.size == 1
-        i = 0 if one else np.searchsorted(self._starts[1:], x, side="right")
+        i = 0 if one else _piece(self._starts[1:], x)
         if len(rows) == 1:
             return np.full_like(x, rows[0][0]) if one else rows[0][i]
         return self._horner(rows, i, x if one and self._starts[0] == 0.0 else x - self._starts[i])
@@ -292,7 +305,7 @@ class _PiecewisePolynomial(DensityModel):
         if self._starts.size == 1:
             i, v = 0, u
         else:
-            i = np.searchsorted(self._cdf_rows[0][1:], u, side="right")
+            i = _piece(self._cdf_rows[0][1:], u)
             v = u - self._cdf_rows[0][i]
         if self._inverse == 1:
             t = v / self._heights[i]
@@ -627,9 +640,11 @@ class Beta(DensityModel):
         elif a == 1.0:  # I(x) = 1 - (1 - x)^b
             with np.errstate(divide="ignore"):
                 x = -np.expm1(np.log1p(-u) / b)
-        else:  # in chunks, so that the temporaries stay in cache
-            chunks = np.split(u.reshape(-1), range(BETA_CHUNK, u.size, BETA_CHUNK))
-            x = np.concatenate([_beta_quantile_cells(a, b, c) for c in chunks]).reshape(u.shape)
+        else:  # in passes written into one output, so that the temporaries stay small
+            x, flat = np.empty(u.shape), u.reshape(-1)
+            out = x.reshape(-1)
+            for start in range(0, flat.size, BETA_CHUNK):
+                out[start:start + BETA_CHUNK] = _beta_quantile_cells(a, b, flat[start:start + BETA_CHUNK])
         tail = (u > 0.0) & (u < special.betainc(a, b, BETA_TAIL_X))
         if tail.any():  # invert I(x) = x^a / (a B) * (1 - a (b-1)/(a+1) x + O(x^2))
             y = np.exp((np.log(np.where(tail, u, 1.0)) + math.log(a) + self._lognorm) / a)

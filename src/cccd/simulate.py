@@ -10,10 +10,13 @@ Replicate ``r`` consumes the SFC64 substream keyed by ``(seed, r // BATCH_REPS)`
 at row ``r % BATCH_REPS``, so the counts depend only on ``(seed, r)`` and are
 bit-identical for any worker count and any total replicate budget that
 includes ``r``.  Workers split work at batch boundaries and merge integer
-counts, which commutes.  A batch that would hold more than ``2**18`` uniform
+counts, which commutes.  A batch that would hold more than ``2**17`` uniform
 draws runs in chunks of whole rows, drawn one after another from its stream;
 the stream fills in order, so the chunks bound the working set at large ``n``
-and leave every count unchanged; 2 MiB chunks also keep peak memory steady.
+and leave every count unchanged.  A chunk holds 1 MiB per array, and each
+worker holds one chunk at a time.  The Beta quantile of a chunk runs in 64 KiB
+passes (``densities.BETA_CHUNK``): with 256 KiB passes, 1 MiB chunks fault in
+fresh pages on every pass, 3.6 times as many per call as 64 KiB passes.
 """
 
 from __future__ import annotations
@@ -30,8 +33,12 @@ BATCH_REPS = 2048
 MAX_TIE_REDRAWS = 100
 DEFAULT_THRESHOLD = 4.0
 
-_CHUNK_VALUES = 1 << 18   # most uniform draws a batch holds at once; the C allocator
-# may or may not keep a freed chunk of tens of MiB, so larger chunks swing peak RSS
+# most uniform draws a batch holds at once, 1 MiB per array; the C allocator may or may not
+# keep a freed chunk of tens of MiB, so larger chunks swing peak RSS, and each worker holds
+# one.  A Beta(2, 2) plan at (n, m, reps) = (200, 5, 4096) took 5.6k minor page faults per
+# run with 64 KiB Beta quantile passes, but 20.4k and about a quarter more time with 256 KiB
+# ones (7.8k with 2 MiB chunks and 256 KiB passes; 2-core Xeon, glibc malloc)
+_CHUNK_VALUES = 1 << 17
 
 # Stream word of per-replicate redraw streams, ``_REDRAW_KEY_BASE + r`` for
 # replicate r; disjoint from batch indices (which stay far below 2**63).
@@ -174,19 +181,30 @@ def run(plan: SimulationPlan) -> dict:
     """Simulate the plan and return ``{gamma: count}`` over observed values.
 
     Identical plans give bit-identical counts whatever ``parallelism`` says;
-    the worker count only changes wall-clock time.
+    the worker count only changes wall-clock time.  With k workers, the
+    smaller of ``parallelism`` and the batch count, worker w counts batches
+    w, w + k, w + 2k, ...; the calling thread is worker 0, so a run starts
+    k - 1 pool threads and none when k is 1.
     """
     n_batches = -(-plan.reps // BATCH_REPS)
-    if plan.parallelism > 1 and n_batches > 1:
+    workers = min(plan.parallelism, n_batches)
+
+    def share(worker):
+        totals = np.zeros(plan.gamma_cap + 1, dtype=np.int64)
+        for batch in range(worker, n_batches, workers):
+            totals += _batch_counts(plan, batch)
+        return totals
+
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor   # about 4 ms, paid by parallel runs only
 
-        with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
-            partials = list(pool.map(lambda b: _batch_counts(plan, b), range(n_batches)))
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(share, worker) for worker in range(1, workers)]
+            totals = share(0)
+            for other in others:
+                totals += other.result()
     else:
-        partials = [_batch_counts(plan, b) for b in range(n_batches)]
-    totals = np.zeros(plan.gamma_cap + 1, dtype=np.int64)
-    for part in partials:
-        totals += part
+        totals = share(0)
     return {int(k): int(c) for k, c in enumerate(totals) if c > 0}
 
 

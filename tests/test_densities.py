@@ -322,6 +322,19 @@ def test_newton_quantile_keeps_every_bit():
         "0ae649183927559299c9d19731ad0fee4f501dc89b81371a0c1db8431a1df737")
 
 
+@pytest.mark.parametrize("model", [model for model in model_zoo()
+                                   if len(model.piecewise_polynomial_parts() or ()) > 1], ids=repr)
+def test_piece_lookup_is_searchsorted_right(model):
+    # the pdf and cdf look up knots, the quantile the cdf at the knots; a zero-width
+    # piece repeats a knot
+    for knots in (model._starts[1:], model._cdf_rows[0][1:]):
+        draws = np.random.default_rng(7).random((40, 100))
+        x = np.concatenate([draws.ravel(), knots, np.nextafter(knots, -np.inf),
+                            np.nextafter(knots, np.inf), [0.0, -0.0, 1.0]])
+        for keys in (x, draws):
+            assert np.array_equal(D._piece(knots, keys), np.searchsorted(knots, keys, side="right"))
+
+
 @pytest.mark.parametrize("model", model_zoo(), ids=repr)
 def test_leading_term_matches_pdf_beside_each_landmark(model):
     lo, hi = model.support.lo, model.support.hi
@@ -873,11 +886,16 @@ def test_beta_quantile_route_replaces_betaincinv_in_inner_cells(monkeypatch):
     u = np.random.default_rng(3).random((64, 300))
     expect = special.betaincinv(2.5, 3.5, u)
     seen = _spy_on_betaincinv(monkeypatch)
+    real, passes = D._beta_quantile_cells, []
+    monkeypatch.setattr(D, "_beta_quantile_cells", lambda a, b, v: (passes.append(v.size), real(a, b, v))[1])
     x = model.quantile(u)
     assert sum(seen) == _end_cell_values(u) > 0
     assert x == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert sum(passes) == u.size and max(passes) <= D.BETA_CHUNK < u.size
     monkeypatch.setattr(D, "BETA_CHUNK", 1000)   # 20 chunks, the last one short
+    passes.clear()
     assert np.array_equal(model.quantile(u), x)
+    assert len(passes) == 20 and max(passes) <= 1000
 
 
 def test_beta_quantile_falls_back_on_a_skewed_start(monkeypatch):

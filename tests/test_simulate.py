@@ -1,7 +1,9 @@
 """Monte Carlo harness tests: reproducibility, law agreement, grading."""
 
 import ast
+import concurrent.futures
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from cccd.simulate import (
     BATCH_REPS,
     ComparisonVerdict,
     SimulationPlan,
+    _batch_counts,
+    _draw,
     _redraw_row,
     _stream,
     compare,
@@ -36,6 +40,13 @@ class _GridUniform(Uniform):
 
     def _quantile(self, u):
         return np.floor(64.0 * u) / 64.0
+
+
+class _PointMass(Uniform):
+    """Every draw lands on 1/2, so every row of two or more points ties."""
+
+    def _quantile(self, u):
+        return np.full_like(u, 0.5)
 
 
 # recorded from the per-cell mask kernel that preceded the rank-based one, on
@@ -162,6 +173,44 @@ class TestDeterminism:
         serial = run(SimulationPlan(parallelism=1, **base))
         threaded = run(SimulationPlan(parallelism=8, **base))
         assert serial == threaded
+
+    # five full batches and a short one, so worker counts of 2, 3 and 7 split them unevenly
+    @pytest.mark.parametrize("kwargs", [
+        dict(fx=UNIFORM, fy=(0.1, 0.35, 0.6), n=8),
+        dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4),
+        dict(fx=Beta(2, 2), fy=Beta(2, 2), n=20, m=3),
+    ], ids=["fixed", "random", "beta"])
+    def test_worker_counts_split_batches_without_changing_counts(self, kwargs):
+        reps = 5 * BATCH_REPS + 17
+        counts = [run(SimulationPlan(reps=reps, seed=31, parallelism=p, **kwargs)) for p in (1, 2, 3, 7)]
+        assert sum(counts[0].values()) == reps
+        assert all(c == counts[0] for c in counts[1:])
+
+    @pytest.mark.parametrize("parallelism, reps, threads", [
+        (1, 3 * BATCH_REPS, 0), (4, BATCH_REPS, 0), (2, 3 * BATCH_REPS, 1),
+        (3, 5 * BATCH_REPS + 17, 2), (8, 3 * BATCH_REPS, 2),
+    ])
+    def test_caller_is_worker_zero_beside_the_pool_threads(self, monkeypatch, parallelism, reps, threads):
+        pools, seen = [], []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr("cccd.simulate._batch_counts",
+                            lambda plan, b: (seen.append((threading.get_ident(), b)), _batch_counts(plan, b))[1])
+        run(SimulationPlan(fx=UNIFORM, fy=(0.25, 0.75), n=4, reps=reps, seed=8, parallelism=parallelism))
+        assert pools == ([threads] if threads else [])
+        n_batches = -(-reps // BATCH_REPS)
+        workers = {}
+        for ident, batch in seen:
+            workers.setdefault(ident, []).append(batch)
+        assert len(workers) == threads + 1
+        # worker w of k counts batches w, w + k, ..., in order; the caller is worker 0
+        assert workers[threading.get_ident()] == list(range(0, n_batches, threads + 1))
+        assert sorted(workers.values()) == [list(range(w, n_batches, threads + 1)) for w in range(threads + 1)]
 
     def test_partial_final_batch(self):
         plan = SimulationPlan(fx=UNIFORM, fy=[0.0, 1.0], n=5, reps=BATCH_REPS + 1, seed=3)
@@ -301,12 +350,15 @@ class TestChunkedBatches:
             dict(fx=_GridUniform(), fy=(0.1, 0.35, 0.6), n=8, reps=1200, seed=5),
         ]
         want = [run(SimulationPlan(**kwargs)) for kwargs in plans]
-        redrawn = []
+        redrawn, drawn = [], []
         monkeypatch.setattr("cccd.simulate._redraw_row",
                             lambda plan, r: (redrawn.append(r), _redraw_row(plan, r))[1])
+        monkeypatch.setattr("cccd.simulate._draw", lambda plan, rng, rows: (
+            drawn.append(rows * (plan.n + (plan.m if plan.random_anchors else 0))), _draw(plan, rng, rows))[1])
         monkeypatch.setattr("cccd.simulate._CHUNK_VALUES", 64)   # 4 to 8 rows a chunk
         assert [run(SimulationPlan(**kwargs)) for kwargs in plans] == want
         assert len(set(redrawn)) == len(redrawn) > 300
+        assert max(drawn) <= 64
         request.getfixturevalue("philox_streams")
         for kwargs, pinned in PINNED_COUNTS:
             assert run(SimulationPlan(**kwargs)) == pinned
@@ -340,3 +392,8 @@ class TestTieHandling:
         with pytest.raises(ValueError, match="degenerate"):
             _redraw_row(plan, 0)
         assert len(calls) == 100
+
+    def test_a_model_that_always_ties_raises_from_any_worker(self):
+        plan = SimulationPlan(fx=_PointMass(), fy=[0.25], n=2, reps=3 * BATCH_REPS, seed=1, parallelism=3)
+        with pytest.raises(ValueError, match="tied points"):
+            run(plan)
