@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import probability
+from .exact import _auto_value
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ def empirical_rate_exponent(model, n_values=(50, 100, 200, 400), limit=None):
         limit = asymptotic_profile(model).p_limit
     gaps = []
     for n in n_values:
-        report = probability(model, int(n))
-        gap = abs(report.value - limit)
+        gap = abs(_auto_value(model, int(n)) - limit)
         if gap == 0.0:
             raise ValueError(
                 f"n={n}: the gap to the limit underflows to zero; the decay is faster "
@@ -165,5 +164,5 @@ def describe_limit(model):
         "k": prof.k,
         "ell": prof.ell,
         "p_limit": prof.p_limit,
-        "method": "derivative-profile",
+        "method": "leading-term-profile",
     }

@@ -213,7 +213,7 @@ def _cmd_simulate(req: CommandRequest) -> int:
         anchors = (model.support.lo, model.support.hi)
         plan = simulate.SimulationPlan(fx=model, fy=anchors, n=req.n,
                                        reps=req.reps, seed=req.seed, parallelism=req.threads)
-        p = exact.probability(model, req.n).value
+        p = exact._auto_value(model, req.n)
         predicted = {1: 1.0 - p, 2: p}
     counts = simulate.run(plan)
     columns = ["k", "count", "fraction", "predicted", "z"]
@@ -313,7 +313,7 @@ def _paper_rows():
     paper_limit = asymptotics.limit_family_formula
     limit_row = lambda label, model: _row(f"{label} limit", paper_limit(model),
                                           asymptotics.asymptotic_profile(model).p_limit,
-                                          "derivative profile", 1e-12)
+                                          "leading-term profile", 1e-12)
 
     for n in (1, 2, 5):
         rows.append(_row(f"uniform p_{n}", float(exact.p_uniform_fraction(n)),

@@ -16,8 +16,9 @@ so 0 <= G <= 1 on the region.
 Evaluation routes, from most to least exact:
   * closed forms for the uniform family and three step-density families;
   * an exact rational walk for any piecewise-constant density, run once per model, whose
-    terms are summed in integers over one common denominator for the Fraction of p_n, or
-    at working precision under an error bound for the double nearest p_n at any n;
+    terms are summed once per p_n: in integers over one common denominator where the Fraction
+    of p_n is wanted, whose double is then the value, or else at working precision under an
+    error bound for the double nearest p_n at any n;
   * a one-dimensional polynomial reduction for the densities 2x and 2 - 2x on (0, 1);
   * adaptive two-dimensional quadrature for everything else: rect panels on
     the rectangle [0, 1/3] x [2/3, 1] above the lower edge, where G, f(s) and
@@ -632,9 +633,11 @@ def probability(model, n, method="auto", config=None):
     """p_n by the best route for this family, or by quadrature when ``method="quadrature"``.
 
     auto prefers exact arithmetic: the walk of ``p_exact_rational`` for piecewise constant
-    densities at every n, its value the double nearest the exact p_n and ``exact`` its
-    Fraction up to ``EXACT_RATIONAL_MAX_N``; the polynomial expansion for the linear densities
-    of slope +-2 up to ``MULTINOMIAL_MAX_N``; quadrature otherwise.
+    densities at every n, with ``exact`` its Fraction up to ``EXACT_RATIONAL_MAX_N``; the
+    polynomial expansion for the linear densities of slope +-2 up to ``MULTINOMIAL_MAX_N``;
+    quadrature otherwise. An exact route evaluates p_n once: the value is the double of
+    ``exact`` where the report carries it and the walk's working-precision sum where it does
+    not, the double nearest p_n either way. ``_auto_value`` gives that value without the report.
     The other routes are called by name: ``p_closed_form``, ``p_exact_rational``,
     ``p_multinomial_squarecdf`` and ``p_monte_carlo``.
     """
@@ -643,10 +646,17 @@ def probability(model, n, method="auto", config=None):
     if method not in ("auto", "quadrature"):
         raise ValueError(f"method: expected auto or quadrature, got {method!r}")
     route = _auto_route(model, n) if method == "auto" else method
-    if route == "exact-rational":
-        exact = p_exact_rational(model, n) if n <= EXACT_RATIONAL_MAX_N else None
-        return ProbabilityReport(_p_walk(model, n), route, n, exact=exact)
-    if route == "multinomial":
-        exact = p_multinomial_squarecdf(n)
-        return ProbabilityReport(float(exact), route, n, exact=exact)
-    return p_quadrature(model, n, config)
+    if route == "quadrature":
+        return p_quadrature(model, n, config)
+    exact = (p_multinomial_squarecdf(n) if route == "multinomial"
+             else p_exact_rational(model, n) if n <= EXACT_RATIONAL_MAX_N else None)
+    value = _p_walk(model, n) if exact is None else float(exact)
+    return ProbabilityReport(value, route, n, exact=exact)
+
+
+def _auto_value(model, n):
+    """``probability(model, n).value``, with no Fraction built where auto takes the walk."""
+    n, unit = _require_sample_size(n), model.to_unit()
+    if _auto_route(unit, n) == "exact-rational":
+        return _p_walk(unit, n)
+    return probability(model, n).value

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import simulate
-from .exact import _power_sum, _require_sample_size, probability
+from .exact import _auto_value, _power_sum, _require_sample_size
 
 # Caps n + m on every route that runs the cell program or reads p_0..p_n, by
 # its cost: uniform anchors take about 0.33 s at n = m = 200 on two cores.
@@ -119,7 +119,7 @@ def conditional_on_anchors(fx, anchors):
 @functools.cache
 def _pair_prob(model, t):
     """p_t of a unit-interval model, computed once per process."""
-    return probability(model, t).value
+    return _auto_value(model, t)
 
 
 def _pair_probs(fx, n):

@@ -22,6 +22,7 @@ fresh pages on every pass, 3.6 times as many per call as 64 KiB passes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,17 +178,24 @@ def _batch_counts(plan: SimulationPlan, batch: int) -> np.ndarray:
     return np.bincount(gammas, minlength=plan.gamma_cap + 1)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(plan: SimulationPlan) -> dict:
     """Simulate the plan and return ``{gamma: count}`` over observed values.
 
     Identical plans give bit-identical counts whatever ``parallelism`` says;
     the worker count only changes wall-clock time.  With k workers, the
-    smaller of ``parallelism`` and the batch count, worker w counts batches
-    w, w + k, w + 2k, ...; the calling thread is worker 0, so a run starts
-    k - 1 pool threads and none when k is 1.
+    smallest of ``parallelism``, the batch count and the usable CPUs, worker w
+    counts batches w, w + k, w + 2k, ...; the calling thread is worker 0, so a
+    run starts k - 1 pool threads and none when k is 1.
     """
     n_batches = -(-plan.reps // BATCH_REPS)
-    workers = min(plan.parallelism, n_batches)
+    workers = min(plan.parallelism, n_batches, _usable_cpus())
 
     def share(worker):
         totals = np.zeros(plan.gamma_cap + 1, dtype=np.int64)
@@ -214,7 +222,8 @@ def compare(empirical: dict, predicted: dict, threshold: float = DEFAULT_THRESHO
     Each atom gets a binomial z score ``(phat - p) / sqrt(p (1 - p) / reps)``;
     the verdict is ``pass`` exactly when every score stays within
     ``threshold``.  The statistic field carries the aggregate chi-square
-    over atoms with positive predicted mass.
+    over atoms with positive predicted mass.  A predicted atom that is NaN or
+    lies outside [0, 1] raises ``ValueError``.
     """
     reps = sum(empirical.values())
     if reps <= 0:
@@ -227,6 +236,8 @@ def compare(empirical: dict, predicted: dict, threshold: float = DEFAULT_THRESHO
     ok = True
     for k in atoms:
         p = float(predicted.get(k, 0.0))
+        if not 0.0 <= p <= 1.0:  # NaN fails this test too
+            raise ValueError(f"predicted[{k}]: probability must lie in [0, 1], got {p!r}")
         phat = empirical.get(k, 0) / reps
         spread = math.sqrt(p * (1.0 - p) / reps)
         if spread > 0.0:

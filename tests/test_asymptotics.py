@@ -275,11 +275,11 @@ class TestDescribeLimit:
         row = describe_limit(Linear(1.0))
         assert row == {
             "family": "linear", "params": {"a": 1.0}, "k": 0, "ell": 0,
-            "p_limit": pytest.approx(0.375), "method": "derivative-profile",
+            "p_limit": pytest.approx(0.375), "method": "leading-term-profile",
         }
 
     def test_divergent_row(self):
         row = describe_limit(ArcSine())
-        assert row["method"] == "derivative-profile"
+        assert row["method"] == "leading-term-profile"
         assert (row["k"], row["ell"]) == (0, 0)
         assert row["p_limit"] == 1.0

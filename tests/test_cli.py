@@ -71,6 +71,11 @@ class TestArgumentHandling:
             assert run_cli(capsys, ["quadrature", "--n", "3", "--rel-tol", rel_tol])[0] == 2
         assert run_cli(capsys, ["multi", "--n", "3", "--m", "0"])[0] == 2
 
+    def test_seed_past_64_bits_is_usage_error(self, capsys):
+        rc, _, err = run_cli(capsys, ["simulate", "--n", "4", "--seed", str(2**64)])
+        assert rc == 2
+        assert "64 bits" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
 
@@ -320,22 +325,30 @@ class TestAsymptotic:
         row = rows[0]
         assert (row["k"], row["ell"]) == (0, 0)
         assert row["p_limit"] == pytest.approx(0.375, abs=1e-12)
-        assert row["method"] == "derivative-profile"
+        assert row["method"] == "leading-term-profile"
 
     def test_divergent_density_uses_derivative_profile(self, capsys):
         rc, out, _ = run_cli(capsys, ["asymptotic", "--density", '{"family": "arc_sine"}'])
         assert rc == 0
         _, rows, _ = parse_json_lines(out)
-        assert (rows[0]["method"], rows[0]["p_limit"]) == ("derivative-profile", 1.0)
+        assert (rows[0]["method"], rows[0]["p_limit"]) == ("leading-term-profile", 1.0)
         assert (rows[0]["k"], rows[0]["ell"]) == (0, 0)
 
+
+    def test_csv_row_writes_its_params_as_json(self, capsys):
+        density = '{"family": "two_step", "params": {"delta": 0.4}}'
+        rc, out, _ = run_cli(capsys, ["asymptotic", "--density", density, "--format", "csv"])
+        assert rc == 0
+        _, rows, _ = parse_csv(out)
+        assert json.loads(rows[0]["params"]) == {"delta": 0.4}
+        assert (rows[0]["family"], rows[0]["method"]) == ("two_step", "leading-term-profile")
 
     def test_beta_with_large_shapes_exits_zero(self, capsys):
         density = '{"family": "beta", "params": {"nu1": 1000, "nu2": 1000}}'
         rc, out, _ = run_cli(capsys, ["asymptotic", "--density", density])
         assert rc == 0
         _, rows, _ = parse_json_lines(out)
-        assert (rows[0]["method"], rows[0]["p_limit"]) == ("derivative-profile", 0.0)
+        assert (rows[0]["method"], rows[0]["p_limit"]) == ("leading-term-profile", 0.0)
 
     def test_fractional_power_exits_zero(self, capsys):
         rc, out, _ = run_cli(capsys, ["asymptotic", "--density",
@@ -445,6 +458,16 @@ class TestTable:
 
 
 class TestCurves:
+    def test_csv_listing_names_every_file_and_its_rows(self, tmp_path, capsys):
+        rc, out, _ = run_cli(capsys, ["table", "--curves", "--format", "csv", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = out.strip().splitlines()
+        assert json.loads(lines[0][2:])["curves"] is True
+        listed = dict(line.split(",") for line in lines[1:])
+        assert sorted(listed) == sorted(p.name for p in tmp_path.iterdir())
+        for name, rows in listed.items():
+            assert int(rows) == len((tmp_path / name).read_text().splitlines()) - 1
+
     def test_curve_files_written_and_deterministic(self, tmp_path):
         first = tmp_path / "one"
         second = tmp_path / "two"

@@ -453,6 +453,8 @@ def test_spec_round_trip():
 
 
 def test_spec_parse_errors_name_fields():
+    with pytest.raises(ValueError, match="density spec: expected an object, got list"):
+        D.model_from_spec("[1]")
     with pytest.raises(ValueError, match="family"):
         D.model_from_spec({"params": {}})
     with pytest.raises(ValueError, match="family"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cccd import exact
+from cccd import asymptotics, cli, exact, multianchor
 from cccd.asymptotics import asymptotic_profile, limit_family_formula
 from cccd.densities import (_KRONROD15, AbsSine, ArcSine, Beta, GapUniform, GeneralLinear,
                             Linear, PieceQuadratic, QPower, ShrunkUniform,
@@ -202,10 +202,12 @@ class TestWalk:
     @pytest.mark.parametrize("model", STEP_MODELS + LAWS_STEPS, ids=repr)
     def test_working_precision_sum_is_the_exact_value_rounded(self, model):
         # n = 1 is an exact zero, and GapUniform(0.45) at n = 55 is 1 - 2^-54, midway between doubles
+        # probability's value is the Fraction's double here; _auto_value's is the decimal sum
         for n in (1, 2, 3, 5, 7, 10, 20, 50, 54, 55, 56, 200, 1000, 3000):
             rep = exact.probability(model, n)
             assert rep.method == "exact-rational"
             assert repr(rep.value) == repr(float(exact.p_exact_rational(model, n)))
+            assert repr(exact._auto_value(model, n)) == repr(rep.value)
 
     @pytest.mark.parametrize("model", [Uniform(), TwoStep(0.4), GapUniform(0.1), GapUniform(0.45),
                                        ShrunkUniform(0.1)], ids=repr)
@@ -578,3 +580,39 @@ class TestProbabilityRouting:
                       exact.probability(TwoStep(0.4), n, method="quadrature").value}
             assert max(values) - min(values) < 1e-8
 
+
+
+class TestOneEvaluation:
+    @pytest.mark.parametrize("model", [Linear(1.0), Linear(2.0), SquareCdf(),
+                                       GeneralLinear(0.05, (-1.0, 3.0)), Beta(2, 2)], ids=repr)
+    def test_value_only_route_matches_probability_off_the_walk(self, model):
+        for n in (1, 2, 10, 60, 61):
+            assert repr(exact._auto_value(model, n)) == repr(exact.probability(model, n).value)
+
+    def test_a_step_density_report_makes_one_exact_evaluation(self, monkeypatch):
+        calls = []
+        for name in ("p_exact_rational", "_p_walk"):
+            monkeypatch.setattr(exact, name, lambda *args, _name=name, _f=getattr(exact, name):
+                                (calls.append(_name), _f(*args))[1])
+        top = exact.EXACT_RATIONAL_MAX_N
+        for n, want in ((2, "p_exact_rational"), (top, "p_exact_rational"),
+                        (top + 1, "_p_walk"), (10**9, "_p_walk")):
+            calls.clear()
+            rep = exact.probability(TwoStep(0.5), n)
+            assert calls == [want] and (rep.exact is None) == (want == "_p_walk"), n
+
+    def test_value_only_callers_build_no_fraction(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a value-only caller built the Fraction of p_n")
+
+        monkeypatch.setattr(exact, "p_exact_rational", refuse)
+        monkeypatch.setattr(exact, "_power_sum", refuse)
+        multianchor._pair_prob.cache_clear()
+        for model in (TwoStep(0.4), GapUniform(0.1), ThreeStep(0.6)):
+            p = multianchor._pair_probs(model, 60)
+            assert p[2:].min() > 0.0 and p[-1] == exact._auto_value(model, 60)
+        # p_n nears its limit geometrically, so the fitted power-law exponent is positive
+        assert asymptotics.empirical_rate_exponent(TwoStep(0.4), (5, 10, 20)) > 0.0
+        density = '{"family": "gap_uniform", "params": {"delta": 0.1}}'
+        assert cli.main(["simulate", "--density", density, "--n", "200", "--reps", "100"]) == 0
+        assert "predicted" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from cccd.densities import (
     TwoStep,
     Uniform,
 )
-from cccd.exact import p_uniform_fraction, probability
+from cccd.exact import _auto_value, p_uniform_fraction, probability
 from cccd.multianchor import (
     AnchorConditional,
     asymptotic_law_fixed_m,
@@ -184,6 +184,10 @@ class TestAnchorConditional:
         assert "hu_family" not in str(info.value)
 
     def test_direct_construction_validation(self):
+        with pytest.raises(ValueError, match="at least one anchor"):
+            AnchorConditional((), (1.0,), Uniform())
+        with pytest.raises(ValueError, match="expected 2 cell masses for 1 anchors, got 3"):
+            AnchorConditional((0.5,), (0.2, 0.3, 0.5), Uniform())
         with pytest.raises(ValueError, match="cell masses sum"):
             AnchorConditional((0.5,), (0.4, 0.4), Uniform())
         with pytest.raises(ValueError, match="nonnegative"):
@@ -391,6 +395,14 @@ class TestPmfRandomAnchors:
         table = pmf_random_anchors_table(Uniform(), Uniform(), 3, 4, mc_reps=500)
         assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_zero_anchors_or_replicates_raise(self):
+        with pytest.raises(ValueError, match="m: need at least one anchor, got 0"):
+            pmf_random_anchors_table(Uniform(), Uniform(), 3, 0)
+        with pytest.raises(ValueError, match="m: need at least one anchor, got 0"):
+            expected_gamma(Uniform(), Uniform(), 3, 0)
+        with pytest.raises(ValueError, match="mc_reps: need at least one replicate, got 0"):
+            pmf_random_anchors_table(Uniform(), Uniform(), 3, 1, mc_reps=0)
+
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="support"):
             pmf_random_anchors_table(GeneralLinear(0.05, (-1.0, 3.0)), Uniform(), 2, 1)
@@ -480,9 +492,9 @@ class TestPairProbabilityMemo:
 
         def counting(model, t):
             calls.append((model, t))
-            return probability(model, t)
+            return _auto_value(model, t)
 
-        monkeypatch.setattr(multianchor, "probability", counting)
+        monkeypatch.setattr(multianchor, "_auto_value", counting)
         n = 7
         # GeneralLinear rescales to a fresh Linear on every call
         for model in (Uniform(), GeneralLinear(0.05, (-1.0, 3.0))):
@@ -661,6 +673,8 @@ class TestAsymptoticLawFixedM:
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="m: need at least one anchor, got 0"):
+            asymptotic_law_fixed_m([], 0)
         with pytest.raises(ValueError, match="m - 1"):
             asymptotic_law_fixed_m([0.5], 1)
         with pytest.raises(ValueError, match="0, 1"):

@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import math
+import os
 import threading
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from cccd.simulate import (
     _draw,
     _redraw_row,
     _stream,
+    _usable_cpus,
     compare,
     run,
 )
@@ -101,6 +103,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="finite"):
             SimulationPlan(fx=UNIFORM, fy=fy, n=5, reps=4096)
 
+    def test_fixed_anchors_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="nonempty 1-d sequence"):
+            SimulationPlan(fx=UNIFORM, fy=[[0.2, 0.4], [0.6, 0.8]], n=3)
+
     def test_anchors_outside_support_rejected(self):
         with pytest.raises(ValueError, match="support"):
             SimulationPlan(fx=UNIFORM, fy=[0.2, 1.3], n=2)
@@ -180,7 +186,8 @@ class TestDeterminism:
         dict(fx=UNIFORM, fy=UNIFORM, n=7, m=4),
         dict(fx=Beta(2, 2), fy=Beta(2, 2), n=20, m=3),
     ], ids=["fixed", "random", "beta"])
-    def test_worker_counts_split_batches_without_changing_counts(self, kwargs):
+    def test_worker_counts_split_batches_without_changing_counts(self, monkeypatch, kwargs):
+        monkeypatch.setattr("cccd.simulate._usable_cpus", lambda: 8)   # so 3 and 7 workers run
         reps = 5 * BATCH_REPS + 17
         counts = [run(SimulationPlan(reps=reps, seed=31, parallelism=p, **kwargs)) for p in (1, 2, 3, 7)]
         assert sum(counts[0].values()) == reps
@@ -191,6 +198,7 @@ class TestDeterminism:
         (3, 5 * BATCH_REPS + 17, 2), (8, 3 * BATCH_REPS, 2),
     ])
     def test_caller_is_worker_zero_beside_the_pool_threads(self, monkeypatch, parallelism, reps, threads):
+        monkeypatch.setattr("cccd.simulate._usable_cpus", lambda: 8)
         pools, seen = [], []
 
         class Pool(concurrent.futures.ThreadPoolExecutor):
@@ -211,6 +219,44 @@ class TestDeterminism:
         # worker w of k counts batches w, w + k, ..., in order; the caller is worker 0
         assert workers[threading.get_ident()] == list(range(0, n_batches, threads + 1))
         assert sorted(workers.values()) == [list(range(w, n_batches, threads + 1)) for w in range(threads + 1)]
+
+    @pytest.mark.parametrize("cpus, parallelism, workers", [(2, 1000, 2), (3, 1000, 3), (4, 2, 2), (1, 8, 1)])
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch, cpus, parallelism, workers):
+        pools = []
+
+        class InlinePool:
+            """Records max_workers and runs each submitted share at once, starting no thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr("cccd.simulate._usable_cpus", lambda: cpus)
+        reps = 5 * BATCH_REPS + 17
+        kwargs = dict(fx=UNIFORM, fy=(0.25, 0.75), n=4, reps=reps, seed=8)
+        counts = run(SimulationPlan(parallelism=parallelism, **kwargs))
+        assert pools == ([workers - 1] if workers > 1 else [])
+        assert counts == run(SimulationPlan(parallelism=1, **kwargs))
+
+    def test_usable_cpus_reads_the_affinity_mask_or_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
 
     def test_partial_final_batch(self):
         plan = SimulationPlan(fx=UNIFORM, fy=[0.0, 1.0], n=5, reps=BATCH_REPS + 1, seed=3)
@@ -329,6 +375,11 @@ class TestCompare:
         verdict = compare({1: 500}, {1: 1.0})
         assert verdict.passed
         assert verdict.per_atom == ((1, 1.0, 1.0, 0.0),)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+    def test_predicted_atom_outside_the_unit_interval_raises(self, bad):
+        with pytest.raises(ValueError, match=r"predicted\[2\]: probability must lie in \[0, 1\]"):
+            compare({1: 60, 2: 40}, {1: 0.5, 2: bad})
 
     def test_threshold_is_adjustable(self):
         counts = {1: 560, 2: 440}
